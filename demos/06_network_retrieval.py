@@ -5,8 +5,11 @@ it never sees the retrieval index or the client's reconstruction state.
 The client handshakes (HELLO -> CONFIG with a parameter digest), sends each
 server its query concurrently, and reconstructs locally.  Payload bytes are
 identical to the in-process run; only the 9-byte frame headers and the
-handshake are extra.
+handshake are extra.  Every retrieval draws a fresh seed: from a predictable
+one, a single server could recompute the query randomness and read off i.
 """
+
+import secrets
 
 from pirlab.protocols import build_cgks
 from pirlab.sim import (
@@ -31,8 +34,9 @@ print("servers listening on", ", ".join(f"{h}:{p}" for h, p in endpoints))
 
 try:
     for i in (2, 5):
-        bit, transcript = client_retrieve(endpoints, scheme, i, seed=i)
-        _, local = run_inprocess(scheme, x, i, seed=i)
+        seed = secrets.randbits(64)
+        bit, transcript = client_retrieve(endpoints, scheme, i, seed=seed)
+        _, local = run_inprocess(scheme, x, i, seed=seed)
         print(f"\nretrieve x_{i}: got {bit} (database holds {x[i]})")
         print(f"  payload {transcript.payload_bytes} bytes "
               f"(in-process run: {local.payload_bytes}), "

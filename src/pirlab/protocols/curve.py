@@ -23,19 +23,23 @@ from ..engine import Codec, Scheme
 from ..errors import ParamError, SingularMatrix
 
 
-def weight_d_vectors(h: int, d: int, n: int) -> list[tuple[int, ...]]:
-    """First n indicator vectors of d-subsets of [h], in colexicographic
-    order of the subsets (deterministic and reproducible)."""
+def _colex_subsets(h: int, d: int):
+    """The d-subsets of [h] as sorted tuples, in colexicographic order."""
+    if d == 0:
+        yield ()
+        return
+    for top in range(d - 1, h):
+        for rest in _colex_subsets(top, d - 1):
+            yield rest + (top,)
+
+
+def weight_d_supports(h: int, d: int, n: int) -> list[tuple[int, ...]]:
+    """Supports of the first n weight-d exponent vectors in {0,1}^h: the
+    first n d-subsets of [h] in colexicographic order.  This order fixes
+    which index each vector encodes, so it must never change."""
     if math.comb(h, d) < n:
         raise ParamError(f"C({h},{d}) = {math.comb(h, d)} < n = {n}")
-    subsets = sorted(itertools.combinations(range(h), d), key=lambda s: s[::-1])
-    vectors = []
-    for subset in subsets[:n]:
-        vec = [0] * h
-        for c in subset:
-            vec[c] = 1
-        vectors.append(tuple(vec))
-    return vectors
+    return list(itertools.islice(_colex_subsets(h, d), n))
 
 
 def minimal_h(d: int, n: int) -> int:
@@ -45,18 +49,17 @@ def minimal_h(d: int, n: int) -> int:
     return h
 
 
-def _curve_points(u_i, ell, h, t, k, p):
-    """Evaluate q(theta) = u_i + R*(theta..theta^t) at theta = 1..k."""
+def _curve_points(support, ell, h, t, k, p):
+    """Evaluate q(theta) = u_i + R*(theta..theta^t) at theta = 1..k, where
+    u_i is the 0/1 vector with ones exactly at ``support``."""
     rows = [ell[c * t : (c + 1) * t] for c in range(h)]
     points = []
     for j in range(1, k + 1):
         powers = [pow(j, b, p) for b in range(1, t + 1)]
-        points.append(
-            tuple(
-                (u_i[c] + sum(r * w for r, w in zip(rows[c], powers))) % p
-                for c in range(h)
-            )
-        )
+        point = [sum(r * w for r, w in zip(row, powers)) for row in rows]
+        for c in support:
+            point[c] += 1
+        points.append(tuple(v % p for v in point))
     return tuple(points)
 
 
@@ -71,8 +74,7 @@ def build_lagrange(n: int, t: int, k: int, p: int, h: int | None = None) -> Sche
         raise ParamError(f"degree bound floor((k-1)/t) = {d} < 1")
     if h is None:
         h = minimal_h(d, n)
-    u_vectors = weight_d_vectors(h, d, n)
-    supports = [tuple(c for c, bit in enumerate(u) if bit) for u in u_vectors]
+    supports = weight_d_supports(h, d, n)
 
     # Lagrange basis values at 0 for the points 1..k; independent of (i, ell).
     lam = []
@@ -85,7 +87,7 @@ def build_lagrange(n: int, t: int, k: int, p: int, h: int | None = None) -> Sche
     lam_tuple = (tuple(lam), 1)
 
     def row(i, ell):
-        return _curve_points(u_vectors[i], ell, h, t, k, p)
+        return _curve_points(supports[i], ell, h, t, k, p)
 
     def alpha(tau, z):
         acc = 1
@@ -161,29 +163,25 @@ def build_wy_hermite(n: int, t: int, k: int, p: int, h: int | None = None) -> Sc
     d = (2 * k - 1) // t
     if h is None:
         h = minimal_h(d, n)
-    u_vectors = weight_d_vectors(h, d, n)
-    supports = [tuple(c for c, bit in enumerate(u) if bit) for u in u_vectors]
+    supports = weight_d_supports(h, d, n)
     mu = hermite_recovery_vector(k, p)
 
     def row(i, ell):
-        return _curve_points(u_vectors[i], ell, h, t, k, p)
+        return _curve_points(supports[i], ell, h, t, k, p)
 
     def alpha(tau, z):
         support = supports[tau]
         value = 1
         for c in support:
             value = value * z[c] % p
-        out = [value]
-        support_set = set(support)
-        for c in range(h):
-            if c not in support_set:
-                out.append(0)
-                continue
+        out = [0] * (h + 1)
+        out[0] = value
+        for c in support:
             partial = 1
             for c2 in support:
                 if c2 != c:
                     partial = partial * z[c2] % p
-            out.append(partial)
+            out[c + 1] = partial
         return tuple(out)
 
     def recon(i, ell):

@@ -55,6 +55,8 @@ ERR_DIGEST = 3
 ERR_INTERNAL = 4
 
 DEFAULT_TIMEOUT = 5.0
+# How often serve_forever checks for shutdown, so the most stop() waits.
+POLL_INTERVAL = 0.05
 
 
 def encode_frame(msg_type: int, payload: bytes) -> bytes:
@@ -253,7 +255,9 @@ class PirServer(socketserver.ThreadingTCPServer):
         return self.server_address[:2]
 
     def start(self):
-        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
+        self._thread = threading.Thread(
+            target=self.serve_forever, args=(POLL_INTERVAL,), daemon=True
+        )
         self._thread.start()
         return self
 

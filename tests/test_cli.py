@@ -139,6 +139,36 @@ class TestNetworkCommands:
             for s in servers:
                 s.stop()
 
+    def test_get_without_seed_sends_fresh_queries(self, capsys):
+        received = []
+
+        class RecordingNode(ServerNode):
+            def answer_payload(self, query_payload):
+                received.append(query_payload)
+                return super().answer_payload(query_payload)
+
+        scheme = build_cgks(512)  # server 1's query is 24 uniform bits
+        x = tuple(j % 3 % 2 for j in range(512))
+        servers = [
+            serve(RecordingNode(server_id=1, scheme=scheme, database=x)),
+            serve(ServerNode(server_id=2, scheme=scheme, database=x)),
+        ]
+        try:
+            endpoints = ",".join(f"{h}:{p}" for h, p in (s.endpoint for s in servers))
+            for _ in range(2):
+                code, out, _ = run_cli(
+                    capsys,
+                    "get", "cgks", "--n", "512",
+                    "--index", "7", "--servers", endpoints,
+                )
+                assert code == 0
+                assert f"x_7 = {x[6]}" in out
+        finally:
+            for s in servers:
+                s.stop()
+        assert len(received) == 2
+        assert received[0] != received[1]
+
     def test_get_wrong_endpoint_count(self, capsys):
         code, _, err = run_cli(
             capsys,

@@ -1,7 +1,10 @@
 """Cube and curve schemes: construction invariants, span identities,
 exhaustive suites at small parameters, and the interpolation algebra."""
 
+import itertools
 import math
+import random
+import tracemalloc
 
 import pytest
 
@@ -12,7 +15,7 @@ from pirlab.protocols.curve import (
     hermite_basis_matrix,
     hermite_recovery_vector,
     minimal_h,
-    weight_d_vectors,
+    weight_d_supports,
 )
 from pirlab.verify import (
     exhaustive_correctness,
@@ -54,15 +57,60 @@ class TestCgks:
         assert q2 == (1 << 0, 1 << 1, 1 << 1)
 
 
+def _colex_reference(h, d):
+    return sorted(itertools.combinations(range(h), d), key=lambda s: s[::-1])
+
+
+def _dense_exponents(h, d, n):
+    return [
+        tuple(1 if c in subset else 0 for c in range(h))
+        for subset in _colex_reference(h, d)[:n]
+    ]
+
+
+def _dense_row(u, ell, t, k, p):
+    h = len(u)
+    return tuple(
+        tuple(
+            (u[c] + sum(ell[c * t + b - 1] * pow(j, b, p) for b in range(1, t + 1)))
+            % p
+            for c in range(h)
+        )
+        for j in range(1, k + 1)
+    )
+
+
+def _dense_monomial(u, z, p):
+    value = 1
+    for zc, uc in zip(z, u):
+        value = value * pow(zc, uc, p) % p
+    return value
+
+
+def _dense_gradient(u, z, p):
+    # d/dz_c of z^u is u_c * z_c^(u_c - 1) * prod_{c2 != c} z_c2^(u_c2).
+    grad = []
+    for c, uc in enumerate(u):
+        if uc == 0:
+            grad.append(0)
+            continue
+        rest = u[:c] + (0,) + u[c + 1 :]
+        grad.append(uc * pow(z[c], uc - 1, p) * _dense_monomial(rest, z, p) % p)
+    return tuple(grad)
+
+
 class TestWeightVectors:
     def test_colex_order(self):
-        vecs = weight_d_vectors(4, 2, 6)
-        subsets = [tuple(c for c, b in enumerate(v) if b) for v in vecs]
-        assert subsets == [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
+        for h in range(11):
+            for d in range(6):
+                assert weight_d_supports(h, d, math.comb(h, d)) == _colex_reference(
+                    h, d
+                )
+        assert weight_d_supports(4, 2, 4) == [(0, 1), (0, 2), (1, 2), (0, 3)]
 
     def test_too_many(self):
         with pytest.raises(ParamError):
-            weight_d_vectors(3, 2, 4)
+            weight_d_supports(3, 2, 4)
 
     def test_minimal_h(self):
         assert minimal_h(2, 3) == 3
@@ -79,7 +127,7 @@ class TestLagrange:
         # At theta = 0 the curve sits at u_i, where z^(u_tau) = 1_{tau = i}
         # for distinct weight-d binary vectors.
         scheme = build_lagrange(3, 1, 3, 5)
-        vecs = weight_d_vectors(scheme.report["h"], scheme.report["d"], 3)
+        vecs = _dense_exponents(scheme.report["h"], scheme.report["d"], 3)
         for i, u in enumerate(vecs):
             for tau in range(3):
                 assert scheme.alpha(tau, u) == ((1,) if tau == i else (0,))
@@ -190,6 +238,50 @@ class TestHermiteScheme:
                     (a + b) % 7 for a, b in zip(total, answer(scheme, unit, q))
                 ]
         assert tuple(total) == answer(scheme, x, q)
+
+
+class TestSparseAgainstDense:
+    """The schemes store only the supports of the u_tau; row and alpha must
+    equal a construction from the dense exponent vectors, index by index."""
+
+    @pytest.mark.parametrize(
+        "build,n,t,k,p",
+        [
+            (build_lagrange, 30, 1, 3, 13),
+            (build_lagrange, 20, 2, 5, 7),
+            (build_lagrange, 50, 1, 4, 11),
+            (build_wy_hermite, 30, 1, 2, 7),
+            (build_wy_hermite, 20, 2, 3, 7),
+            (build_wy_hermite, 40, 1, 3, 11),
+        ],
+    )
+    def test_row_and_alpha(self, build, n, t, k, p):
+        scheme = build(n, t, k, p)
+        h, d = scheme.report["h"], scheme.report["d"]
+        vecs = _dense_exponents(h, d, n)
+        hermite = scheme.name == "hermite"
+        rng = random.Random(n * 1000 + k)
+        for _ in range(20):
+            i = rng.randrange(n)
+            ell = scheme.sample_randomness(rng)
+            points = scheme.row(i, ell)
+            assert points == _dense_row(vecs[i], ell, t, k, p)
+            for z in points:
+                for tau, u in enumerate(vecs):
+                    expected = (_dense_monomial(u, z, p),)
+                    if hermite:
+                        expected += _dense_gradient(u, z, p)
+                    assert scheme.alpha(tau, z) == expected
+
+    def test_build_memory_is_sparse(self):
+        # A dense u_tau per index costs ~190 MB here (h = 363).
+        tracemalloc.start()
+        try:
+            build_lagrange(65536, 1, 3, 13)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestCurveCosts:
