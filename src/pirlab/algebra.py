@@ -111,12 +111,6 @@ class PrimeField:
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
 
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
-
     def mul(self, a: int, b: int) -> int:
         return a * b % self.p
 
@@ -167,12 +161,6 @@ class IntRing:
 
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.m
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.m
-
-    def neg(self, a: int) -> int:
-        return -a % self.m
 
     def mul(self, a: int, b: int) -> int:
         return a * b % self.m
@@ -289,17 +277,8 @@ class ExtField:
     def __hash__(self):
         return hash(("EF", self.p, self.e, self.modulus))
 
-    def embed(self, c: int) -> tuple[int, ...]:
-        return (c % self.p,) + (0,) * (self.e - 1)
-
     def add(self, a, b):
         return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return tuple((x - y) % self.p for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple(-x % self.p for x in a)
 
     def mul(self, a, b):
         return _poly_mod_mul(a, b, self.modulus, self.p)
@@ -431,17 +410,8 @@ class CyclicGroupRing:
         coeffs[exponent % self.m] = 1
         return tuple(coeffs)
 
-    def embed(self, c: int) -> tuple[int, ...]:
-        return (c % self.m,) + (0,) * (self.m - 1)
-
     def add(self, a, b):
         return tuple((x + y) % self.m for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return tuple((x - y) % self.m for x, y in zip(a, b))
-
-    def neg(self, a):
-        return tuple(-x % self.m for x in a)
 
     def mul(self, a, b):
         m = self.m
@@ -463,10 +433,6 @@ class CyclicGroupRing:
         """Multiply by g^exponent (a cyclic rotation of the coefficients)."""
         s = exponent % self.m
         return tuple(a[(i - s) % self.m] for i in range(self.m))
-
-    def reduce_mod(self, a, q: int) -> tuple[int, ...]:
-        """Image of a in F_q[g]/(g^m - 1) for a prime factor q of m."""
-        return tuple(x % q for x in a)
 
     def to_ints(self, a) -> tuple[int, ...]:
         return tuple(a)
@@ -504,14 +470,6 @@ class SparsePoly:
         for exponent, coeff in self.terms:
             acc = ring.add(acc, ring.mul(coeff, ring.pow(theta, exponent)))
         return acc
-
-    @property
-    def monomial_count(self) -> int:
-        return len(self.terms)
-
-
-def poly_eval(poly: SparsePoly, theta):
-    return poly.evaluate(theta)
 
 
 def find_order_element(field: PrimeField, m: int) -> int:

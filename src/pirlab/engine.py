@@ -416,12 +416,8 @@ def oa_strength_check(
     return lam
 
 
-def scheme_levels(scheme: Scheme, cap: int = DEFAULT_ROW_CAP) -> list[LevelPoint]:
-    """The full level set S of a scheme, via its level codec."""
-    return [tuple(v) for v in scheme.level_codec.enumerate_values(cap)]
-
-
 def scheme_oa_index(scheme: Scheme, i: int, cap: int = DEFAULT_ROW_CAP) -> int:
     """Materialize Q^(i) and check it is an OA at the scheme's strength."""
     rows = [scheme.row(i, ell) for ell in scheme.enumerate_randomness(cap)]
-    return oa_strength_check(rows, scheme_levels(scheme, cap), scheme.t, cap)
+    levels = [tuple(v) for v in scheme.level_codec.enumerate_values(cap)]
+    return oa_strength_check(rows, levels, scheme.t, cap)

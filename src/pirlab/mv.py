@@ -63,11 +63,6 @@ class MatchingFamily:
     def n(self) -> int:
         return len(self.u)
 
-    def take(self, n: int) -> "MatchingFamily":
-        if n > self.n:
-            raise ParamError(f"family has only {self.n} pairs, need {n}")
-        return MatchingFamily(self.m, self.h, self.u[:n], self.v[:n], self.target_set)
-
 
 def _dot_mod(a: Sequence[int], b: Sequence[int], m: int) -> int:
     return sum(x * y for x, y in zip(a, b)) % m
@@ -93,6 +88,31 @@ def check_matching_family(family: MatchingFamily) -> list[str]:
             if d not in target:
                 violations.append(f"<u_{i}, v_{j}> = {d} not in target set")
     return violations
+
+
+def validate_family(family: MatchingFamily, m: int, allowed_targets: Sequence[int]):
+    """Reject a family that does not live in Z_m^h, whose target set leaves
+    ``allowed_targets``, or that fails the invariant checker."""
+    if family.m != m:
+        raise ParamError(f"family lives in Z_{family.m}^h, expected Z_{m}^h")
+    if not set(family.target_set) <= set(allowed_targets):
+        raise ParamError(f"family target set must lie in {tuple(allowed_targets)}")
+    problems = check_matching_family(family)
+    if problems:
+        raise ParamError("invalid matching family: " + "; ".join(problems))
+
+
+def shift_row(family: MatchingFamily, offsets: Sequence[int], m: int):
+    """The matching-vector query array: server j receives ell + d_j * v_i
+    mod m for the uniform shift ell and the j-th offset d_j."""
+
+    def row(i, ell):
+        v = family.v[i]
+        return tuple(
+            tuple((w + d * vc) % m for w, vc in zip(ell, v)) for d in offsets
+        )
+
+    return row
 
 
 def search_matching_family(
@@ -330,18 +350,25 @@ def two_subgroup(p: int) -> tuple[int, ...]:
     return tuple(pow(2, j, p) for j in range(r))
 
 
-def yekhanin_nice_sets(p: int) -> NiceSets:
-    """Compute (S0, S1 = {0, 1, gamma}) for a Mersenne prime p = 2^r - 1.
-
-    gamma satisfies 1 + g + g^gamma = 0 in F_{2^r}; S0 is the support of
-    the first vector in a deterministic basis of the dual of the span of
-    the incidence vectors of all sets sigma + delta * S1.
-    """
-    subgroup = two_subgroup(p)
-    r = len(subgroup)
+def mersenne_field(p: int) -> tuple[int, ExtField, tuple[int, ...], int]:
+    """(r, F_{2^r}, g, gamma) for a Mersenne prime p = 2^r - 1: the field's
+    generator g = x and the gamma with 1 + g + g^gamma = 0."""
+    r = len(two_subgroup(p))
     f2r = ExtField(2, r)
     g = f2r.gen
     gamma = f2r.dlog(g, f2r.add(f2r.one, g))
+    return r, f2r, g, gamma
+
+
+def yekhanin_nice_sets(p: int) -> NiceSets:
+    """Compute (S0, S1 = {0, 1, gamma}) for a Mersenne prime p = 2^r - 1.
+
+    gamma is the one from ``mersenne_field``; S0 is the support of the
+    first vector in a deterministic basis of the dual of the span of the
+    incidence vectors of all sets sigma + delta * S1.
+    """
+    subgroup = two_subgroup(p)
+    gamma = mersenne_field(p)[3]
     s1 = (0, 1, gamma)
     rows = []
     for sigma in range(p):

@@ -13,38 +13,25 @@ with the single field element g^<u_tau, z>; there the three-term polynomial
 
 from __future__ import annotations
 
-from ..algebra import ExtField, PrimeField, SparsePoly
+from ..algebra import PrimeField, SparsePoly
 from ..engine import Codec, Scheme
 from ..errors import DecodingPolyInvalid, ParamError
-from ..mv import MatchingFamily, NiceSets, check_matching_family, two_subgroup
-
-
-def _validate_family(p: int, family: MatchingFamily, side_constraint: bool):
-    subgroup = set(two_subgroup(p))
-    if family.m != p:
-        raise ParamError(f"family lives in Z_{family.m}^h, expected Z_{p}^h")
-    if not set(family.target_set) <= subgroup:
-        raise ParamError("family target set must lie in the subgroup <2>")
-    problems = check_matching_family(family)
-    if problems:
-        raise ParamError("invalid matching family: " + "; ".join(problems))
-    if side_constraint:
-        for i, u in enumerate(family.u):
-            if sum(u) % p == 0:
-                raise ParamError(f"<u_{i}, 1> = 0; the shift argument needs != 0")
-
-
-def _field_with_generator(p: int):
-    r = len(two_subgroup(p))
-    f2r = ExtField(2, r)
-    g = f2r.gen
-    gamma = f2r.dlog(g, f2r.add(f2r.one, g))
-    return r, f2r, g, gamma
+from ..mv import (
+    MatchingFamily,
+    NiceSets,
+    mersenne_field,
+    shift_row,
+    two_subgroup,
+    validate_family,
+)
 
 
 def build_yekhanin(p: int, family: MatchingFamily, nice: NiceSets) -> Scheme:
-    _validate_family(p, family, side_constraint=True)
-    r, f2r, g, gamma = _field_with_generator(p)
+    validate_family(family, p, two_subgroup(p))
+    for i, u in enumerate(family.u):
+        if sum(u) % p == 0:
+            raise ParamError(f"<u_{i}, 1> = 0; the shift argument needs != 0")
+    r, f2r, g, gamma = mersenne_field(p)
     if nice.gamma != gamma:
         raise ParamError(f"nice sets built for gamma={nice.gamma}, field gives {gamma}")
     if not nice.s0:
@@ -54,12 +41,6 @@ def build_yekhanin(p: int, family: MatchingFamily, nice: NiceSets) -> Scheme:
     s0_set = frozenset(nice.s0)
     field2 = PrimeField(2)
     u_sums = [sum(u) % p for u in family.u]
-
-    def row(i, ell):
-        v = family.v[i]
-        return tuple(
-            tuple((w + d * vc) % p for w, vc in zip(ell, v)) for d in offsets
-        )
 
     def alpha(tau, z):
         base = sum(uc * zc for uc, zc in zip(family.u[tau], z)) % p
@@ -87,7 +68,7 @@ def build_yekhanin(p: int, family: MatchingFamily, nice: NiceSets) -> Scheme:
         level_codec=Codec.uints(p, h),
         answer_codec=Codec.bit_groups(p),
         radices=(p,) * h,
-        row=row,
+        row=shift_row(family, offsets, p),
         alpha=alpha,
         recon=recon,
         report={
@@ -111,8 +92,8 @@ def build_yekhanin(p: int, family: MatchingFamily, nice: NiceSets) -> Scheme:
 
 
 def build_raghavendra(p: int, family: MatchingFamily) -> Scheme:
-    _validate_family(p, family, side_constraint=False)
-    r, f2r, g, gamma = _field_with_generator(p)
+    validate_family(family, p, two_subgroup(p))
+    r, f2r, g, gamma = mersenne_field(p)
     h, n = family.h, family.n
     offsets = (0, 1, gamma)
     poly = SparsePoly(f2r, ((0, f2r.one), (1, f2r.one), (gamma, f2r.one)))
@@ -126,12 +107,6 @@ def build_raghavendra(p: int, family: MatchingFamily) -> Scheme:
     gpow = [f2r.one]
     for _ in range(p - 1):
         gpow.append(f2r.mul(gpow[-1], g))
-
-    def row(i, ell):
-        v = family.v[i]
-        return tuple(
-            tuple((w + d * vc) % p for w, vc in zip(ell, v)) for d in offsets
-        )
 
     def alpha(tau, z):
         e = sum(uc * zc for uc, zc in zip(family.u[tau], z)) % p
@@ -152,7 +127,7 @@ def build_raghavendra(p: int, family: MatchingFamily) -> Scheme:
         level_codec=Codec.uints(p, h),
         answer_codec=Codec.bit_groups(r),
         radices=(p,) * h,
-        row=row,
+        row=shift_row(family, offsets, p),
         alpha=alpha,
         recon=recon,
         report={

@@ -40,31 +40,11 @@ from ..errors import (
     NoMuNu,
     ParamError,
 )
-from ..mv import DecodingPoly, MatchingFamily, canonical_set, check_matching_family
-
-
-def _validate_mv_family(m: int, family: MatchingFamily):
-    if family.m != m:
-        raise ParamError(f"family lives in Z_{family.m}^h, expected Z_{m}^h")
-    if not set(family.target_set) <= set(canonical_set(m)):
-        raise ParamError("family target set must lie in the canonical set")
-    problems = check_matching_family(family)
-    if problems:
-        raise ParamError("invalid matching family: " + "; ".join(problems))
-
-
-def _shift_row(family: MatchingFamily, offsets, m: int):
-    def row(i, ell):
-        v = family.v[i]
-        return tuple(
-            tuple((w + d * vc) % m for w, vc in zip(ell, v)) for d in offsets
-        )
-
-    return row
+from ..mv import DecodingPoly, MatchingFamily, canonical_set, shift_row, validate_family
 
 
 def build_efremenko(m: int, p: int, family: MatchingFamily, poly: DecodingPoly) -> Scheme:
-    _validate_mv_family(m, family)
+    validate_family(family, m, canonical_set(m))
     field = PrimeField(p)
     if poly.m != m or poly.p != p:
         raise ParamError("decoding polynomial built for different (m, p)")
@@ -101,7 +81,7 @@ def build_efremenko(m: int, p: int, family: MatchingFamily, poly: DecodingPoly) 
         level_codec=Codec.uints(m, h),
         answer_codec=Codec.uints(p, 1),
         radices=(m,) * h,
-        row=_shift_row(family, offsets, m),
+        row=shift_row(family, offsets, m),
         alpha=alpha,
         recon=recon,
         report={
@@ -202,7 +182,7 @@ def solve_group_ring_recovery(m: int, k: int, offsets) -> tuple[list[tuple], tup
 
 
 def build_dvir_gopi(m: int, family: MatchingFamily) -> Scheme:
-    _validate_mv_family(m, family)
+    validate_family(family, m, canonical_set(m))
     factors = squarefree_factors(m)
     r = len(factors)
     if r < 2:
@@ -242,7 +222,7 @@ def build_dvir_gopi(m: int, family: MatchingFamily) -> Scheme:
         level_codec=Codec.uints(m, h),
         answer_codec=Codec.uints(m, (h + 1) * m),
         radices=(m,) * h,
-        row=_shift_row(family, offsets, m),
+        row=shift_row(family, offsets, m),
         alpha=alpha,
         recon=recon,
         report={
@@ -308,7 +288,7 @@ def build_gks(
     if math.gcd(p, m) != 1 or (p - 1) % m != 0:
         raise ParamError(f"need gcd(p, m) = 1 and m | p - 1; got m={m}, p={p}")
     m_prime = m * p
-    _validate_mv_family(m_prime, family)
+    validate_family(family, m_prime, canonical_set(m_prime))
 
     # The canonical set of m' = m * p must be the CRT image of
     # (canonical set of m, plus 0) x {0, 1}, minus the zero pair.
@@ -346,12 +326,6 @@ def build_gks(
     ]
     inv_points = [field.inv(b) for b in points]
 
-    def row(i, ell):
-        v = family.v[i]
-        return tuple(
-            tuple((a + beta * vc) % m for a, vc in zip(ell, v)) for beta in betas
-        )
-
     def alpha(tau, z):
         u = family.u[tau]
         zvals = tuple(subgroup[a] for a in z)
@@ -386,7 +360,7 @@ def build_gks(
         level_codec=Codec.uints(m, h),
         answer_codec=Codec.uints(p, h + 1),
         radices=(m,) * h,
-        row=row,
+        row=shift_row(family, betas, m),
         alpha=alpha,
         recon=recon,
         report={

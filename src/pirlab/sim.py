@@ -8,7 +8,8 @@ Wire format: every message is a frame
 
     magic "PIR1" | msg_type (1 byte) | length (4 bytes LE) | payload
 
-with types QUERY 0x01, ANSWER 0x02, ERROR 0x03, HELLO 0x04, CONFIG 0x05.
+with types QUERY 0x01, ANSWER 0x02, ERROR 0x03, HELLO 0x04, CONFIG 0x05,
+and a length of at most MAX_FRAME_PAYLOAD.
 A HELLO carries the client's parameter digest; the server answers with a
 CONFIG echoing the protocol id and its own digest, which lets mismatched
 deployments fail fast without shipping full parameters.  Servers are
@@ -48,6 +49,8 @@ MSG_ERROR = 0x03
 MSG_HELLO = 0x04
 MSG_CONFIG = 0x05
 FRAME_HEADER_LEN = 9
+# read_frame rejects a larger declared payload length before any recv.
+MAX_FRAME_PAYLOAD = 1 << 20
 
 ERR_BAD_FRAME = 1
 ERR_BAD_QUERY = 2
@@ -63,19 +66,6 @@ def encode_frame(msg_type: int, payload: bytes) -> bytes:
     if not 0 <= msg_type <= 0xFF:
         raise ParamError("message type must fit one byte")
     return MAGIC + bytes([msg_type]) + struct.pack("<I", len(payload)) + payload
-
-
-def decode_frame(data: bytes) -> tuple[int, bytes]:
-    if len(data) < FRAME_HEADER_LEN:
-        raise TransportError("frame shorter than its header")
-    if data[:4] != MAGIC:
-        raise TransportError(f"bad magic {data[:4]!r}")
-    msg_type = data[4]
-    (length,) = struct.unpack("<I", data[5:9])
-    payload = data[9:]
-    if len(payload) != length:
-        raise TransportError(f"declared {length} payload bytes, got {len(payload)}")
-    return msg_type, payload
 
 
 def _recv_exact(sock: socket.socket, length: int) -> bytes:
@@ -96,6 +86,8 @@ def read_frame(sock: socket.socket) -> tuple[int, bytes]:
         raise TransportError(f"bad magic {header[:4]!r}")
     msg_type = header[4]
     (length,) = struct.unpack("<I", header[5:9])
+    if length > MAX_FRAME_PAYLOAD:
+        raise TransportError(f"declared length {length} exceeds {MAX_FRAME_PAYLOAD}")
     payload = _recv_exact(sock, length) if length else b""
     return msg_type, payload
 
@@ -120,6 +112,7 @@ class ServerEntry:
     server: int
     query_payload_bytes: int
     answer_payload_bytes: int
+    # Framed bytes in each direction over TCP, HELLO/CONFIG included.
     query_framed_bytes: int = 0
     answer_framed_bytes: int = 0
     rtt_seconds: float = 0.0
@@ -284,8 +277,9 @@ def _query_one(endpoint, digest, q_bytes, timeout):
     with sock:
         sock.settimeout(timeout)
         try:
-            hello_len = write_frame(sock, MSG_HELLO, digest.encode())
+            sent = write_frame(sock, MSG_HELLO, digest.encode())
             msg_type, payload = read_frame(sock)
+            received = FRAME_HEADER_LEN + len(payload)
             if msg_type == MSG_ERROR and payload and payload[0] == ERR_DIGEST:
                 raise ParamDigestMismatch(
                     f"server {host}:{port} reports digest {payload[1:].decode()!r}, "
@@ -293,7 +287,7 @@ def _query_one(endpoint, digest, q_bytes, timeout):
                 )
             if msg_type != MSG_CONFIG:
                 raise TransportError(f"expected CONFIG, got type {msg_type}")
-            q_framed = write_frame(sock, MSG_QUERY, q_bytes)
+            sent += write_frame(sock, MSG_QUERY, q_bytes)
             msg_type, payload = read_frame(sock)
         except (socket.timeout, TimeoutError) as exc:
             raise Timeout(f"server {host}:{port} timed out") from exc
@@ -304,7 +298,8 @@ def _query_one(endpoint, digest, q_bytes, timeout):
             )
         if msg_type != MSG_ANSWER:
             raise TransportError(f"expected ANSWER, got type {msg_type}")
-        return payload, q_framed, FRAME_HEADER_LEN + len(payload), time.perf_counter() - t0
+        received += FRAME_HEADER_LEN + len(payload)
+        return payload, sent, received, time.perf_counter() - t0
 
 
 def client_retrieve(

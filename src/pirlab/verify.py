@@ -344,21 +344,3 @@ def check_answer_linearity(scheme: Scheme, x, q) -> None:
     direct = answer(scheme, x, q)
     if tuple(total) != direct:
         raise Mismatch(f"answer not linear at x={x}, q={q}")
-
-
-def run_all_suites(scheme: Scheme, budget=DEFAULT_CORRECTNESS_BUDGET, cap=DEFAULT_PRIVACY_CAP):
-    """Correctness + privacy + span + OA; returns (reports, all_passed)."""
-    reports = []
-    ok = True
-    try:
-        correctness = exhaustive_correctness(scheme, budget=budget)
-    except BudgetExceeded:
-        correctness = exhaustive_correctness(
-            scheme, databases=list(structured_databases(scheme.n)), budget=budget
-        )
-    reports.append(correctness)
-    ok &= correctness.passed
-    privacy = exhaustive_privacy(scheme, cap=cap)
-    reports.append(privacy)
-    ok &= privacy.passed
-    return reports, ok

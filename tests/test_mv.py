@@ -78,11 +78,6 @@ class TestMatchingFamilySearch:
         # diagonals are 0 as required but the cross products are 0 too
         assert check_matching_family(bad)
 
-    def test_take_slices_prefix(self, canonical_family_6):
-        sliced = canonical_family_6.take(2)
-        assert sliced.n == 2
-        assert sliced.u == canonical_family_6.u[:2]
-
     def test_zero_not_allowed_in_target(self):
         with pytest.raises(ParamError):
             search_matching_family(6, 2, (0, 1), 2)

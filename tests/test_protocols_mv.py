@@ -22,6 +22,7 @@ from pirlab.protocols import (
     build_raghavendra,
     build_yekhanin,
 )
+from pirlab.protocols.registry import desk_schemes
 from pirlab.protocols.ring import interpolation_vector, solve_group_ring_recovery
 from pirlab.verify import (
     exhaustive_correctness,
@@ -36,6 +37,42 @@ def _suites(scheme):
     report = exhaustive_privacy(scheme)
     assert report.passed and report.uniform
     assert set(oa_family_check(scheme).values()) == {1}
+
+
+MV_SCHEMES = ("yekhanin", "raghavendra", "efremenko", "dvir-gopi", "gks")
+
+
+def _offsets_and_modulus(scheme):
+    """The offsets d_j and the row modulus, read back from the report."""
+    rep = scheme.report
+    if scheme.name in ("yekhanin", "raghavendra"):
+        return rep["offsets"], rep["p"]
+    if scheme.name == "efremenko":
+        return rep["poly_exponents"], rep["m"]
+    if scheme.name == "dvir-gopi":
+        return rep["offsets"], rep["m"]
+    # gks sends subgroup points g^beta as their exponents beta.
+    m, p, g = rep["m"], rep["p"], rep["g"]
+    return [next(b for b in range(m) if pow(g, b, p) == pt) for pt in rep["points"]], m
+
+
+@pytest.fixture(scope="module")
+def desk_by_name():
+    return {s.name: s for s in desk_schemes()}
+
+
+class TestShiftRow:
+    @pytest.mark.parametrize("name", MV_SCHEMES)
+    def test_rows_are_shifts_along_v(self, name, desk_by_name):
+        scheme = desk_by_name[name]
+        offsets, m = _offsets_and_modulus(scheme)
+        for i, v in enumerate(scheme.report["family_v"]):
+            for ell in scheme.enumerate_randomness():
+                expected = tuple(
+                    tuple((ell[c] + d * v[c]) % m for c in range(len(v)))
+                    for d in offsets
+                )
+                assert scheme.row(i, ell) == expected
 
 
 class TestYekhanin:
@@ -101,6 +138,12 @@ class TestEfremenko:
     def test_rejects_wrong_family_modulus(self, poly_6_7):
         fam = search_matching_family(15, 2, canonical_set(15), 2)
         with pytest.raises(ParamError):
+            build_efremenko(6, 7, fam, poly_6_7)
+
+    def test_rejects_target_outside_canonical_set(self, poly_6_7):
+        # 2 is not in the canonical set (1, 3, 4) of Z_6.
+        fam = search_matching_family(6, 2, (1, 2), 2)
+        with pytest.raises(ParamError, match="target set"):
             build_efremenko(6, 7, fam, poly_6_7)
 
     def test_rejects_invalid_family(self, poly_6_7):

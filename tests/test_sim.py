@@ -18,6 +18,8 @@ from pirlab.errors import (
 from pirlab.protocols import build_cgks, build_lagrange, toy_instance
 from pirlab.sim import (
     FRAME_HEADER_LEN,
+    MAGIC,
+    MAX_FRAME_PAYLOAD,
     MSG_ANSWER,
     MSG_CONFIG,
     MSG_ERROR,
@@ -29,7 +31,6 @@ from pirlab.sim import (
     Transcript,
     bench,
     client_retrieve,
-    decode_frame,
     encode_frame,
     load_database,
     param_digest,
@@ -41,20 +42,38 @@ from pirlab.sim import (
 )
 
 
+def _read_back(data: bytes, close_writer: bool = True):
+    """read_frame on the far end of a socketpair after writing ``data``."""
+    writer, reader = socket.socketpair()
+    with writer, reader:
+        reader.settimeout(1.0)
+        writer.sendall(data)
+        if close_writer:
+            writer.shutdown(socket.SHUT_WR)
+        return read_frame(reader)
+
+
 class TestFraming:
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 255), st.binary(max_size=512))
     def test_roundtrip(self, msg_type, payload):
-        assert decode_frame(encode_frame(msg_type, payload)) == (msg_type, payload)
+        assert _read_back(encode_frame(msg_type, payload)) == (msg_type, payload)
 
     def test_bad_magic(self):
         with pytest.raises(TransportError):
-            decode_frame(b"XXXX" + bytes(5))
+            _read_back(b"XXXX" + bytes(5))
 
     def test_length_mismatch(self):
         frame = encode_frame(MSG_QUERY, b"abc")
         with pytest.raises(TransportError):
-            decode_frame(frame + b"x")
+            _read_back(frame[:-1])
+
+    def test_oversized_length_rejected_before_recv(self):
+        # The writer stays open: a reader that trusted the header would wait
+        # for the payload until the timeout instead of raising.
+        header = MAGIC + bytes([MSG_QUERY]) + struct.pack("<I", MAX_FRAME_PAYLOAD + 1)
+        with pytest.raises(TransportError, match="exceeds"):
+            _read_back(header, close_writer=False)
 
     def test_header_length(self):
         assert len(encode_frame(MSG_QUERY, b"")) == FRAME_HEADER_LEN
@@ -133,6 +152,13 @@ class TestTcp:
             _, local = run_inprocess(scheme, x, i, seed=i)
             assert transcript.payload_bytes == local.payload_bytes
             assert transcript.framing_bytes > 0
+
+    def test_framing_bytes_count_the_handshake(self, cgks_servers):
+        scheme, _, servers = cgks_servers
+        _, transcript = client_retrieve([s.endpoint for s in servers], scheme, 0, seed=0)
+        # Per server: HELLO (16-hex digest), CONFIG ("cgks " + digest), and
+        # the headers of QUERY and ANSWER.
+        assert transcript.framing_bytes == 2 * ((9 + 16) + (9 + 21) + 9 + 9) == 146
 
     def test_hello_config_exchange(self, cgks_servers):
         scheme, _, servers = cgks_servers
