@@ -5,11 +5,10 @@ it never sees the retrieval index or the client's reconstruction state.
 The client handshakes (HELLO -> CONFIG with a parameter digest), sends each
 server its query concurrently, and reconstructs locally.  Payload bytes are
 identical to the in-process run; only the 9-byte frame headers and the
-handshake are extra.  Every retrieval draws a fresh seed: from a predictable
-one, a single server could recompute the query randomness and read off i.
+handshake are extra.  Every retrieval draws its query randomness from the
+operating system (seed=None): from a predictable seed, a single server could
+recompute that randomness and read off i.
 """
-
-import secrets
 
 from pirlab.protocols import build_cgks
 from pirlab.sim import (
@@ -34,9 +33,8 @@ print("servers listening on", ", ".join(f"{h}:{p}" for h, p in endpoints))
 
 try:
     for i in (2, 5):
-        seed = secrets.randbits(64)
-        bit, transcript = client_retrieve(endpoints, scheme, i, seed=seed)
-        _, local = run_inprocess(scheme, x, i, seed=seed)
+        bit, transcript = client_retrieve(endpoints, scheme, i, seed=None)
+        _, local = run_inprocess(scheme, x, i, seed=None)
         print(f"\nretrieve x_{i}: got {bit} (database holds {x[i]})")
         print(f"  payload {transcript.payload_bytes} bytes "
               f"(in-process run: {local.payload_bytes}), "

@@ -1,16 +1,16 @@
 """Exact arithmetic over the structures the retrieval protocols need.
 
 Everything here is pure and exact: prime fields F_p, small extension fields
-F_{p^e}, integer rings Z_m for squarefree m, the cyclic group ring
-Z_m[g]/(g^m - 1), sparse univariate polynomials, and Hasse derivatives of
-monomials.  Elements are plain Python ints (canonical residues) or tuples of
-ints (coefficient vectors); the structure objects carry the operations.  All
-values are immutable, so everything in this module is safe to share across
-threads.
+F_{p^e}, the cyclic group ring Z_m[g]/(g^m - 1) for squarefree m, sparse
+univariate polynomials, and Hasse derivatives of monomials.  Elements are
+plain Python ints (canonical residues) or tuples of ints (coefficient
+vectors); the structure objects carry the operations.  All values are
+immutable, so everything in this module is safe to share across threads.
 
-Linear algebra is Gaussian elimination over a prime field; systems over Z_m
-are solved per prime factor and recombined with the Chinese remainder
-theorem, which is why m is restricted to squarefree moduli.
+Linear algebra is Gaussian elimination over a prime field.  On top of it,
+``interpolation_vector`` computes the weights that recover a polynomial's
+constant term from its values (and first derivatives) at the server points:
+the reconstruction vector of every polynomial scheme.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 
 from .errors import (
     DimensionMismatch,
-    NoSolution,
+    InterpolationSetInvalid,
     NonUnit,
     NoSuchElement,
     ParamError,
@@ -124,9 +124,6 @@ class PrimeField:
             return pow(self.inv(a), -e, self.p)
         return pow(a, e, self.p)
 
-    def elements(self) -> Iterator[int]:
-        return iter(range(self.p))
-
     # One scalar per element; used by the wire codecs.
     def to_ints(self, a: int) -> tuple[int, ...]:
         return (a,)
@@ -139,64 +136,9 @@ class PrimeField:
         return (self.p,)
 
 
-class IntRing:
-    """The ring Z_m for squarefree composite (or prime) m."""
-
-    def __init__(self, m: int):
-        if m < 2:
-            raise ParamError("modulus must be >= 2")
-        self.m = m
-        self.factors = squarefree_factors(m)
-        self.zero = 0
-        self.one = 1
-
-    def __repr__(self):
-        return f"IntRing({self.m})"
-
-    def __eq__(self, other):
-        return isinstance(other, IntRing) and other.m == self.m
-
-    def __hash__(self):
-        return hash(("Z", self.m))
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.m
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.m
-
-    def inv(self, a: int) -> int:
-        a %= self.m
-        if math.gcd(a, self.m) != 1:
-            raise NonUnit(f"{a} is not a unit mod {self.m}")
-        return pow(a, -1, self.m)
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return pow(self.inv(a), -e, self.m)
-        return pow(a, e, self.m)
-
-    def elements(self) -> Iterator[int]:
-        return iter(range(self.m))
-
-    def to_ints(self, a: int) -> tuple[int, ...]:
-        return (a,)
-
-    def from_ints(self, scalars: Sequence[int]) -> int:
-        return scalars[0] % self.m
-
-    @property
-    def component_moduli(self) -> tuple[int, ...]:
-        return (self.m,)
-
-
-def crt_split(x: int, factors: Sequence[int]) -> tuple[int, ...]:
-    """Residues of x modulo each prime factor."""
-    return tuple(x % p for p in factors)
-
-
 def crt_combine(residues: Sequence[int], factors: Sequence[int]) -> int:
-    """Inverse of crt_split for pairwise coprime factors."""
+    """The x mod prod(factors) with x = residues[j] mod factors[j], for
+    pairwise coprime factors."""
     if len(residues) != len(factors):
         raise DimensionMismatch("residue/factor count mismatch")
     m = reduce(lambda a, b: a * b, factors, 1)
@@ -299,16 +241,6 @@ class ExtField:
         if a == self.zero:
             raise NonUnit(f"0 has no inverse in {self!r}")
         return self.pow(a, self.order - 2)
-
-    def elements(self) -> Iterator[tuple[int, ...]]:
-        def rec(prefix):
-            if len(prefix) == self.e:
-                yield tuple(prefix)
-                return
-            for c in range(self.p):
-                yield from rec(prefix + [c])
-
-        return rec([])
 
     def dlog(self, base, value) -> int:
         """Discrete log by enumeration; only sensible for tiny fields."""
@@ -582,30 +514,46 @@ def kernel_mod_prime(A: Matrix, p: int) -> list[list[int]]:
     return basis
 
 
-def linear_solve(A: Matrix, b: Vector, structure) -> list[int]:
-    """Any x with A x = b over a PrimeField or (via CRT) a squarefree IntRing.
+def interpolation_matrix(
+    p: int, points: Sequence[int], support: Sequence[int], multiplicity: int
+) -> list[list[int]]:
+    """Evaluation matrix over F_p of the polynomials supported on ``support``.
 
-    Raises NoSolution when the system is inconsistent in any prime
-    component.
+    Row delta holds theta^delta at each point b and, at multiplicity 2, its
+    first Hasse derivative delta * b^(delta - 1) right after the value, so a
+    coefficient vector c maps to (phi(b_1), phi'(b_1), ..., phi(b_k),
+    phi'(b_k)) as sum_delta c_delta * row_delta.
     """
-    if isinstance(structure, PrimeField):
-        x = try_solve_mod_prime(A, b, structure.p)
-        if x is None:
-            raise NoSolution(f"inconsistent system over F_{structure.p}")
-        return x
-    if isinstance(structure, IntRing):
-        per_prime = []
-        for q in structure.factors:
-            x = try_solve_mod_prime(A, b, q)
-            if x is None:
-                raise NoSolution(f"inconsistent system mod {q}")
-            per_prime.append(x)
-        ncols = len(per_prime[0])
-        return [
-            crt_combine([sol[c] for sol in per_prime], structure.factors)
-            for c in range(ncols)
-        ]
-    raise ParamError(f"unsupported structure {structure!r}")
+    if multiplicity not in (1, 2):
+        raise ParamError("only multiplicities 1 and 2 are supported")
+    rows = []
+    for delta in support:
+        row = []
+        for b in points:
+            row.append(pow(b, delta, p))
+            if multiplicity == 2:
+                row.append(delta * pow(b, delta - 1, p) % p if delta else 0)
+        rows.append(row)
+    return rows
+
+
+def interpolation_vector(
+    p: int, points: Sequence[int], support: Sequence[int], multiplicity: int
+) -> list[int]:
+    """mu recovering the constant coefficient of any polynomial supported on
+    ``support`` from values (and Hasse derivatives up to order
+    < multiplicity) at ``points``, all over F_p: M mu = e_0 for the
+    ``interpolation_matrix`` M.  Free variables are zero when several mu
+    qualify."""
+    rows = interpolation_matrix(p, points, support, multiplicity)
+    rhs = [1 if delta == 0 else 0 for delta in support]
+    mu = try_solve_mod_prime(rows, rhs, p)
+    if mu is None:
+        raise InterpolationSetInvalid(
+            f"points {tuple(points)} cannot recover the constant term "
+            f"on support {tuple(support)} at multiplicity {multiplicity}"
+        )
+    return mu
 
 
 def mat_vec(A: Matrix, x: Vector, structure) -> list:

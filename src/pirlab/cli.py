@@ -6,8 +6,8 @@ suites), ``serve`` (run one server daemon), ``get`` (networked retrieval),
 file).  A ``key = value`` config file can supply any flag; explicit flags
 win.  All randomness flows from a single --seed, so a fixed invocation
 prints byte-identical reports.  The exception is ``get``: without --seed it
-draws a fresh 64-bit seed from ``secrets`` for every retrieval, so repeated
-calls do not repeat their queries.
+draws the query randomness of every retrieval from the operating system
+(``secrets.SystemRandom``), so no server can predict or repeat it.
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage or
 parameter error, 3 transport error.
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import random
-import secrets
 import sys
 
 from .engine import comm_cost
@@ -286,9 +285,8 @@ def _cmd_get(args, report: _Report) -> int:
         )
     if not 1 <= args.index <= scheme.n:
         raise ParamError(f"--index must be in [1, {scheme.n}]")
-    seed = secrets.randbits(64) if args.seed is None else args.seed
     bit, transcript = client_retrieve(
-        endpoints, scheme, args.index - 1, seed, timeout=args.timeout
+        endpoints, scheme, args.index - 1, args.seed, timeout=args.timeout
     )
     report.emit(f"x_{args.index} = {bit}")
     report.emit(

@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import secrets
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
@@ -248,14 +249,20 @@ class Scheme:
         )
 
 
-def query_gen(scheme: Scheme, i: int, seed: int) -> tuple[tuple[LevelPoint, ...], Aux]:
+def query_gen(
+    scheme: Scheme, i: int, seed: int | None
+) -> tuple[tuple[LevelPoint, ...], Aux]:
     """The querying algorithm: draw ell uniformly, emit row(i, ell) and aux.
 
-    Deterministic for a fixed seed.
+    Deterministic for an int seed, which only verification, benchmarks and
+    tests should pass.  With seed None, ell comes from the operating
+    system's randomness: a seeded generator has far less entropy than the
+    randomness space, so servers without a computational bound could
+    recompute ell and read off i.
     """
     if not 0 <= i < scheme.n:
         raise ParamError(f"index {i} out of range [0, {scheme.n})")
-    rng = random.Random(seed)
+    rng = secrets.SystemRandom() if seed is None else random.Random(seed)
     ell = scheme.sample_randomness(rng)
     return scheme.row(i, ell), Aux(i, ell)
 

@@ -26,14 +26,6 @@ class DimensionMismatch(PirError):
     """Vector or matrix operands have incompatible shapes."""
 
 
-class NoSolution(PirError):
-    """A linear system is inconsistent."""
-
-
-class SingularMatrix(PirError):
-    """A square solve hit a singular matrix (e.g. the field is too small)."""
-
-
 class NiceSetError(PirError):
     """No nonempty dual set exists for the requested parity constraints."""
 

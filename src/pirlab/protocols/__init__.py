@@ -6,7 +6,7 @@ structures, and exact communication widths.
 """
 
 from .cube import build_cgks
-from .curve import build_lagrange, build_wy_hermite, hermite_basis_matrix
+from .curve import build_lagrange, build_wy_hermite
 from .mersenne import build_raghavendra, build_yekhanin
 from .ring import build_dvir_gopi, build_efremenko, build_gks
 from .toy import broken_demo, broken_privacy_demo, broken_span_demo, toy_instance
@@ -16,7 +16,6 @@ __all__ = [
     "build_cgks",
     "build_lagrange",
     "build_wy_hermite",
-    "hermite_basis_matrix",
     "build_yekhanin",
     "build_raghavendra",
     "build_efremenko",

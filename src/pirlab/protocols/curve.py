@@ -18,9 +18,9 @@ from __future__ import annotations
 import itertools
 import math
 
-from ..algebra import PrimeField, try_solve_mod_prime
+from ..algebra import PrimeField, interpolation_vector
 from ..engine import Codec, Scheme
-from ..errors import ParamError, SingularMatrix
+from ..errors import ParamError
 
 
 def _colex_subsets(h: int, d: int):
@@ -77,14 +77,8 @@ def build_lagrange(n: int, t: int, k: int, p: int, h: int | None = None) -> Sche
     supports = weight_d_supports(h, d, n)
 
     # Lagrange basis values at 0 for the points 1..k; independent of (i, ell).
-    lam = []
-    for j in range(1, k + 1):
-        val = 1
-        for j2 in range(1, k + 1):
-            if j2 != j:
-                val = val * j2 % p * field.inv((j2 - j) % p) % p
-        lam.append((val,))
-    lam_tuple = (tuple(lam), 1)
+    lam = interpolation_vector(p, range(1, k + 1), range(k), multiplicity=1)
+    lam_tuple = (tuple((val,) for val in lam), 1)
 
     def row(i, ell):
         return _curve_points(supports[i], ell, h, t, k, p)
@@ -121,37 +115,9 @@ def build_lagrange(n: int, t: int, k: int, p: int, h: int | None = None) -> Sche
             "d": d,
             "levels": f"F_{p}^{h}",
             "answers": f"F_{p}",
-            "lambda": tuple(l[0] for l in lam),
+            "lambda": tuple(lam),
         },
     )
-
-
-def hermite_basis_matrix(k: int, p: int, points=None) -> list[list[int]]:
-    """The 2k x 2k evaluation matrix mapping the coefficients of a degree
-    < 2k polynomial to (phi(theta_1), phi'(theta_1), ..., phi(theta_k),
-    phi'(theta_k)), over F_p."""
-    if points is None:
-        points = list(range(1, k + 1))
-    matrix = []
-    for c in range(2 * k):
-        mrow = []
-        for theta in points:
-            mrow.append(pow(theta, c, p))
-            mrow.append(c * pow(theta, c - 1, p) % p if c else 0)
-        matrix.append(mrow)
-    return matrix
-
-
-def hermite_recovery_vector(k: int, p: int, points=None) -> list[int]:
-    """mu with M * mu = e1: phi(0) = (phi(th_1), phi'(th_1), ...) . mu."""
-    matrix = hermite_basis_matrix(k, p, points)
-    rhs = [1] + [0] * (2 * k - 1)
-    mu = try_solve_mod_prime(matrix, rhs, p)
-    if mu is None:
-        raise SingularMatrix(
-            f"evaluation matrix singular over F_{p}; the field is too small"
-        )
-    return mu
 
 
 def build_wy_hermite(n: int, t: int, k: int, p: int, h: int | None = None) -> Scheme:
@@ -164,7 +130,7 @@ def build_wy_hermite(n: int, t: int, k: int, p: int, h: int | None = None) -> Sc
     if h is None:
         h = minimal_h(d, n)
     supports = weight_d_supports(h, d, n)
-    mu = hermite_recovery_vector(k, p)
+    mu = interpolation_vector(p, range(1, k + 1), range(2 * k), multiplicity=2)
 
     def row(i, ell):
         return _curve_points(supports[i], ell, h, t, k, p)

@@ -28,18 +28,14 @@ from ..algebra import (
     crt_combine,
     find_order_element,
     hasse_of_monomial,
+    interpolation_vector,
     is_prime,
     kernel_mod_prime,
     mat_vec,
     squarefree_factors,
-    try_solve_mod_prime,
 )
 from ..engine import Codec, Scheme
-from ..errors import (
-    InterpolationSetInvalid,
-    NoMuNu,
-    ParamError,
-)
+from ..errors import NoMuNu, ParamError
 from ..mv import DecodingPoly, MatchingFamily, canonical_set, shift_row, validate_family
 
 
@@ -243,35 +239,6 @@ def build_dvir_gopi(m: int, family: MatchingFamily) -> Scheme:
             "omega_is_one": False,
         },
     )
-
-
-def interpolation_vector(
-    p: int, points, support, multiplicity: int
-) -> list[int]:
-    """mu recovering the constant coefficient of any polynomial supported on
-    ``support`` from values (and Hasse derivatives up to order
-    < multiplicity) at ``points``, all over F_p with exponent arithmetic in
-    the order of the points' subgroup."""
-    if multiplicity not in (1, 2):
-        raise ParamError("only multiplicities 1 and 2 are supported")
-    rows = []
-    for delta in support:
-        row = []
-        for b in points:
-            row.append(pow(b, delta, p))
-            if multiplicity == 2:
-                # first Hasse derivative of theta^delta at b: delta * b^(delta-1)
-                deriv = delta * pow(b, delta - 1, p) % p if delta else 0
-                row.append(deriv)
-        rows.append(row)
-    rhs = [1 if delta == 0 else 0 for delta in support]
-    mu = try_solve_mod_prime(rows, rhs, p)
-    if mu is None:
-        raise InterpolationSetInvalid(
-            f"points {tuple(points)} cannot recover the constant term "
-            f"on support {tuple(support)} at multiplicity {multiplicity}"
-        )
-    return mu
 
 
 def build_gks(

@@ -143,7 +143,7 @@ class Transcript:
 
 
 def run_inprocess(
-    scheme: Scheme, x: Sequence[int], i: int, seed: int, check: bool = True
+    scheme: Scheme, x: Sequence[int], i: int, seed: int | None, check: bool = True
 ) -> tuple[int, Transcript]:
     """Full query/answer/reconstruct round trip with exact byte accounting."""
     queries, aux = query_gen(scheme, i, seed)
@@ -209,7 +209,7 @@ class _Handler(socketserver.BaseRequestHandler):
                 except TransportError:
                     return
                 if msg_type == MSG_HELLO:
-                    if payload and payload.decode(errors="replace") != digest:
+                    if payload.decode(errors="replace") != digest:
                         write_frame(
                             sock, MSG_ERROR, bytes([ERR_DIGEST]) + digest.encode()
                         )
@@ -306,7 +306,7 @@ def client_retrieve(
     endpoints: Sequence[tuple[str, int]],
     scheme: Scheme,
     i: int,
-    seed: int,
+    seed: int | None,
     timeout: float = DEFAULT_TIMEOUT,
 ) -> tuple[int, Transcript]:
     """Send each query to its server concurrently, gather, reconstruct."""
@@ -369,6 +369,8 @@ def load_database(path) -> tuple[int, ...]:
     body = data[8:]
     if len(body) != (n + 7) // 8:
         raise ParamError(f"{path}: expected {(n + 7) // 8} data bytes, got {len(body)}")
+    if n % 8 and body[-1] >> (n % 8):
+        raise ParamError(f"{path}: padding bits beyond n = {n} are set")
     return tuple((body[j // 8] >> (j % 8)) & 1 for j in range(n))
 
 

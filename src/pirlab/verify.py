@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from .engine import (
     Aux,
     Scheme,
-    answer,
     comm_cost,
     reconstruct,
     scheme_oa_index,
@@ -274,7 +273,6 @@ class CommAudit:
     expected_payload_bytes: int
     measured_payload_bytes: int
     framing_bytes: int
-    per_server: list = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -312,10 +310,6 @@ def comm_audit(scheme: Scheme, transcript) -> CommAudit:
         expected_payload_bytes=cost.payload_bytes,
         measured_payload_bytes=transcript.payload_bytes,
         framing_bytes=transcript.framing_bytes,
-        per_server=[
-            (e.server, e.query_payload_bytes, e.answer_payload_bytes)
-            for e in transcript.entries
-        ],
     )
     for entry in transcript.entries:
         if entry.query_payload_bytes != cost.level_bytes:
@@ -329,18 +323,3 @@ def comm_audit(scheme: Scheme, transcript) -> CommAudit:
                 f"{entry.answer_payload_bytes} bytes != {cost.answer_bytes}"
             )
     return audit
-
-
-def check_answer_linearity(scheme: Scheme, x, q) -> None:
-    """answer(x, q) must equal the sum over set bits of the unit-vector
-    answers - the database encoding is linear."""
-    ring = scheme.ring
-    total = [ring.zero] * scheme.answer_dim
-    for tau, bit in enumerate(x):
-        if bit:
-            unit = tuple(1 if j == tau else 0 for j in range(scheme.n))
-            vec = answer(scheme, unit, q)
-            total = [ring.add(a, v) for a, v in zip(total, vec)]
-    direct = answer(scheme, x, q)
-    if tuple(total) != direct:
-        raise Mismatch(f"answer not linear at x={x}, q={q}")

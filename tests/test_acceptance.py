@@ -12,7 +12,15 @@ import time
 
 import pytest
 
-from pirlab.algebra import ExtField, PrimeField, SparsePoly, crt_combine, is_prime, kernel_mod_prime
+from pirlab.algebra import (
+    ExtField,
+    SparsePoly,
+    crt_combine,
+    interpolation_matrix,
+    interpolation_vector,
+    is_prime,
+    kernel_mod_prime,
+)
 from pirlab.engine import Aux, answer, comm_cost, oa_strength_check, reconstruct, span_check
 from pirlab.errors import InconsistentAnswer, OAFailure
 from pirlab.mv import (
@@ -38,8 +46,6 @@ from pirlab.protocols import (
     desk_schemes,
     toy_instance,
 )
-from pirlab.protocols.curve import hermite_basis_matrix
-from pirlab.protocols.ring import interpolation_vector
 from pirlab.sim import ServerNode, client_retrieve, run_inprocess, serve
 from pirlab.verify import (
     comm_audit,
@@ -141,7 +147,7 @@ def test_criterion_04_lagrange_desk():
 
 def test_criterion_05_hermite_desk():
     with _Clock(5, "Hermite t=1 k=2 p=7 d=3 h=4 n=4"):
-        matrix = hermite_basis_matrix(2, 7)
+        matrix = interpolation_matrix(7, (1, 2), range(4), multiplicity=2)
         assert kernel_mod_prime(matrix, 7) == []  # nonsingular over F_7
         scheme = build_wy_hermite(4, 1, 2, 7)
         assert scheme.report["d"] == 3 and scheme.report["h"] == 4

@@ -5,7 +5,7 @@ import pytest
 
 from pirlab.cli import main
 from pirlab.protocols import build_cgks
-from pirlab.sim import ServerNode, save_database, serve
+from pirlab.sim import ServerNode, serve
 
 
 def run_cli(capsys, *argv):

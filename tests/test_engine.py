@@ -2,9 +2,11 @@
 communication accounting, mostly exercised on the hand-sized instance."""
 
 import math
+import secrets
 
 import pytest
 
+from pirlab import engine
 from pirlab.engine import (
     Aux,
     Codec,
@@ -25,8 +27,9 @@ from pirlab.errors import (
     ParamError,
     SpanFailure,
 )
-from pirlab.protocols import broken_span_demo, toy_instance
+from pirlab.protocols import broken_span_demo, build_lagrange, toy_instance
 from pirlab.protocols.toy import TOY_ARRAYS
+from pirlab.sim import run_inprocess
 
 # The classic 8-row strength-3 binary array (rows = even-weight extensions).
 OA_8_4 = [
@@ -153,6 +156,24 @@ class TestQueryGen:
     def test_index_range(self):
         with pytest.raises(ParamError):
             query_gen(toy_instance(), 2, seed=0)
+
+    def test_no_seed_draws_from_the_operating_system(self, monkeypatch):
+        draws = []
+
+        class RecordingSystemRandom(secrets.SystemRandom):
+            def randrange(self, *args):
+                value = super().randrange(*args)
+                draws.append(value)
+                return value
+
+        monkeypatch.setattr(engine.secrets, "SystemRandom", RecordingSystemRandom)
+        scheme = build_lagrange(5, 1, 3, 7)
+        x = (1, 0, 1, 1, 0)
+        for i in range(scheme.n):
+            draws.clear()
+            bit, _ = run_inprocess(scheme, x, i, seed=None)
+            assert bit == x[i]
+            assert len(draws) == len(scheme.radices)
 
 
 class TestAnswer:

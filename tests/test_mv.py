@@ -3,8 +3,8 @@ parity sets, and the server-count table."""
 
 import pytest
 
-from pirlab.algebra import PrimeField, crt_split
-from pirlab.errors import Exhausted, NiceSetError, ParamError
+from pirlab.algebra import PrimeField
+from pirlab.errors import Exhausted, ParamError
 from pirlab.mv import (
     DecodingPoly,
     MatchingFamily,
@@ -15,7 +15,6 @@ from pirlab.mv import (
     sparse_decoding_poly_search,
     trivial_decoding_poly,
     two_subgroup,
-    yekhanin_nice_sets,
 )
 
 
@@ -36,7 +35,7 @@ class TestCanonicalSet:
         s = canonical_set(m)
         assert len(s) == 2 ** len(factors) - 1
         for delta in s:
-            assert all(r in (0, 1) for r in crt_split(delta, factors))
+            assert all(delta % q in (0, 1) for q in factors)
             assert delta != 0
 
 

@@ -8,15 +8,11 @@ import tracemalloc
 
 import pytest
 
+from pirlab.algebra import interpolation_matrix, interpolation_vector
 from pirlab.engine import answer, comm_cost, reconstruct
-from pirlab.errors import ParamError, SingularMatrix
+from pirlab.errors import ParamError
 from pirlab.protocols import build_cgks, build_lagrange, build_wy_hermite
-from pirlab.protocols.curve import (
-    hermite_basis_matrix,
-    hermite_recovery_vector,
-    minimal_h,
-    weight_d_supports,
-)
+from pirlab.protocols.curve import minimal_h, weight_d_supports
 from pirlab.verify import (
     exhaustive_correctness,
     exhaustive_privacy,
@@ -165,20 +161,21 @@ class TestHermiteAlgebra:
     @pytest.mark.parametrize("k", [2, 3])
     @pytest.mark.parametrize("p", [7, 11, 13])
     def test_basis_matrix_nonsingular(self, k, p):
-        mu = hermite_recovery_vector(k, p)
+        mu = interpolation_vector(p, range(1, k + 1), range(2 * k), multiplicity=2)
         assert len(mu) == 2 * k
 
     def test_k1_taylor(self):
         # Recovery from a single point theta_1: phi(0) = phi - theta_1 * phi'.
         for p in (7, 11):
             for theta in (1, 2, 3):
-                mu = hermite_recovery_vector(1, p, points=[theta])
+                mu = interpolation_vector(p, [theta], range(2), multiplicity=2)
                 assert mu == [1, (-theta) % p]
 
     def test_recovers_constant_term(self):
         p, k = 7, 2
-        matrix = hermite_basis_matrix(k, p)
-        mu = hermite_recovery_vector(k, p)
+        points, support = range(1, k + 1), range(2 * k)
+        matrix = interpolation_matrix(p, points, support, multiplicity=2)
+        mu = interpolation_vector(p, points, support, multiplicity=2)
         # phi = 3 + theta + 4 theta^2 + 2 theta^3
         coeffs = [3, 1, 4, 2]
         evals = [

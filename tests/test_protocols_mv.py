@@ -5,16 +5,10 @@ import math
 
 import pytest
 
-from pirlab.algebra import ExtField, PrimeField, SparsePoly, crt_combine
+from pirlab.algebra import ExtField, SparsePoly, crt_combine, interpolation_vector
 from pirlab.engine import comm_cost, span_check
-from pirlab.errors import NoMuNu, ParamError
-from pirlab.mv import (
-    MatchingFamily,
-    canonical_set,
-    search_matching_family,
-    trivial_decoding_poly,
-    two_subgroup,
-)
+from pirlab.errors import ParamError
+from pirlab.mv import MatchingFamily, canonical_set, search_matching_family
 from pirlab.protocols import (
     build_dvir_gopi,
     build_efremenko,
@@ -23,7 +17,7 @@ from pirlab.protocols import (
     build_yekhanin,
 )
 from pirlab.protocols.registry import desk_schemes
-from pirlab.protocols.ring import interpolation_vector, solve_group_ring_recovery
+from pirlab.protocols.ring import solve_group_ring_recovery
 from pirlab.verify import (
     exhaustive_correctness,
     exhaustive_privacy,

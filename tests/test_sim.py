@@ -7,7 +7,7 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pirlab.engine import answer, comm_cost, query_gen, reconstruct
+from pirlab.engine import answer, comm_cost, reconstruct
 from pirlab.errors import (
     InconsistentAnswer,
     ParamDigestMismatch,
@@ -20,15 +20,13 @@ from pirlab.sim import (
     FRAME_HEADER_LEN,
     MAGIC,
     MAX_FRAME_PAYLOAD,
-    MSG_ANSWER,
     MSG_CONFIG,
     MSG_ERROR,
     MSG_HELLO,
     MSG_QUERY,
     ERR_BAD_QUERY,
-    PirServer,
+    ERR_DIGEST,
     ServerNode,
-    Transcript,
     bench,
     client_retrieve,
     encode_frame,
@@ -164,12 +162,21 @@ class TestTcp:
         scheme, _, servers = cgks_servers
         host, port = servers[0].endpoint
         with socket.create_connection((host, port), timeout=2) as sock:
-            write_frame(sock, MSG_HELLO, b"")
+            write_frame(sock, MSG_HELLO, param_digest(scheme).encode())
             msg_type, payload = read_frame(sock)
         assert msg_type == MSG_CONFIG
         name, digest = payload.decode().split()
         assert name == scheme.name
         assert digest == param_digest(scheme)
+
+    def test_empty_hello_gets_digest_error(self, cgks_servers):
+        scheme, _, servers = cgks_servers
+        host, port = servers[0].endpoint
+        with socket.create_connection((host, port), timeout=2) as sock:
+            write_frame(sock, MSG_HELLO, b"")
+            msg_type, payload = read_frame(sock)
+        assert msg_type == MSG_ERROR
+        assert payload == bytes([ERR_DIGEST]) + param_digest(scheme).encode()
 
     def test_truncated_query_gets_error_2(self, cgks_servers):
         _, _, servers = cgks_servers
@@ -242,6 +249,12 @@ class TestDatabaseFile:
         path = tmp_path / "bad.bin"
         path.write_bytes(struct.pack("<Q", 100) + b"\x00")
         with pytest.raises(ParamError):
+            load_database(path)
+
+    def test_rejects_nonzero_padding_bits(self, tmp_path):
+        path = tmp_path / "padded.bin"
+        path.write_bytes(struct.pack("<Q", 3) + bytes([0b10000101]))
+        with pytest.raises(ParamError, match="padding"):
             load_database(path)
 
 
