@@ -20,7 +20,13 @@ import random
 import sys
 
 from .engine import comm_cost
-from .errors import CheckFailure, ParamError, PirError, TransportError
+from .errors import (
+    BudgetExceeded,
+    CheckFailure,
+    ParamError,
+    PirError,
+    TransportError,
+)
 from .mv import k_r_table
 from .protocols import PROTOCOL_NAMES, build_named
 from .sim import (
@@ -41,7 +47,6 @@ from .verify import (
     span_check_all,
     structured_databases,
 )
-from .errors import BudgetExceeded
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1

@@ -68,6 +68,14 @@ def _dot_mod(a: Sequence[int], b: Sequence[int], m: int) -> int:
     return sum(x * y for x, y in zip(a, b)) % m
 
 
+def _dot_table(u: Sequence[int], m: int) -> list[int]:
+    """<u, v> mod m for every v in Z_m^h, in lexicographic order of v."""
+    out = [0]
+    for c in u:
+        out = [(d + c * x) % m for d in out for x in range(m)]
+    return out
+
+
 def check_matching_family(family: MatchingFamily) -> list[str]:
     """Independent invariant checker; returns human-readable violations.
 
@@ -127,6 +135,9 @@ def search_matching_family(
     """Greedy backtracking search for a size-n_target matching family in
     Z_m^h, deterministic in the lexicographic vector enumeration.
 
+    The orthogonal pairs (u, v) are built in that order only as far as the
+    backtracking reaches, from one table of <u, v> over all v per u, so a
+    search that succeeds early never touches the rest of Z_m^h x Z_m^h.
     ``side_constraint`` additionally requires <u_i, 1> != 0, which the
     Mersenne indicator protocol needs for its shift argument.  Raises
     Exhausted when the candidate space (or the node budget) runs out below
@@ -141,19 +152,31 @@ def search_matching_family(
         raise ParamError("target set must exclude 0")
     vectors = list(itertools.product(range(m), repeat=h))
     zero = (0,) * h
-    pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    for u in vectors:
-        # A zero u or v forces a cross product of 0, impossible once the
-        # family has a second member.
-        if n_target > 1 and u == zero:
-            continue
-        if side_constraint and sum(u) % m == 0:
-            continue
-        for v in vectors:
-            if n_target > 1 and v == zero:
+
+    def orthogonal_pairs():
+        for u in vectors:
+            # A zero u or v forces a cross product of 0, impossible once the
+            # family has a second member.
+            if n_target > 1 and u == zero:
                 continue
-            if _dot_mod(u, v, m) == 0:
-                pairs.append((u, v))
+            if side_constraint and sum(u) % m == 0:
+                continue
+            for v, d in zip(vectors, _dot_table(u, m)):
+                if d == 0 and not (n_target > 1 and v == zero):
+                    yield u, v
+
+    # Pairs are pulled in lexicographic order only as far as the
+    # backtracking reaches; earlier ones stay listed for re-reading.
+    pending = orthogonal_pairs()
+    pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+
+    def pair_at(idx: int):
+        while len(pairs) <= idx:
+            nxt = next(pending, None)
+            if nxt is None:
+                return None
+            pairs.append(nxt)
+        return pairs[idx]
 
     chosen: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     visited = 0
@@ -170,16 +193,18 @@ def search_matching_family(
         nonlocal visited
         if len(chosen) == n_target:
             return True
-        for idx in range(start, len(pairs)):
+        idx = start
+        while (pair := pair_at(idx)) is not None:
             visited += 1
             if visited > budget:
                 return False
-            u, v = pairs[idx]
+            u, v = pair
             if compatible(u, v):
                 chosen.append((u, v))
                 if extend(idx + 1):
                     return True
                 chosen.pop()
+            idx += 1
         return False
 
     if not extend(0):

@@ -12,9 +12,12 @@ with types QUERY 0x01, ANSWER 0x02, ERROR 0x03, HELLO 0x04, CONFIG 0x05,
 and a length of at most MAX_FRAME_PAYLOAD.
 A HELLO carries the client's parameter digest; the server answers with a
 CONFIG echoing the protocol id and its own digest, which lets mismatched
-deployments fail fast without shipping full parameters.  Servers are
-stateless per request and serve concurrent connections against an
-immutable database.
+deployments fail fast without shipping full parameters.  A wrong digest, or
+a QUERY before a matching HELLO, gets ERROR code 3 with the server's digest.
+A query the codec rejects gets code 2; any other failure while answering
+gets code 4 with just the exception's type name, and the server closes the
+connection.  Servers are stateless per request and serve concurrent
+connections against an immutable database.
 
 Database files are raw bit-packed little-endian vectors with an 8-byte
 little-endian length header.
@@ -202,6 +205,9 @@ class _Handler(socketserver.BaseRequestHandler):
         digest = self.server.digest  # type: ignore[attr-defined]
         sock = self.request
         sock.settimeout(DEFAULT_TIMEOUT)
+        digest_error = bytes([ERR_DIGEST]) + digest.encode()
+        # Only a HELLO carrying this server's digest unlocks QUERY.
+        greeted = False
         try:
             while True:
                 try:
@@ -210,13 +216,15 @@ class _Handler(socketserver.BaseRequestHandler):
                     return
                 if msg_type == MSG_HELLO:
                     if payload.decode(errors="replace") != digest:
-                        write_frame(
-                            sock, MSG_ERROR, bytes([ERR_DIGEST]) + digest.encode()
-                        )
+                        write_frame(sock, MSG_ERROR, digest_error)
                         continue
+                    greeted = True
                     reply = f"{node.scheme.name} {digest}".encode()
                     write_frame(sock, MSG_CONFIG, reply)
                 elif msg_type == MSG_QUERY:
+                    if not greeted:
+                        write_frame(sock, MSG_ERROR, digest_error)
+                        continue
                     try:
                         out = node.answer_payload(payload)
                     except MalformedQuery as exc:
@@ -224,6 +232,14 @@ class _Handler(socketserver.BaseRequestHandler):
                             sock, MSG_ERROR, bytes([ERR_BAD_QUERY]) + str(exc).encode()
                         )
                         continue
+                    except Exception as exc:
+                        # The type name only: the message may echo the query.
+                        write_frame(
+                            sock,
+                            MSG_ERROR,
+                            bytes([ERR_INTERNAL]) + type(exc).__name__.encode(),
+                        )
+                        return
                     write_frame(sock, MSG_ANSWER, out)
                 else:
                     write_frame(sock, MSG_ERROR, bytes([ERR_BAD_FRAME]))

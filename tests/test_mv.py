@@ -1,8 +1,12 @@
 """Ingredients: canonical sets, matching families, decoding polynomials,
 parity sets, and the server-count table."""
 
+import functools
+import itertools
+
 import pytest
 
+import pirlab.mv
 from pirlab.algebra import PrimeField
 from pirlab.errors import Exhausted, ParamError
 from pirlab.mv import (
@@ -80,6 +84,121 @@ class TestMatchingFamilySearch:
     def test_zero_not_allowed_in_target(self):
         with pytest.raises(ParamError):
             search_matching_family(6, 2, (0, 1), 2)
+
+
+def _dot(a, b, m):
+    return sum(x * y for x, y in zip(a, b)) % m
+
+
+@functools.lru_cache(maxsize=None)
+def _all_orthogonal_pairs(m, h):
+    vectors = list(itertools.product(range(m), repeat=h))
+    return [(u, v) for u in vectors for v in vectors if _dot(u, v, m) == 0]
+
+
+@functools.lru_cache(maxsize=None)
+def _candidate_pairs(m, h, drop_zero, side_constraint):
+    zero = (0,) * h
+    return [
+        (u, v)
+        for u, v in _all_orthogonal_pairs(m, h)
+        if not (drop_zero and zero in (u, v))
+        and not (side_constraint and sum(u) % m == 0)
+    ]
+
+
+def _eager_search(m, h, target_set, n_target, side_constraint, budget):
+    """Reference: list every orthogonal pair first, then backtrack over the
+    list in order, counting visited nodes the same way as the search."""
+    target = {x % m for x in target_set}
+    pairs = _candidate_pairs(m, h, n_target > 1, side_constraint)
+    chosen = []
+    visited = 0
+
+    def extend(start):
+        nonlocal visited
+        if len(chosen) == n_target:
+            return True
+        for idx in range(start, len(pairs)):
+            visited += 1
+            if visited > budget:
+                return False
+            u, v = pairs[idx]
+            if all(
+                _dot(u, v2, m) in target and _dot(u2, v, m) in target
+                for u2, v2 in chosen
+            ):
+                chosen.append((u, v))
+                if extend(idx + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    if not extend(0):
+        return (
+            f"no size-{n_target} family found in Z_{m}^{h} "
+            f"({visited} nodes visited)"
+        )
+    return MatchingFamily(
+        m=m,
+        h=h,
+        u=tuple(u for u, _ in chosen),
+        v=tuple(v for _, v in chosen),
+        target_set=tuple(sorted(target)),
+    )
+
+
+def _target_sets(m):
+    """The canonical set, <2> for Mersenne m, and all nonzero residues."""
+    sets = {"nonzero": tuple(range(1, m))}
+    if m != 4:
+        sets["canonical"] = canonical_set(m)
+    if m in (3, 7):
+        sets["two_subgroup"] = two_subgroup(m)
+    return sets
+
+
+class TestSearchMatchesEagerReference:
+    """The lazy search against the list-every-pair-first algorithm."""
+
+    @pytest.mark.parametrize(
+        "m,h",
+        [(m, h) for m in (2, 3, 4, 5, 6, 7, 10) for h in (1, 2, 3) if m**h <= 1000],
+    )
+    def test_families_and_exhaustion_agree(self, m, h):
+        for target in _target_sets(m).values():
+            for n_target in (1, 2, 3, 4):
+                for side in (False, True):
+                    for budget in (1, 37, 2000):
+                        try:
+                            got = search_matching_family(
+                                m, h, target, n_target, side, budget=budget
+                            )
+                        except Exhausted as exc:
+                            got = str(exc)
+                        want = _eager_search(m, h, target, n_target, side, budget)
+                        assert got == want, (target, n_target, side, budget)
+
+    def test_full_budget_exhaustion_agrees(self):
+        # Runs the backtracking over the whole pair list without a hit.
+        with pytest.raises(Exhausted) as info:
+            search_matching_family(3, 2, (1,), 4)
+        assert str(info.value) == _eager_search(3, 2, (1,), 4, False, 5_000_000)
+
+    def test_builds_tables_only_as_far_as_it_reaches(self, monkeypatch):
+        calls = []
+        real = pirlab.mv._dot_table
+
+        def counting(u, m):
+            calls.append(u)
+            return real(u, m)
+
+        monkeypatch.setattr(pirlab.mv, "_dot_table", counting)
+        fam = search_matching_family(7, 3, two_subgroup(7), 3, side_constraint=True)
+        assert fam.n == 3
+        # Listing every pair first takes one table for each of the 294 u
+        # with <u, 1> != 0.
+        assert len(calls) <= 58
 
 
 class TestDecodingPolys:

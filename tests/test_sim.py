@@ -1,13 +1,14 @@
 """Transports: framing, in-process byte accounting, the TCP server/client
 pair, database files, and the bench table."""
 
+import dataclasses
 import socket
 import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pirlab.engine import answer, comm_cost, reconstruct
+from pirlab.engine import answer, comm_cost, query_gen, reconstruct
 from pirlab.errors import (
     InconsistentAnswer,
     ParamDigestMismatch,
@@ -20,12 +21,15 @@ from pirlab.sim import (
     FRAME_HEADER_LEN,
     MAGIC,
     MAX_FRAME_PAYLOAD,
+    MSG_ANSWER,
     MSG_CONFIG,
     MSG_ERROR,
     MSG_HELLO,
     MSG_QUERY,
     ERR_BAD_QUERY,
     ERR_DIGEST,
+    ERR_INTERNAL,
+    PirServer,
     ServerNode,
     bench,
     client_retrieve,
@@ -178,14 +182,55 @@ class TestTcp:
         assert msg_type == MSG_ERROR
         assert payload == bytes([ERR_DIGEST]) + param_digest(scheme).encode()
 
+    def test_query_before_hello_gets_digest_error(self, cgks_servers):
+        scheme, _, servers = cgks_servers
+        host, port = servers[0].endpoint
+        queries, _ = query_gen(scheme, 0, seed=0)
+        with socket.create_connection((host, port), timeout=2) as sock:
+            write_frame(sock, MSG_QUERY, scheme.level_codec.encode(queries[0]))
+            msg_type, payload = read_frame(sock)
+            assert msg_type == MSG_ERROR
+            assert payload == bytes([ERR_DIGEST]) + param_digest(scheme).encode()
+            # The connection stays open: a matching HELLO then unlocks QUERY.
+            write_frame(sock, MSG_HELLO, param_digest(scheme).encode())
+            assert read_frame(sock)[0] == MSG_CONFIG
+            write_frame(sock, MSG_QUERY, scheme.level_codec.encode(queries[0]))
+            assert read_frame(sock)[0] == MSG_ANSWER
+
     def test_truncated_query_gets_error_2(self, cgks_servers):
-        _, _, servers = cgks_servers
+        scheme, _, servers = cgks_servers
         host, port = servers[0].endpoint
         with socket.create_connection((host, port), timeout=2) as sock:
+            write_frame(sock, MSG_HELLO, param_digest(scheme).encode())
+            assert read_frame(sock)[0] == MSG_CONFIG
             write_frame(sock, MSG_QUERY, b"\x00")  # codec expects 3 bytes
             msg_type, payload = read_frame(sock)
         assert msg_type == MSG_ERROR
         assert payload[0] == ERR_BAD_QUERY == 2
+
+    def test_answer_failure_gets_internal_error_and_close(self):
+        scheme = build_cgks(8)
+
+        def failing_alpha(tau, q):
+            raise RuntimeError(f"failed on query {q}")
+
+        broken = dataclasses.replace(scheme, alpha=failing_alpha)
+        node = ServerNode(server_id=1, scheme=broken, database=(1,) * 8)
+        server = PirServer(node).start()
+        try:
+            queries, _ = query_gen(scheme, 0, seed=0)
+            with socket.create_connection(server.endpoint, timeout=2) as sock:
+                write_frame(sock, MSG_HELLO, server.digest.encode())
+                assert read_frame(sock)[0] == MSG_CONFIG
+                write_frame(sock, MSG_QUERY, scheme.level_codec.encode(queries[0]))
+                msg_type, payload = read_frame(sock)
+                assert msg_type == MSG_ERROR
+                # The type name only: nothing of the query comes back.
+                assert payload == bytes([ERR_INTERNAL]) + b"RuntimeError"
+                with pytest.raises(TransportError):
+                    read_frame(sock)
+        finally:
+            server.stop()
 
     def test_unknown_type_gets_error(self, cgks_servers):
         _, _, servers = cgks_servers
