@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 import secrets
 from collections import Counter
@@ -51,133 +52,96 @@ class Aux(NamedTuple):
 
 
 class Codec:
-    """Fixed-width byte codec for a flat tuple of small integers.
+    """Fixed-width byte codec for a tuple of residues.
 
-    A codec is an ordered list of fields.  A ``("u", m)`` field holds one
-    residue in [0, m), serialized as the minimal whole number of bytes for a
-    canonical residue, little-endian.  A ``("b", L)`` field holds L bits
-    (L separate 0/1 values), packed LSB-first into ceil(L / 8) bytes.
+    Value j lies in [0, radices[j]); a bit is a value of radix 2.  The tuple
+    is sent as one mixed-radix integer sum_j v_j * prod_{i<j} r_i, written
+    little-endian in ceil(bitlen(prod r - 1) / 8) bytes.  So the width is
+    rounded up to whole bytes once per message, not once per value, and it
+    is less than 8 bits above ``raw_bits``, the information-theoretic width
+    sum(log2 r) (a float).  The map is a bijection onto the integers below
+    prod r, so decode accepts exactly the canonical byte strings.
 
-    ``raw_bits`` is the information-theoretic width sum(log2 m) + sum(L),
-    a float; ``coded_bits`` rounds each field up to whole bits; ``nbytes``
-    is the serialized width.
+    The integer is built and split through a product tree over the radices,
+    one level at a time: neighbours pair up as low + high * (product of the
+    low node's radices), and an odd node out is carried up unchanged.  That
+    is O(log h) list-wide passes instead of h steps on a growing integer.
     """
 
-    def __init__(self, fields: Sequence[tuple[str, int]]):
-        self.fields = tuple(fields)
-        raw = 0.0
-        coded = 0
-        nbytes = 0
-        nvalues = 0
-        for kind, arg in self.fields:
-            if kind == "u":
-                if arg < 2:
-                    raise ParamError("residue field modulus must be >= 2")
-                raw += math.log2(arg)
-                bits = (arg - 1).bit_length()
-                coded += bits
-                nbytes += (bits + 7) // 8
-                nvalues += 1
-            elif kind == "b":
-                if arg < 1:
-                    raise ParamError("bit field length must be >= 1")
-                raw += arg
-                coded += arg
-                nbytes += (arg + 7) // 8
-                nvalues += arg
-            else:
-                raise ParamError(f"unknown field kind {kind!r}")
-        self.raw_bits = raw
-        self.coded_bits = coded
-        self.nbytes = nbytes
-        self.nvalues = nvalues
+    def __init__(self, radices: Sequence[int]):
+        self.radices = tuple(radices)
+        if not self.radices or min(self.radices) < 2:
+            raise ParamError("a codec needs at least one radix, and each >= 2")
+        self.nvalues = len(self.radices)
+        self.raw_bits = sum(map(math.log2, self.radices))
+        # _splits[level] holds the radix product of each pair's low node.
+        splits = []
+        products = list(self.radices)
+        while len(products) > 1:
+            low = products[0 : len(products) // 2 * 2 : 2]
+            merged = list(map(operator.mul, low, products[1::2]))
+            merged += products[len(low) * 2 :]
+            splits.append(low)
+            products = merged
+        self._splits = tuple(splits)
+        self._size = products[0]
+        self.nbytes = ((self._size - 1).bit_length() + 7) // 8
 
     @classmethod
     def uints(cls, modulus: int, count: int) -> "Codec":
-        return cls((("u", modulus),) * count)
-
-    @classmethod
-    def bit_groups(cls, *lengths: int) -> "Codec":
-        return cls(tuple(("b", n) for n in lengths))
+        return cls((modulus,) * count)
 
     def validate(self, values: Sequence[int]) -> None:
         if len(values) != self.nvalues:
             raise MalformedQuery(
                 f"expected {self.nvalues} values, got {len(values)}"
             )
-        pos = 0
-        for kind, arg in self.fields:
-            if kind == "u":
-                v = values[pos]
-                if not 0 <= v < arg:
-                    raise MalformedQuery(f"value {v} out of range [0, {arg})")
-                pos += 1
-            else:
-                for v in values[pos : pos + arg]:
-                    if v not in (0, 1):
-                        raise MalformedQuery(f"bit value {v} not in {{0, 1}}")
-                pos += arg
+        if min(values) < 0 or not all(map(operator.lt, values, self.radices)):
+            v, r = next(
+                (v, r) for v, r in zip(values, self.radices) if not 0 <= v < r
+            )
+            raise MalformedQuery(f"value {v} out of range [0, {r})")
 
     def encode(self, values: Sequence[int]) -> bytes:
         self.validate(values)
-        out = bytearray()
-        pos = 0
-        for kind, arg in self.fields:
-            if kind == "u":
-                width = ((arg - 1).bit_length() + 7) // 8
-                out += values[pos].to_bytes(width, "little")
-                pos += 1
-            else:
-                packed = 0
-                for offset, v in enumerate(values[pos : pos + arg]):
-                    packed |= v << offset
-                out += packed.to_bytes((arg + 7) // 8, "little")
-                pos += arg
-        return bytes(out)
+        nums = values
+        for low in self._splits:
+            highs = map(operator.mul, nums[1::2], low)
+            merged = list(map(operator.add, nums[0::2], highs))
+            merged += nums[len(low) * 2 :]
+            nums = merged
+        return nums[0].to_bytes(self.nbytes, "little")
 
     def decode(self, data: bytes) -> tuple[int, ...]:
         if len(data) != self.nbytes:
             raise MalformedQuery(
                 f"expected {self.nbytes} bytes, got {len(data)}"
             )
-        values = []
-        pos = 0
-        for kind, arg in self.fields:
-            if kind == "u":
-                width = ((arg - 1).bit_length() + 7) // 8
-                v = int.from_bytes(data[pos : pos + width], "little")
-                if v >= arg:
-                    raise MalformedQuery(f"residue {v} out of range [0, {arg})")
-                values.append(v)
-                pos += width
-            else:
-                width = (arg + 7) // 8
-                packed = int.from_bytes(data[pos : pos + width], "little")
-                if packed >> arg:
-                    raise MalformedQuery("padding bits must be zero")
-                values.extend((packed >> k) & 1 for k in range(arg))
-                pos += width
-        return tuple(values)
+        number = int.from_bytes(data, "little")
+        if number >= self._size:
+            raise MalformedQuery(
+                f"encoded value exceeds the space of {self.nvalues} values"
+            )
+        nums = [number]
+        for low in reversed(self._splits):
+            highs, lows = zip(*map(divmod, nums, low))
+            split = [0] * (2 * len(low))
+            split[0::2] = lows
+            split[1::2] = highs
+            split += nums[len(low) :]
+            nums = split
+        return tuple(nums)
 
     def space_size(self) -> int:
-        size = 1
-        for kind, arg in self.fields:
-            size *= arg if kind == "u" else 2**arg
-        return size
+        return self._size
 
     def enumerate_values(self, cap: int = DEFAULT_ROW_CAP):
-        """All value tuples of this codec, in lexicographic field order."""
-        if self.space_size() > cap:
+        """All value tuples of this codec, in lexicographic order."""
+        if self._size > cap:
             raise CapExceeded(
-                f"codec space of {self.space_size()} values exceeds cap {cap}"
+                f"codec space of {self._size} values exceeds cap {cap}"
             )
-        ranges = []
-        for kind, arg in self.fields:
-            if kind == "u":
-                ranges.append(range(arg))
-            else:
-                ranges.extend([range(2)] * arg)
-        return itertools.product(*ranges)
+        return itertools.product(*(range(r) for r in self.radices))
 
 
 @dataclass(frozen=True)
@@ -322,8 +286,8 @@ class CommCost:
     """Exact communication accounting for one scheme.
 
     raw bits follow the k * (log2|S| + log2|R|) formula with real-valued
-    logs; coded bits round each codec field to whole bits; payload bytes are
-    what actually crosses the wire.
+    logs; payload bytes are what actually crosses the wire: each query and
+    each answer is one integer of ceil(its raw bits / 8) bytes.
     """
 
     k: int

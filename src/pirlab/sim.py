@@ -9,7 +9,11 @@ Wire format: every message is a frame
     magic "PIR1" | msg_type (1 byte) | length (4 bytes LE) | payload
 
 with types QUERY 0x01, ANSWER 0x02, ERROR 0x03, HELLO 0x04, CONFIG 0x05,
-and a length of at most MAX_FRAME_PAYLOAD.
+and a length of at most MAX_FRAME_PAYLOAD.  A server closes the connection
+on any frame longer than its QUERY width or its digest, whichever is more.
+A QUERY or ANSWER payload is the scheme's codec output: one little-endian
+mixed-radix integer holding every value of the message, so it carries the
+message's raw bit count rounded up to whole bytes once.
 A HELLO carries the client's parameter digest; the server answers with a
 CONFIG echoing the protocol id and its own digest, which lets mismatched
 deployments fail fast without shipping full parameters.  A wrong digest, or
@@ -52,7 +56,7 @@ MSG_ERROR = 0x03
 MSG_HELLO = 0x04
 MSG_CONFIG = 0x05
 FRAME_HEADER_LEN = 9
-# read_frame rejects a larger declared payload length before any recv.
+# read_frame's default cap on a declared payload length.
 MAX_FRAME_PAYLOAD = 1 << 20
 
 ERR_BAD_FRAME = 1
@@ -83,14 +87,18 @@ def _recv_exact(sock: socket.socket, length: int) -> bytes:
     return b"".join(chunks)
 
 
-def read_frame(sock: socket.socket) -> tuple[int, bytes]:
+def read_frame(
+    sock: socket.socket, max_payload: int = MAX_FRAME_PAYLOAD
+) -> tuple[int, bytes]:
+    """One frame; a declared length above ``max_payload`` raises
+    TransportError before any payload byte is read."""
     header = _recv_exact(sock, FRAME_HEADER_LEN)
     if header[:4] != MAGIC:
         raise TransportError(f"bad magic {header[:4]!r}")
     msg_type = header[4]
     (length,) = struct.unpack("<I", header[5:9])
-    if length > MAX_FRAME_PAYLOAD:
-        raise TransportError(f"declared length {length} exceeds {MAX_FRAME_PAYLOAD}")
+    if length > max_payload:
+        raise TransportError(f"declared length {length} exceeds {max_payload}")
     payload = _recv_exact(sock, length) if length else b""
     return msg_type, payload
 
@@ -206,12 +214,14 @@ class _Handler(socketserver.BaseRequestHandler):
         sock = self.request
         sock.settimeout(DEFAULT_TIMEOUT)
         digest_error = bytes([ERR_DIGEST]) + digest.encode()
+        # No frame a client may send is longer than a QUERY or a HELLO.
+        max_payload = max(node.scheme.level_codec.nbytes, len(digest))
         # Only a HELLO carrying this server's digest unlocks QUERY.
         greeted = False
         try:
             while True:
                 try:
-                    msg_type, payload = read_frame(sock)
+                    msg_type, payload = read_frame(sock, max_payload)
                 except TransportError:
                     return
                 if msg_type == MSG_HELLO:

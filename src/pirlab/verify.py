@@ -73,19 +73,6 @@ class CorrectnessReport:
             lines.append(f"  counterexample: {item}")
         return lines
 
-    def to_kv(self) -> dict:
-        kv = {
-            "suite": "correctness",
-            "protocol": self.protocol,
-            "pass": self.passed,
-            "databases": self.databases_tested,
-            "pairs": self.pairs_tested,
-            "failures": len(self.failures),
-        }
-        if self.failures:
-            kv["first_failure"] = str(self.failures[0])
-        return kv
-
 
 @dataclass
 class PrivacyReport:
@@ -116,19 +103,6 @@ class PrivacyReport:
                 f"i={i1} from i={i2}, first differing projected row {row!r}"
             )
         return lines
-
-    def to_kv(self) -> dict:
-        kv = {
-            "suite": "privacy",
-            "protocol": self.protocol,
-            "t": self.t,
-            "pass": self.passed,
-            "uniform": self.uniform,
-            "coalitions": len(self.subset_verdicts),
-        }
-        if self.counterexample is not None:
-            kv["counterexample"] = str(self.counterexample)
-        return kv
 
 
 def exhaustive_correctness(
@@ -285,17 +259,6 @@ class CommAudit:
             f"{self.measured_payload_bytes} bytes, expected "
             f"{self.expected_payload_bytes}, framing {self.framing_bytes} bytes)"
         ]
-
-    def to_kv(self) -> dict:
-        return {
-            "suite": "comm",
-            "protocol": self.protocol,
-            "pass": self.passed,
-            "raw_bits": self.raw_bits,
-            "expected_payload_bytes": self.expected_payload_bytes,
-            "measured_payload_bytes": self.measured_payload_bytes,
-            "framing_bytes": self.framing_bytes,
-        }
 
 
 def comm_audit(scheme: Scheme, transcript) -> CommAudit:

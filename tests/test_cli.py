@@ -134,7 +134,7 @@ class TestNetworkCommands:
             )
             assert code == 0
             assert f"x_4 = {x[3]}" in out
-            assert "payload: 14 bytes" in out
+            assert "payload: 4 bytes" in out
         finally:
             for s in servers:
                 s.stop()

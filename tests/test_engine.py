@@ -5,6 +5,7 @@ import math
 import secrets
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pirlab import engine
 from pirlab.engine import (
@@ -28,6 +29,7 @@ from pirlab.errors import (
     SpanFailure,
 )
 from pirlab.protocols import broken_span_demo, build_lagrange, toy_instance
+from pirlab.protocols.registry import build_named, desk_schemes
 from pirlab.protocols.toy import TOY_ARRAYS
 from pirlab.sim import run_inprocess
 
@@ -49,9 +51,8 @@ class TestCodec:
         codec = Codec.uints(5, 3)
         values = (4, 0, 3)
         assert codec.decode(codec.encode(values)) == values
-        assert codec.nbytes == 3
+        assert codec.nbytes == 1  # 5^3 - 1 = 124 fits 7 bits
         assert codec.raw_bits == pytest.approx(3 * math.log2(5))
-        assert codec.coded_bits == 9
 
     def test_wide_residue(self):
         codec = Codec.uints(3067, 1)
@@ -59,10 +60,10 @@ class TestCodec:
         assert codec.decode(codec.encode((3066,))) == (3066,)
 
     def test_bit_groups(self):
-        codec = Codec.bit_groups(1, 2, 2, 2)
+        codec = Codec.uints(2, 7)
         values = (1, 0, 1, 1, 0, 0, 1)
         assert codec.decode(codec.encode(values)) == values
-        assert codec.nbytes == 4
+        assert codec.nbytes == 1
         assert codec.raw_bits == 7
 
     def test_out_of_range_value(self):
@@ -71,7 +72,7 @@ class TestCodec:
 
     def test_decode_rejects_bad_length(self):
         with pytest.raises(MalformedQuery):
-            Codec.uints(5, 2).decode(b"\x00")
+            Codec.uints(5, 2).decode(b"\x00\x00")
 
     def test_decode_rejects_out_of_range_residue(self):
         with pytest.raises(MalformedQuery):
@@ -79,7 +80,25 @@ class TestCodec:
 
     def test_decode_rejects_padding_bits(self):
         with pytest.raises(MalformedQuery):
-            Codec.bit_groups(3).decode(b"\xff")
+            Codec.uints(2, 3).decode(b"\xff")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(2, 300), min_size=1, max_size=40), st.data())
+    def test_decode_fuzz_is_canonical_or_malformed(self, radices, data):
+        codec = Codec(radices)
+        blob = data.draw(
+            st.binary(min_size=codec.nbytes, max_size=codec.nbytes)
+            | st.binary(max_size=codec.nbytes + 2)
+        )
+        try:
+            values = codec.decode(blob)
+        except MalformedQuery:
+            return
+        assert isinstance(values, tuple)
+        assert codec.encode(values) == blob
+        # The wire integer is sum_j v_j * prod_{i<j} r_i.
+        number = sum(v * math.prod(radices[:j]) for j, v in enumerate(values))
+        assert number == int.from_bytes(blob, "little")
 
     def test_space_enumeration(self):
         codec = Codec.uints(3, 2)
@@ -244,13 +263,35 @@ class TestCommCost:
     def test_toy_cost(self):
         cost = comm_cost(toy_instance())
         assert cost.raw_bits == pytest.approx(2 * 3 * math.log2(3))
-        assert cost.payload_bytes == 2 * (2 + 1)
+        assert cost.payload_bytes == 2 * (1 + 1)
 
     def test_degenerate_one_server_formula(self):
         cost = CommCost(
             k=1, level_raw_bits=1.0, answer_raw_bits=1.0, level_bytes=1, answer_bytes=1
         )
         assert cost.raw_bits == 2
+
+    def test_wire_widths_round_up_once(self):
+        # The deployments perfbench runs, with their payload per retrieval.
+        deployments = [
+            ("cgks", {"n": 8192}, 32),
+            ("lagrange", {"n": 65536, "t": 1, "k": 3, "p": 13}, 507),
+            ("cgks", {"n": 64}, 8),
+            ("hermite", {"n": 64, "t": 1, "k": 2, "p": 5}, 12),
+            ("dvir-gopi", {"m": 6, "n": 3}, 18),
+            ("gks", {"m": 2, "p": 3, "n": 3}, 4),
+        ]
+        schemes = [build_named(name, params) for name, params, _ in deployments]
+        desk = desk_schemes()
+        for scheme in schemes + desk:
+            for codec in (scheme.level_codec, scheme.answer_codec):
+                assert 0 <= 8 * codec.nbytes - codec.raw_bits < 8, scheme.name
+        assert [comm_cost(s).payload_bytes for s in schemes] == [
+            payload for _, _, payload in deployments
+        ]
+        desk_payloads = [comm_cost(s).payload_bytes for s in desk]
+        assert desk_payloads == [4, 4, 6, 8, 9, 9, 8, 18, 4]
+        assert sum(desk_payloads) == 70
 
     def test_scheme_requires_t_below_k(self):
         scheme = toy_instance()

@@ -203,10 +203,29 @@ class TestTcp:
         with socket.create_connection((host, port), timeout=2) as sock:
             write_frame(sock, MSG_HELLO, param_digest(scheme).encode())
             assert read_frame(sock)[0] == MSG_CONFIG
-            write_frame(sock, MSG_QUERY, b"\x00")  # codec expects 3 bytes
+            write_frame(sock, MSG_QUERY, b"")  # codec expects 1 byte
             msg_type, payload = read_frame(sock)
         assert msg_type == MSG_ERROR
         assert payload[0] == ERR_BAD_QUERY == 2
+
+    def test_query_longer_than_codec_closes_connection(self):
+        # The server's bound is max(QUERY width, digest length): this query
+        # is 17 bytes wide, so the bound is its own width.
+        scheme = build_lagrange(600, 1, 3, 13)
+        assert scheme.level_codec.nbytes > len(param_digest(scheme))
+        server = serve(ServerNode(server_id=1, scheme=scheme, database=(0,) * 600))
+        try:
+            with socket.create_connection(server.endpoint, timeout=2) as sock:
+                write_frame(sock, MSG_HELLO, server.digest.encode())
+                assert read_frame(sock)[0] == MSG_CONFIG
+                # No payload follows: a server that trusted the header would
+                # wait for it until its own 5 s timeout.
+                length = scheme.level_codec.nbytes + 1
+                sock.sendall(MAGIC + bytes([MSG_QUERY]) + struct.pack("<I", length))
+                sock.settimeout(1.0)
+                assert sock.recv(1) == b""
+        finally:
+            server.stop()
 
     def test_answer_failure_gets_internal_error_and_close(self):
         scheme = build_cgks(8)
@@ -301,6 +320,25 @@ class TestDatabaseFile:
         path.write_bytes(struct.pack("<Q", 3) + bytes([0b10000101]))
         with pytest.raises(ParamError, match="padding"):
             load_database(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.binary(max_size=24)
+        | st.integers(0, 64).flatmap(
+            lambda n: st.binary(min_size=(n + 7) // 8, max_size=(n + 7) // 8).map(
+                lambda body: struct.pack("<Q", n) + body
+            )
+        )
+    )
+    def test_load_fuzz_returns_bits_or_param_error(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("fuzz") / "db.bin"
+        path.write_bytes(data)
+        try:
+            x = load_database(path)
+        except ParamError:
+            return
+        assert isinstance(x, tuple)
+        assert all(bit in (0, 1) for bit in x)
 
 
 class TestBench:

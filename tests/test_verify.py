@@ -125,11 +125,11 @@ class TestCorrectnessSuite:
     def test_reports_are_deterministic(self):
         a = exhaustive_correctness(toy_instance())
         b = exhaustive_correctness(toy_instance())
-        assert a.to_kv() == b.to_kv()
+        assert a == b
         assert a.to_lines() == b.to_lines()
         pa = exhaustive_privacy(toy_instance())
         pb = exhaustive_privacy(toy_instance())
-        assert pa.to_kv() == pb.to_kv()
+        assert pa == pb
 
 
 class TestStructuralChecks:
