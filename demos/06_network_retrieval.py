@@ -2,8 +2,9 @@
 
 Each server holds a copy of the database and the public scheme parameters;
 it never sees the retrieval index or the client's reconstruction state.
-The client handshakes (HELLO -> CONFIG with a parameter digest), sends each
-server its query concurrently, and reconstructs locally.  Payload bytes are
+The client handshakes (HELLO -> CONFIG with a parameter digest), sends every
+server its query before it reads any answer, so the servers work at the
+same time, and reconstructs locally.  Payload bytes are
 identical to the in-process run; only the 9-byte frame headers and the
 handshake are extra.  Every retrieval draws its query randomness from the
 operating system (seed=None): from a predictable seed, a single server could

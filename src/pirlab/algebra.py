@@ -124,13 +124,7 @@ class PrimeField:
             return pow(self.inv(a), -e, self.p)
         return pow(a, e, self.p)
 
-    # One scalar per element; used by the wire codecs.
-    def to_ints(self, a: int) -> tuple[int, ...]:
-        return (a,)
-
-    def from_ints(self, scalars: Sequence[int]) -> int:
-        return scalars[0] % self.p
-
+    # The moduli of an element's components, in the order the wire sends them.
     @property
     def component_moduli(self) -> tuple[int, ...]:
         return (self.p,)
@@ -251,12 +245,6 @@ class ExtField:
             acc = self.mul(acc, base)
         raise NoSuchElement(f"{value} is not a power of {base}")
 
-    def to_ints(self, a) -> tuple[int, ...]:
-        return tuple(a)
-
-    def from_ints(self, scalars: Sequence[int]):
-        return tuple(c % self.p for c in scalars)
-
     @property
     def component_moduli(self) -> tuple[int, ...]:
         return (self.p,) * self.e
@@ -365,12 +353,6 @@ class CyclicGroupRing:
         """Multiply by g^exponent (a cyclic rotation of the coefficients)."""
         s = exponent % self.m
         return tuple(a[(i - s) % self.m] for i in range(self.m))
-
-    def to_ints(self, a) -> tuple[int, ...]:
-        return tuple(a)
-
-    def from_ints(self, scalars: Sequence[int]):
-        return tuple(c % self.m for c in scalars)
 
     @property
     def component_moduli(self) -> tuple[int, ...]:

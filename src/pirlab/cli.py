@@ -284,10 +284,6 @@ def _cmd_get(args, report: _Report) -> int:
         raise ParamError("get requires --index and --servers")
     scheme = build_named(args.protocol, _protocol_config(args))
     endpoints = _parse_endpoints(args.servers)
-    if len(endpoints) != scheme.k:
-        raise ParamError(
-            f"{scheme.name} needs exactly {scheme.k} endpoints, got {len(endpoints)}"
-        )
     if not 1 <= args.index <= scheme.n:
         raise ParamError(f"--index must be in [1, {scheme.n}]")
     bit, transcript = client_retrieve(

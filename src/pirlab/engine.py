@@ -165,26 +165,28 @@ class Scheme:
     ring: object
     answer_dim: int
     level_codec: Codec
-    answer_codec: Codec
     radices: tuple[int, ...]
     row: Callable[[int, tuple[int, ...]], tuple[LevelPoint, ...]]
     alpha: Callable[[int, LevelPoint], Answer]
     recon: Callable[[int, tuple[int, ...]], tuple[tuple[Answer, ...], object]]
     report: dict = field(default_factory=dict, compare=False)
+    # Derived from ring and answer_dim when None; an init field so that
+    # dataclasses.replace can swap in a wrapped codec.
+    answer_codec: Codec | None = None
 
     def __post_init__(self):
         if self.n < 1:
             raise ParamError("n must be >= 1")
         if not 1 <= self.t < self.k:
             raise ParamError("privacy threshold must satisfy 1 <= t < k")
+        if self.answer_codec is None:
+            codec = Codec(self.ring.component_moduli * self.answer_dim)
+            object.__setattr__(self, "answer_codec", codec)
 
     @property
     def num_rows(self) -> int:
         """N, the number of rows of each query array."""
-        size = 1
-        for r in self.radices:
-            size *= r
-        return size
+        return math.prod(self.radices)
 
     def enumerate_randomness(self, cap: int = DEFAULT_ROW_CAP):
         if self.num_rows > cap:
@@ -197,19 +199,20 @@ class Scheme:
         # randrange draws unbiased values via rejection on getrandbits.
         return tuple(rng.randrange(r) for r in self.radices)
 
-    def flatten_answer(self, answer: Answer) -> tuple[int, ...]:
-        flat: list[int] = []
-        for el in answer:
-            flat.extend(self.ring.to_ints(el))
-        return tuple(flat)
+    def encode_answer(self, answer: Answer) -> bytes:
+        """One codec message holding the D elements' components in order.
+        Prime-field elements are ints; other rings' are component tuples."""
+        if not isinstance(self.ring.zero, int):
+            answer = [c for element in answer for c in element]
+        return self.answer_codec.encode(answer)
 
-    def unflatten_answer(self, flat: Sequence[int]) -> Answer:
+    def decode_answer(self, data: bytes) -> Answer:
+        values = self.answer_codec.decode(data)
+        if isinstance(self.ring.zero, int):
+            return values
         width = len(self.ring.component_moduli)
-        if len(flat) != width * self.answer_dim:
-            raise MalformedQuery("answer has wrong width")
         return tuple(
-            self.ring.from_ints(flat[j * width : (j + 1) * width])
-            for j in range(self.answer_dim)
+            values[j : j + width] for j in range(0, len(values), width)
         )
 
 

@@ -76,7 +76,6 @@ def build_cgks(n: int) -> Scheme:
         ring=field,
         answer_dim=dim,
         level_codec=Codec.uints(zeta, 3),
-        answer_codec=Codec.uints(2, dim),
         radices=(zeta, zeta, zeta),
         row=row,
         alpha=alpha,

@@ -100,7 +100,6 @@ def build_lagrange(n: int, t: int, k: int, p: int, h: int | None = None) -> Sche
         ring=field,
         answer_dim=1,
         level_codec=Codec.uints(p, h),
-        answer_codec=Codec.uints(p, 1),
         radices=(p,) * (h * t),
         row=row,
         alpha=alpha,
@@ -174,7 +173,6 @@ def build_wy_hermite(n: int, t: int, k: int, p: int, h: int | None = None) -> Sc
         ring=field,
         answer_dim=h + 1,
         level_codec=Codec.uints(p, h),
-        answer_codec=Codec.uints(p, h + 1),
         radices=(p,) * (h * t),
         row=row,
         alpha=alpha,

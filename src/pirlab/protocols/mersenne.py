@@ -66,7 +66,6 @@ def build_yekhanin(p: int, family: MatchingFamily, nice: NiceSets) -> Scheme:
         ring=field2,
         answer_dim=p,
         level_codec=Codec.uints(p, h),
-        answer_codec=Codec.uints(2, p),
         radices=(p,) * h,
         row=shift_row(family, offsets, p),
         alpha=alpha,
@@ -125,7 +124,6 @@ def build_raghavendra(p: int, family: MatchingFamily) -> Scheme:
         ring=f2r,
         answer_dim=1,
         level_codec=Codec.uints(p, h),
-        answer_codec=Codec.uints(2, r),
         radices=(p,) * h,
         row=shift_row(family, offsets, p),
         alpha=alpha,

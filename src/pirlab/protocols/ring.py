@@ -75,7 +75,6 @@ def build_efremenko(m: int, p: int, family: MatchingFamily, poly: DecodingPoly) 
         ring=field,
         answer_dim=1,
         level_codec=Codec.uints(m, h),
-        answer_codec=Codec.uints(p, 1),
         radices=(m,) * h,
         row=shift_row(family, offsets, m),
         alpha=alpha,
@@ -216,7 +215,6 @@ def build_dvir_gopi(m: int, family: MatchingFamily) -> Scheme:
         ring=ring,
         answer_dim=h + 1,
         level_codec=Codec.uints(m, h),
-        answer_codec=Codec.uints(m, (h + 1) * m),
         radices=(m,) * h,
         row=shift_row(family, offsets, m),
         alpha=alpha,
@@ -325,7 +323,6 @@ def build_gks(
         ring=field,
         answer_dim=h + 1,
         level_codec=Codec.uints(m, h),
-        answer_codec=Codec.uints(p, h + 1),
         radices=(m,) * h,
         row=shift_row(family, betas, m),
         alpha=alpha,

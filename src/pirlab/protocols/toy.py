@@ -62,7 +62,6 @@ def _build(name: str, lam_value: int, fixed_row: int | None) -> Scheme:
         ring=field,
         answer_dim=1,
         level_codec=Codec.uints(3, 2),
-        answer_codec=Codec.uints(3, 1),
         radices=(9,),
         row=row,
         alpha=alpha,

@@ -23,13 +23,17 @@ gets code 4 with just the exception's type name, and the server closes the
 connection.  Servers are stateless per request and serve concurrent
 connections against an immutable database.
 
+A client retrieval is one round in one thread: ``client_retrieve`` opens
+its k connections, and every QUERY is on the wire before it reads any
+ANSWER, so the k servers work at the same time.
+
 Database files are raw bit-packed little-endian vectors with an 8-byte
 little-endian length header.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
+import contextlib
 import hashlib
 import math
 import socket
@@ -126,6 +130,8 @@ class ServerEntry:
     # Framed bytes in each direction over TCP, HELLO/CONFIG included.
     query_framed_bytes: int = 0
     answer_framed_bytes: int = 0
+    # TCP: from this server's connect until its ANSWER is read.  In
+    # process: the server side, from query decode to answer encode.
     rtt_seconds: float = 0.0
 
 
@@ -165,7 +171,7 @@ def run_inprocess(
         # Decode on the "server side" so the wire codec is genuinely exercised.
         t0 = time.perf_counter()
         a = answer(scheme, x, scheme.level_codec.decode(q_bytes))
-        a_bytes = scheme.answer_codec.encode(scheme.flatten_answer(a))
+        a_bytes = scheme.encode_answer(a)
         transcript.entries.append(
             ServerEntry(
                 server=j + 1,
@@ -174,7 +180,7 @@ def run_inprocess(
                 rtt_seconds=time.perf_counter() - t0,
             )
         )
-        answers.append(scheme.unflatten_answer(scheme.answer_codec.decode(a_bytes)))
+        answers.append(scheme.decode_answer(a_bytes))
     bit = reconstruct(scheme, aux, answers)
     if check and bit != x[i]:
         raise AssertionError(f"round trip returned {bit}, database holds {x[i]}")
@@ -204,7 +210,7 @@ class ServerNode:
     def answer_payload(self, query_payload: bytes) -> bytes:
         q = self.scheme.level_codec.decode(query_payload)
         a = answer(self.scheme, self.database, q)
-        return self.scheme.answer_codec.encode(self.scheme.flatten_answer(a))
+        return self.scheme.encode_answer(a)
 
 
 class _Handler(socketserver.BaseRequestHandler):
@@ -292,40 +298,28 @@ def serve(node: ServerNode, host: str = "127.0.0.1", port: int = 0) -> PirServer
     return PirServer(node, host, port).start()
 
 
-def _query_one(endpoint, digest, q_bytes, timeout):
+def _read_reply(sock, endpoint, digest: str, expected: int) -> bytes:
+    """The payload of the next frame, which must be of type ``expected``; an
+    ERROR frame or a timeout becomes the matching typed exception."""
     host, port = endpoint
-    t0 = time.perf_counter()
     try:
-        sock = socket.create_connection((host, port), timeout=timeout)
-    except OSError as exc:
-        # Refused and timed-out connections both mean "this server is down".
-        raise Timeout(f"server {host}:{port} unreachable: {exc}") from exc
-    with sock:
-        sock.settimeout(timeout)
-        try:
-            sent = write_frame(sock, MSG_HELLO, digest.encode())
-            msg_type, payload = read_frame(sock)
-            received = FRAME_HEADER_LEN + len(payload)
-            if msg_type == MSG_ERROR and payload and payload[0] == ERR_DIGEST:
-                raise ParamDigestMismatch(
-                    f"server {host}:{port} reports digest {payload[1:].decode()!r}, "
-                    f"client has {digest!r}"
-                )
-            if msg_type != MSG_CONFIG:
-                raise TransportError(f"expected CONFIG, got type {msg_type}")
-            sent += write_frame(sock, MSG_QUERY, q_bytes)
-            msg_type, payload = read_frame(sock)
-        except (socket.timeout, TimeoutError) as exc:
-            raise Timeout(f"server {host}:{port} timed out") from exc
-        if msg_type == MSG_ERROR:
-            code = payload[0] if payload else 0
-            raise TransportError(
-                f"server {host}:{port} error code {code}: {payload[1:].decode(errors='replace')}"
+        msg_type, payload = read_frame(sock)
+    except TimeoutError as exc:
+        raise Timeout(f"server {host}:{port} timed out") from exc
+    if msg_type == MSG_ERROR:
+        code = payload[0] if payload else 0
+        # The payload comes from the server: undecodable bytes are replaced.
+        text = payload[1:].decode(errors="replace")
+        if code == ERR_DIGEST:
+            raise ParamDigestMismatch(
+                f"server {host}:{port} reports digest {text!r}, client has {digest!r}"
             )
-        if msg_type != MSG_ANSWER:
-            raise TransportError(f"expected ANSWER, got type {msg_type}")
-        received += FRAME_HEADER_LEN + len(payload)
-        return payload, sent, received, time.perf_counter() - t0
+        raise TransportError(f"server {host}:{port} error code {code}: {text}")
+    if msg_type != expected:
+        raise TransportError(
+            f"server {host}:{port} sent type {msg_type}, expected {expected}"
+        )
+    return payload
 
 
 def client_retrieve(
@@ -335,7 +329,16 @@ def client_retrieve(
     seed: int | None,
     timeout: float = DEFAULT_TIMEOUT,
 ) -> tuple[int, Transcript]:
-    """Send each query to its server concurrently, gather, reconstruct."""
+    """One retrieval in one thread, over k fresh connections.
+
+    The connects run one after another, each HELLO sent as its connection
+    opens: k connect round trips instead of one, tens of microseconds on
+    loopback.  Then the k CONFIGs are read, the k QUERYs sent and the k
+    ANSWERs read, in server order, so the servers answer at the same time.
+    No QUERY goes before its CONFIG: a mismatched server may close on the
+    longer frame and lose its digest error.  ``timeout`` bounds each connect
+    and each read.  Seed None draws fresh randomness for every retrieval.
+    """
     if len(endpoints) != scheme.k:
         raise ParamError(
             f"protocol needs exactly {scheme.k} endpoints, got {len(endpoints)}"
@@ -344,27 +347,35 @@ def client_retrieve(
     digest = param_digest(scheme)
     query_bytes = [scheme.level_codec.encode(q) for q in queries]
     transcript = Transcript(protocol=scheme.name)
-    answers: list = [None] * scheme.k
-    with concurrent.futures.ThreadPoolExecutor(max_workers=scheme.k) as pool:
-        futures = {
-            pool.submit(_query_one, ep, digest, qb, timeout): j
-            for j, (ep, qb) in enumerate(zip(endpoints, query_bytes))
-        }
-        for fut in concurrent.futures.as_completed(futures):
-            j = futures[fut]
-            payload, q_framed, a_framed, rtt = fut.result()
-            answers[j] = scheme.unflatten_answer(scheme.answer_codec.decode(payload))
-            transcript.entries.append(
-                ServerEntry(
-                    server=j + 1,
-                    query_payload_bytes=len(query_bytes[j]),
-                    answer_payload_bytes=len(payload),
-                    query_framed_bytes=q_framed,
-                    answer_framed_bytes=a_framed,
-                    rtt_seconds=rtt,
-                )
-            )
-    transcript.entries.sort(key=lambda e: e.server)
+    with contextlib.ExitStack() as stack:
+        socks, starts = [], []
+        for j, (host, port) in enumerate(endpoints):
+            starts.append(time.perf_counter())
+            try:
+                sock = socket.create_connection((host, port), timeout=timeout)
+            except OSError as exc:
+                # Refused and timed-out connections both mean "this server is down".
+                raise Timeout(f"server {host}:{port} unreachable: {exc}") from exc
+            socks.append(stack.enter_context(sock))
+            sent = write_frame(sock, MSG_HELLO, digest.encode())
+            transcript.entries.append(ServerEntry(
+                server=j + 1, query_payload_bytes=len(query_bytes[j]),
+                answer_payload_bytes=0, query_framed_bytes=sent,
+            ))
+        for sock, endpoint, entry in zip(socks, endpoints, transcript.entries):
+            config = _read_reply(sock, endpoint, digest, MSG_CONFIG)
+            entry.answer_framed_bytes = FRAME_HEADER_LEN + len(config)
+        for sock, q_bytes, entry in zip(socks, query_bytes, transcript.entries):
+            entry.query_framed_bytes += write_frame(sock, MSG_QUERY, q_bytes)
+        answers = []
+        for sock, endpoint, entry, t0 in zip(
+            socks, endpoints, transcript.entries, starts
+        ):
+            payload = _read_reply(sock, endpoint, digest, MSG_ANSWER)
+            entry.rtt_seconds = time.perf_counter() - t0
+            entry.answer_payload_bytes = len(payload)
+            entry.answer_framed_bytes += FRAME_HEADER_LEN + len(payload)
+            answers.append(scheme.decode_answer(payload))
     return reconstruct(scheme, aux, answers), transcript
 
 

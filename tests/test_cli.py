@@ -1,6 +1,8 @@
 """CLI behaviour: reports, exit codes, config files, determinism, and the
 networked get path."""
 
+import socket
+
 import pytest
 
 from pirlab.cli import main
@@ -177,9 +179,20 @@ class TestNetworkCommands:
         assert code == 2
         assert "exactly 2" in err
 
-    def test_get_dead_servers_transport_error(self, capsys):
-        import socket
+    def test_get_wrong_endpoint_count_connects_to_nothing(self, capsys):
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            port = listener.getsockname()[1]
+            code, _, err = run_cli(
+                capsys,
+                "get", "cgks", "--n", "8", "--index", "1", "--servers", f":{port}",
+            )
+            assert code == 2
+            assert "exactly 2" in err
+            listener.setblocking(False)
+            with pytest.raises(BlockingIOError):
+                listener.accept()
 
+    def test_get_dead_servers_transport_error(self, capsys):
         probe = socket.socket()
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]

@@ -2,6 +2,7 @@
 communication accounting, mostly exercised on the hand-sized instance."""
 
 import math
+import random
 import secrets
 
 import pytest
@@ -105,6 +106,20 @@ class TestCodec:
         assert sorted(codec.enumerate_values()) == [
             (a, b) for a in range(3) for b in range(3)
         ]
+
+    def test_answer_roundtrip_every_desk_scheme(self):
+        # Covers int elements (prime fields) and the component tuples of
+        # ExtField (raghavendra) and CyclicGroupRing (dvir-gopi).
+        rng = random.Random(5)
+        for scheme in desk_schemes():
+            for trial in range(4):
+                x = tuple(rng.randrange(2) for _ in range(scheme.n))
+                queries, _ = query_gen(scheme, rng.randrange(scheme.n), seed=trial)
+                for q in queries:
+                    a = answer(scheme, x, q)
+                    data = scheme.encode_answer(a)
+                    assert len(data) == scheme.answer_codec.nbytes, scheme.name
+                    assert scheme.decode_answer(data) == a, scheme.name
 
 
 class TestOaStrengthCheck:

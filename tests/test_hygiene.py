@@ -1,4 +1,5 @@
-"""Source hygiene: every name a module imports is used in that module.
+"""Source hygiene: every name a module imports is used in that module, and
+importing the CLI loads no heavy module it does not need.
 
 An import nobody uses keeps a deleted or renamed API looking alive, so the
 scan covers the library, the tests and the demos.  Names listed in
@@ -7,6 +8,9 @@ imports are directives, not names.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,3 +64,17 @@ def test_no_unused_imports(top):
         for line, name in unused_imports(path.read_text())
     ]
     assert offenders == []
+
+
+def test_cli_import_leaves_heavy_modules_unloaded():
+    # Every `pirlab serve` process pays for what importing the CLI loads.
+    # numpy must stay a lazy import, and the client needs no thread pool.
+    code = (
+        "import sys, pirlab.cli; "
+        "print(sorted({'concurrent.futures', 'numpy'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

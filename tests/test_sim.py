@@ -4,6 +4,8 @@ pair, database files, and the bench table."""
 import dataclasses
 import socket
 import struct
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -265,6 +267,57 @@ class TestTcp:
         endpoints = [s.endpoint for s in servers]
         with pytest.raises(ParamDigestMismatch):
             client_retrieve(endpoints, other, 0, seed=0)
+
+    def test_undecodable_digest_reply_is_a_digest_mismatch(self):
+        scheme = build_cgks(8)
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(2.0)
+
+        def hostile():
+            # Answer each HELLO with a digest error whose digest is not UTF-8.
+            for _ in range(scheme.k):
+                try:
+                    conn, _ = listener.accept()
+                    with conn:
+                        read_frame(conn)
+                        write_frame(conn, MSG_ERROR, bytes([ERR_DIGEST]) + b"\xff\xfe")
+                except OSError:
+                    return
+
+        thread = threading.Thread(target=hostile, daemon=True)
+        thread.start()
+        try:
+            endpoint = listener.getsockname()[:2]
+            with pytest.raises(ParamDigestMismatch):
+                client_retrieve([endpoint] * scheme.k, scheme, 0, seed=0, timeout=2.0)
+        finally:
+            thread.join(timeout=5)
+            listener.close()
+        assert not thread.is_alive()
+
+    def test_servers_answer_at_the_same_time(self):
+        scheme = build_cgks(8)
+
+        def slow_alpha(tau, q):
+            time.sleep(0.05)
+            return scheme.alpha(tau, q)
+
+        # All ones: each answer calls alpha 8 times, so takes at least 0.4 s.
+        slow = dataclasses.replace(scheme, alpha=slow_alpha)
+        servers = [
+            serve(ServerNode(server_id=j + 1, scheme=slow, database=(1,) * 8))
+            for j in range(scheme.k)
+        ]
+        try:
+            t0 = time.perf_counter()
+            bit, _ = client_retrieve([s.endpoint for s in servers], scheme, 3, seed=0)
+            elapsed = time.perf_counter() - t0
+        finally:
+            for s in servers:
+                s.stop()
+        assert bit == 1
+        # One server after the other would take at least 0.8 s.
+        assert elapsed < 0.7
 
     def test_server_down_raises_timeout_naming_it(self, cgks_servers):
         scheme, _, servers = cgks_servers
