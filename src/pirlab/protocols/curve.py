@@ -11,10 +11,27 @@ The plain variant recovers phi(0) by Lagrange interpolation from k values
 (degree bound d = floor((k-1)/t)).  The derivative variant additionally
 ships the h partial derivatives of F_x, which yield phi'(j) through the
 chain rule, doubling the usable constraints (d = floor((2k-1)/t)).
+
+Index tau encodes the weight-d vector u_tau whose support is the tau-th
+d-subset of [h] in colexicographic order.  Colex order is the combinatorial
+number system: the support c_1 < ... < c_d has rank tau = sum_j C(c_j, j).
+So the builders keep one table of C(c, j) per degree j, not the n supports,
+and ``colex_unrank`` recovers a support with one bisection per degree.
+
+The ranks whose top element is b form the block [C(b, d), C(b+1, d)), and
+the lower (d-1)-subsets of that block are again in colex order.  So
+
+    F_x(z) = sum_b z_b * F^(d-1)(x[block b], z),
+
+down to F^(1)(x, z) = sum of z_c over the set bits x_c.  The Lagrange
+scheme answers with this kernel: it skips a block when z_b = 0, touches
+each set bit once inside a C-level ``compress`` and reduces mod p at the
+end.  The last block may be partial, since n < C(h, d) in general.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 
@@ -23,23 +40,49 @@ from ..engine import Codec, Scheme
 from ..errors import ParamError
 
 
-def _colex_subsets(h: int, d: int):
-    """The d-subsets of [h] as sorted tuples, in colexicographic order."""
-    if d == 0:
-        yield ()
-        return
-    for top in range(d - 1, h):
-        for rest in _colex_subsets(top, d - 1):
-            yield rest + (top,)
+def binomial_tables(h: int, d: int) -> list[list[int]]:
+    """Row j holds C(c, j) for c in range(h), for each degree j <= d."""
+    return [[math.comb(c, j) for c in range(h)] for j in range(d + 1)]
 
 
-def weight_d_supports(h: int, d: int, n: int) -> list[tuple[int, ...]]:
-    """Supports of the first n weight-d exponent vectors in {0,1}^h: the
-    first n d-subsets of [h] in colexicographic order.  This order fixes
-    which index each vector encodes, so it must never change."""
+def colex_unrank(rank: int, d: int, tables: list[list[int]]) -> tuple[int, ...]:
+    """The support of the rank-th d-subset of [h] in colexicographic order.
+
+    This order fixes which index each exponent vector encodes, so it must
+    never change.  ``rank`` must lie in [0, C(h, d))."""
+    support = [0] * d
+    top = len(tables[0])
+    for j in range(d, 0, -1):
+        top = bisect.bisect_right(tables[j], rank, 0, top) - 1
+        support[j - 1] = top
+        rank -= tables[j][top]
+    return tuple(support)
+
+
+def _index_tables(h: int, d: int, n: int) -> list[list[int]]:
+    """The binomial tables, once C(h, d) leaves room for n indices."""
     if math.comb(h, d) < n:
         raise ParamError(f"C({h},{d}) = {math.comb(h, d)} < n = {n}")
-    return list(itertools.islice(_colex_subsets(h, d), n))
+    return binomial_tables(h, d)
+
+
+def _block_sum(x, z, d: int, tables: list[list[int]]) -> int:
+    """sum_tau x_tau * z^(u_tau) over the ranks tau < len(x) of degree d,
+    unreduced."""
+    if d == 1:
+        return sum(itertools.compress(z, x))
+    starts = tables[d]
+    last = len(starts) - 1
+    n = len(x)
+    total = 0
+    for b, zb in enumerate(z):
+        lo = starts[b]
+        if lo >= n:
+            break
+        if zb:
+            hi = starts[b + 1] if b < last else n
+            total += zb * _block_sum(x[lo:hi], z, d - 1, tables)
+    return total
 
 
 def minimal_h(d: int, n: int) -> int:
@@ -74,23 +117,26 @@ def build_lagrange(n: int, t: int, k: int, p: int, h: int | None = None) -> Sche
         raise ParamError(f"degree bound floor((k-1)/t) = {d} < 1")
     if h is None:
         h = minimal_h(d, n)
-    supports = weight_d_supports(h, d, n)
+    tables = _index_tables(h, d, n)
 
     # Lagrange basis values at 0 for the points 1..k; independent of (i, ell).
     lam = interpolation_vector(p, range(1, k + 1), range(k), multiplicity=1)
     lam_tuple = (tuple((val,) for val in lam), 1)
 
     def row(i, ell):
-        return _curve_points(supports[i], ell, h, t, k, p)
+        return _curve_points(colex_unrank(i, d, tables), ell, h, t, k, p)
 
     def alpha(tau, z):
         acc = 1
-        for c in supports[tau]:
+        for c in colex_unrank(tau, d, tables):
             acc = acc * z[c] % p
         return (acc,)
 
     def recon(i, ell):
         return lam_tuple
+
+    def answer_kernel(x, z):
+        return (_block_sum(x, z, d, tables) % p,)
 
     return Scheme(
         name="lagrange",
@@ -104,6 +150,7 @@ def build_lagrange(n: int, t: int, k: int, p: int, h: int | None = None) -> Sche
         row=row,
         alpha=alpha,
         recon=recon,
+        answer_kernel=answer_kernel,
         report={
             "protocol": "lagrange",
             "n": n,
@@ -128,14 +175,14 @@ def build_wy_hermite(n: int, t: int, k: int, p: int, h: int | None = None) -> Sc
     d = (2 * k - 1) // t
     if h is None:
         h = minimal_h(d, n)
-    supports = weight_d_supports(h, d, n)
+    tables = _index_tables(h, d, n)
     mu = interpolation_vector(p, range(1, k + 1), range(2 * k), multiplicity=2)
 
     def row(i, ell):
-        return _curve_points(supports[i], ell, h, t, k, p)
+        return _curve_points(colex_unrank(i, d, tables), ell, h, t, k, p)
 
     def alpha(tau, z):
-        support = supports[tau]
+        support = colex_unrank(tau, d, tables)
         value = 1
         for c in support:
             value = value * z[c] % p

@@ -379,22 +379,24 @@ def client_retrieve(
     return reconstruct(scheme, aux, answers), transcript
 
 
+_BITS_TO_ASCII = bytes.maketrans(b"\x00\x01", b"01")
+_ASCII_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def save_database(path, x: Sequence[int]) -> None:
-    """8-byte LE length header, then bit-packed little-endian data."""
+    """8-byte LE length header, then bit-packed little-endian data.
+
+    The bits go through one integer: bit j of the data is x[j]."""
     n = len(x)
-    packed = bytearray(struct.pack("<Q", n))
-    byte = 0
-    for j, bit in enumerate(x):
-        if bit not in (0, 1):
-            raise ParamError("database entries must be bits")
-        byte |= bit << (j % 8)
-        if j % 8 == 7:
-            packed.append(byte)
-            byte = 0
-    if n % 8:
-        packed.append(byte)
+    try:
+        raw = bytes(x)
+    except (TypeError, ValueError):
+        raise ParamError("database entries must be bits") from None
+    if raw.translate(None, b"\x00\x01"):
+        raise ParamError("database entries must be bits")
+    value = int(b"0" + raw[::-1].translate(_BITS_TO_ASCII), 2)
     with open(path, "wb") as fh:
-        fh.write(packed)
+        fh.write(struct.pack("<Q", n) + value.to_bytes((n + 7) // 8, "little"))
 
 
 def load_database(path) -> tuple[int, ...]:
@@ -408,7 +410,10 @@ def load_database(path) -> tuple[int, ...]:
         raise ParamError(f"{path}: expected {(n + 7) // 8} data bytes, got {len(body)}")
     if n % 8 and body[-1] >> (n % 8):
         raise ParamError(f"{path}: padding bits beyond n = {n} are set")
-    return tuple((body[j // 8] >> (j % 8)) & 1 for j in range(n))
+    if n == 0:
+        return ()
+    bits = format(int.from_bytes(body, "little"), f"0{n}b")[::-1]
+    return tuple(bits.encode().translate(_ASCII_TO_BITS))
 
 
 def bench(

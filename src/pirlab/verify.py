@@ -17,10 +17,9 @@ import itertools
 from dataclasses import dataclass, field
 
 from .engine import (
-    Aux,
     Scheme,
     comm_cost,
-    reconstruct,
+    decide,
     scheme_oa_index,
     span_check,
 )
@@ -150,11 +149,11 @@ def exhaustive_correctness(
         for ell in ells:
             pairs += 1
             queries = scheme.row(i, ell)
-            aux = Aux(i, ell)
+            lam, omega = scheme.recon(i, ell)
             for x in databases:
                 answers = [cached_answer(x, q) for q in queries]
                 try:
-                    got = reconstruct(scheme, aux, answers)
+                    got = decide(scheme, lam, omega, answers)
                 except InconsistentAnswer as exc:
                     report.failures.append(
                         (x, i, ell, f"inconsistent answer: {exc}")

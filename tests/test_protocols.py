@@ -1,6 +1,7 @@
 """Cube and curve schemes: construction invariants, span identities,
 exhaustive suites at small parameters, and the interpolation algebra."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -9,10 +10,10 @@ import tracemalloc
 import pytest
 
 from pirlab.algebra import interpolation_matrix, interpolation_vector
-from pirlab.engine import answer, comm_cost, reconstruct
-from pirlab.errors import ParamError
+from pirlab.engine import alpha_sum, answer, comm_cost, reconstruct
+from pirlab.errors import MalformedQuery, ParamError
 from pirlab.protocols import build_cgks, build_lagrange, build_wy_hermite
-from pirlab.protocols.curve import minimal_h, weight_d_supports
+from pirlab.protocols.curve import binomial_tables, colex_unrank, minimal_h
 from pirlab.verify import (
     exhaustive_correctness,
     exhaustive_privacy,
@@ -99,14 +100,19 @@ class TestWeightVectors:
     def test_colex_order(self):
         for h in range(11):
             for d in range(6):
-                assert weight_d_supports(h, d, math.comb(h, d)) == _colex_reference(
-                    h, d
-                )
-        assert weight_d_supports(4, 2, 4) == [(0, 1), (0, 2), (1, 2), (0, 3)]
+                tables = binomial_tables(h, d)
+                unranked = [
+                    colex_unrank(rank, d, tables) for rank in range(math.comb(h, d))
+                ]
+                assert unranked == _colex_reference(h, d)
+        tables = binomial_tables(4, 2)
+        assert [colex_unrank(r, 2, tables) for r in range(4)] == [
+            (0, 1), (0, 2), (1, 2), (0, 3)
+        ]
 
     def test_too_many(self):
         with pytest.raises(ParamError):
-            weight_d_supports(3, 2, 4)
+            build_lagrange(4, 1, 3, 5, h=3)  # d = 2, C(3,2) = 3 < 4
 
     def test_minimal_h(self):
         assert minimal_h(2, 3) == 3
@@ -238,8 +244,8 @@ class TestHermiteScheme:
 
 
 class TestSparseAgainstDense:
-    """The schemes store only the supports of the u_tau; row and alpha must
-    equal a construction from the dense exponent vectors, index by index."""
+    """Row and alpha must equal a construction from the dense exponent
+    vectors, index by index."""
 
     @pytest.mark.parametrize(
         "build,n,t,k,p",
@@ -279,6 +285,72 @@ class TestSparseAgainstDense:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    def test_build_memory_is_independent_of_n(self):
+        # The builder keeps d + 1 binomial rows of h ints, not n supports.
+        tracemalloc.start()
+        try:
+            build_lagrange(2**20, 1, 3, 13)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
+_KERNEL_CONFIGS = [
+    (65536, 1, 3, 13),
+    (3000, 2, 7, 11),
+    (100, 3, 7, 11),
+    (5000, 1, 5, 13),
+    (1, 1, 2, 3),
+]
+
+
+class TestLagrangeKernel:
+    """The per-top-element kernel against the alpha sum, the reference."""
+
+    @staticmethod
+    def databases(n, rng):
+        yield (0,) * n
+        yield (1,) * n
+        for unit in sorted({0, n // 2, n - 1}):
+            yield tuple(1 if j == unit else 0 for j in range(n))
+        for _ in range(2):
+            yield tuple(rng.randrange(2) for _ in range(n))
+
+    @pytest.mark.parametrize("n,t,k,p", _KERNEL_CONFIGS)
+    def test_kernel_equals_alpha_sum(self, n, t, k, p):
+        scheme = build_lagrange(n, t, k, p)
+        assert scheme.answer_kernel is not None
+        h = scheme.report["h"]
+        rng = random.Random(n * 31 + k)
+        for x in self.databases(n, rng):
+            queries = [(0,) * h, (1,) * h]
+            for _ in range(3):
+                q = [rng.randrange(p) for _ in range(h)]
+                queries.append(tuple(q))
+                # Zero coordinates skip whole blocks in the kernel.
+                queries.append(tuple(v if rng.randrange(2) else 0 for v in q))
+            for q in queries:
+                assert answer(scheme, x, q) == alpha_sum(scheme, x, q)
+
+    @pytest.mark.parametrize("n,t,k,p", _KERNEL_CONFIGS)
+    def test_bad_input_raises_on_both_paths(self, n, t, k, p):
+        scheme = build_lagrange(n, t, k, p)
+        generic = dataclasses.replace(scheme, answer_kernel=None)
+        h = scheme.report["h"]
+        bad_calls = [
+            (ParamError, (0,) * (n + 1), (0,) * h),
+            (MalformedQuery, (0,) * n, (p,) + (0,) * (h - 1)),
+            (MalformedQuery, (0,) * n, (0,) * (h + 1)),
+        ]
+        for error, x, q in bad_calls:
+            messages = []
+            for s in (scheme, generic):
+                with pytest.raises(error) as info:
+                    answer(s, x, q)
+                messages.append(str(info.value))
+            assert messages[0] == messages[1]
 
 
 class TestCurveCosts:

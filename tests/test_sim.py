@@ -362,6 +362,19 @@ class TestDatabaseFile:
         assert struct.unpack("<Q", raw[:8])[0] == 3
         assert len(raw) == 9
 
+    def test_packs_bit_j_into_byte_j_over_8(self, tmp_path):
+        path = tmp_path / "db.bin"
+        save_database(path, (1, 0, 1, 1, 0, 0, 1, 0, 1))
+        assert path.read_bytes()[8:] == bytes([0b01001101, 0b00000001])
+        save_database(path, ())
+        assert path.read_bytes() == struct.pack("<Q", 0)
+        assert load_database(path) == ()
+
+    @pytest.mark.parametrize("x", [(0, 2), (1, -1), (0, 256), (1, 0.5)])
+    def test_save_rejects_non_bit_entries(self, tmp_path, x):
+        with pytest.raises(ParamError, match="bits"):
+            save_database(tmp_path / "db.bin", x)
+
     def test_rejects_corrupt_file(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(struct.pack("<Q", 100) + b"\x00")
