@@ -10,7 +10,7 @@ individual query stays index-independent.
 """
 
 from pirlab.engine import answer, comm_cost, oa_strength_check, query_gen, reconstruct, span_check
-from pirlab.protocols import toy_instance
+from pirlab.protocols.toy import toy_instance
 from pirlab.protocols.toy import TOY_ARRAYS
 
 # A classic strength-3 example: 8 rows, 4 binary columns.

@@ -8,7 +8,7 @@ eight selected bits - one box bit and three perturbation bits per server.
 """
 
 from pirlab.engine import comm_cost
-from pirlab.protocols import build_cgks
+from pirlab.protocols.cube import build_cgks
 from pirlab.sim import run_inprocess
 from pirlab.verify import exhaustive_correctness, exhaustive_privacy
 

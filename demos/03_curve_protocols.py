@@ -16,7 +16,7 @@ a uniform tuple - that is the orthogonal-array property at strength t.
 """
 
 from pirlab.engine import comm_cost
-from pirlab.protocols import build_lagrange, build_wy_hermite
+from pirlab.protocols.curve import build_lagrange, build_wy_hermite
 from pirlab.verify import exhaustive_correctness, exhaustive_privacy
 
 lagrange = build_lagrange(3, 1, 3, 5)

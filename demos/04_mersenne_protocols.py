@@ -20,7 +20,7 @@ reconstructs through the vanishing polynomial.
 from pirlab.algebra import ExtField, SparsePoly
 from pirlab.engine import comm_cost
 from pirlab.mv import search_matching_family, two_subgroup, yekhanin_nice_sets
-from pirlab.protocols import build_raghavendra, build_yekhanin
+from pirlab.protocols.mersenne import build_raghavendra, build_yekhanin
 from pirlab.verify import exhaustive_correctness, exhaustive_privacy
 
 print("subgroup <2> in F_7^*:", two_subgroup(7))

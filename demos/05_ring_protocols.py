@@ -23,7 +23,7 @@ from pirlab.mv import (
     sparse_decoding_poly_search,
     trivial_decoding_poly,
 )
-from pirlab.protocols import build_dvir_gopi, build_efremenko, build_gks
+from pirlab.protocols.ring import build_dvir_gopi, build_efremenko, build_gks
 from pirlab.verify import exhaustive_correctness, exhaustive_privacy
 
 print("canonical set of 6  =", canonical_set(6))

@@ -11,7 +11,7 @@ operating system (seed=None): from a predictable seed, a single server could
 recompute that randomness and read off i.
 """
 
-from pirlab.protocols import build_cgks
+from pirlab.protocols.cube import build_cgks
 from pirlab.sim import (
     ServerNode,
     client_retrieve,

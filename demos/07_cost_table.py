@@ -5,7 +5,8 @@ Sizes depend only on the public parameters, never on the database or the
 index, so the grid varies n alone.
 """
 
-from pirlab.protocols import build_cgks, build_lagrange
+from pirlab.protocols.cube import build_cgks
+from pirlab.protocols.curve import build_lagrange
 from pirlab.sim import bench
 
 

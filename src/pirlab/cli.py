@@ -28,7 +28,7 @@ from .errors import (
     TransportError,
 )
 from .mv import k_r_table
-from .protocols import PROTOCOL_NAMES, build_named
+from .protocols.registry import PROTOCOL_NAMES, build_named
 from .sim import (
     ServerNode,
     bench,
@@ -39,14 +39,6 @@ from .sim import (
     save_database,
     serve,
 )
-from .verify import (
-    comm_audit,
-    exhaustive_correctness,
-    exhaustive_privacy,
-    oa_family_check,
-    span_check_all,
-    structured_databases,
-)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -54,7 +46,32 @@ EXIT_USAGE = 2
 EXIT_TRANSPORT = 3
 
 _PARAM_KEYS = ("n", "t", "k", "p", "m", "h", "sparse_k", "r")
-_INT_KEYS = set(_PARAM_KEYS) | {"seed", "id", "port", "trials", "index", "timeout"}
+_SUITES = ("all", "correctness", "privacy", "span", "oa", "comm")
+# Every flag parses to None when it is not typed, so the config file can
+# fill it; these defaults apply after the config file.
+_DEFAULTS = {"suite": "all", "host": "127.0.0.1", "timeout": 5.0, "trials": 3,
+             "timing": False}
+
+
+def _suite(value: str) -> str:
+    if value not in _SUITES:
+        raise ValueError(f"expected one of {', '.join(_SUITES)}")
+    return value
+
+
+def _switch(value: str) -> bool:
+    if value.lower() not in ("true", "false", "1", "0"):
+        raise ValueError("expected true, false, 1 or 0")
+    return value.lower() in ("true", "1")
+
+
+# How a config value is parsed, by key; any other key takes the string.
+_CONFIG_TYPES = {
+    **dict.fromkeys(_PARAM_KEYS + ("seed", "id", "port", "trials", "index"), int),
+    "timeout": float,
+    "suite": _suite,
+    "timing": _switch,
+}
 
 
 def _add_protocol_args(sub, skip=()):
@@ -87,35 +104,33 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run exhaustive verification suites")
     _add_protocol_args(p_verify)
-    p_verify.add_argument(
-        "--suite",
-        default="all",
-        choices=("all", "correctness", "privacy", "span", "oa", "comm"),
-    )
+    p_verify.add_argument("--suite", choices=_SUITES, help="default: all")
     _add_shared_args(p_verify, top_level=False)
 
     p_serve = sub.add_parser("serve", help="run one server daemon")
     _add_protocol_args(p_serve)
     p_serve.add_argument("--id", type=int, default=None, help="server index (1-based)")
     p_serve.add_argument("--db", default=None, help="database file path")
-    p_serve.add_argument("--port", type=int, default=None)
-    p_serve.add_argument("--host", default="127.0.0.1")
+    p_serve.add_argument("--port", type=int, default=None, help="0 picks a free port")
+    p_serve.add_argument("--host", default=None, help="default: 127.0.0.1")
     _add_shared_args(p_serve, top_level=False)
 
     p_get = sub.add_parser("get", help="retrieve one bit from running servers")
     _add_protocol_args(p_get)
     p_get.add_argument("--index", type=int, default=None, help="retrieval index (1-based)")
     p_get.add_argument("--servers", default=None, help="comma-separated host:port list")
-    p_get.add_argument("--timeout", type=float, default=5.0)
+    p_get.add_argument("--timeout", type=float, default=None,
+                       help="seconds per connect and read; default: 5")
     _add_shared_args(p_get, top_level=False)
 
     p_bench = sub.add_parser("bench", help="cost table across database sizes")
     _add_protocol_args(p_bench, skip=("n",))
     p_bench.add_argument("--n", dest="n_values", default=None,
                          help="comma-separated database sizes")
-    p_bench.add_argument("--trials", type=int, default=3)
+    p_bench.add_argument("--trials", type=int, default=None, help="default: 3")
     p_bench.add_argument(
-        "--timing", action="store_true", help="include (non-deterministic) time columns"
+        "--timing", action="store_true", default=None,
+        help="include (non-deterministic) time columns",
     )
     _add_shared_args(p_bench, top_level=False)
 
@@ -128,23 +143,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(args: argparse.Namespace) -> None:
-    if not args.config:
-        return
-    with open(args.config) as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParamError(f"{args.config}:{line_no}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            key = key.replace("-", "_")
-            if not hasattr(args, key):
-                raise ParamError(f"{args.config}:{line_no}: unknown key {key!r}")
-            if getattr(args, key) is None:
-                setattr(
-                    args, key, int(value) if key in _INT_KEYS else value
-                )
+    """Fill every flag left untyped from --config, then from ``_DEFAULTS``."""
+    if args.config:
+        with open(args.config) as fh:
+            for line_no, line in enumerate(fh, 1):
+                line = line.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                where = f"{args.config}:{line_no}"
+                if "=" not in line:
+                    raise ParamError(f"{where}: expected 'key = value'")
+                key, value = (part.strip() for part in line.split("=", 1))
+                key = key.replace("-", "_")
+                if not hasattr(args, key):
+                    raise ParamError(f"{where}: unknown key {key!r}")
+                if getattr(args, key) is None:
+                    try:
+                        setattr(args, key, _CONFIG_TYPES.get(key, str)(value))
+                    except ValueError as exc:
+                        raise ParamError(f"{where}: bad {key} {value!r}: {exc}") from None
+    for key, value in _DEFAULTS.items():
+        if hasattr(args, key) and getattr(args, key) is None:
+            setattr(args, key, value)
 
 
 def _protocol_config(args) -> dict:
@@ -200,6 +220,15 @@ def _cmd_params(args, report: _Report) -> int:
 
 
 def _cmd_verify(args, report: _Report) -> int:
+    from .verify import (
+        comm_audit,
+        exhaustive_correctness,
+        exhaustive_privacy,
+        oa_family_check,
+        span_check_all,
+        structured_databases,
+    )
+
     scheme = build_named(args.protocol, _protocol_config(args))
     suites = (
         ("correctness", "privacy", "span", "oa", "comm")
@@ -252,6 +281,8 @@ def _cmd_serve(args, report: _Report) -> int:
     for flag in ("id", "db", "port"):
         if getattr(args, flag) is None:
             raise ParamError(f"serve requires --{flag}")
+    if not 0 <= args.port <= 65535:
+        raise ParamError(f"--port must be in [0, 65535], got {args.port}")
     scheme = build_named(args.protocol, _protocol_config(args))
     database = load_database(args.db)
     node = ServerNode(server_id=args.id, scheme=scheme, database=database)
@@ -273,8 +304,10 @@ def _parse_endpoints(text: str) -> list[tuple[str, int]]:
     for item in text.split(","):
         item = item.strip()
         host, _, port = item.rpartition(":")
-        if not port.isdigit():
-            raise ParamError(f"bad endpoint {item!r}; expected host:port")
+        if not (port.isascii() and port.isdigit() and 1 <= int(port) <= 65535):
+            raise ParamError(
+                f"bad endpoint {item!r}; expected host:port with port in [1, 65535]"
+            )
         endpoints.append((host or "127.0.0.1", int(port)))
     return endpoints
 

@@ -2,30 +2,18 @@
 
 Each builder returns an immutable :class:`pirlab.engine.Scheme` together
 with a parameter report describing the server count, level/answer
-structures, and exact communication widths.
+structures, and exact communication widths.  Import a builder from the
+module that defines it:
+
+* :mod:`.cube`: ``build_cgks``;
+* :mod:`.curve`: ``build_lagrange``, ``build_wy_hermite``;
+* :mod:`.mersenne`: ``build_yekhanin``, ``build_raghavendra``;
+* :mod:`.ring`: ``build_efremenko``, ``build_dvir_gopi``, ``build_gks``;
+* :mod:`.toy`: ``toy_instance`` and the negative controls
+  ``broken_demo``, ``broken_span_demo``, ``broken_privacy_demo``;
+* :mod:`.registry`: ``build_named``, ``desk_schemes``, ``PROTOCOL_NAMES``.
+
+This package imports none of them: ``build_named`` imports only the
+builder module of the protocol it constructs, so a server process loads
+one construction, not all eight.
 """
-
-from .cube import build_cgks
-from .curve import build_lagrange, build_wy_hermite
-from .mersenne import build_raghavendra, build_yekhanin
-from .ring import build_dvir_gopi, build_efremenko, build_gks
-from .toy import broken_demo, broken_privacy_demo, broken_span_demo, toy_instance
-from .registry import PROTOCOL_NAMES, build_named, desk_schemes
-
-__all__ = [
-    "build_cgks",
-    "build_lagrange",
-    "build_wy_hermite",
-    "build_yekhanin",
-    "build_raghavendra",
-    "build_efremenko",
-    "build_dvir_gopi",
-    "build_gks",
-    "toy_instance",
-    "broken_demo",
-    "broken_privacy_demo",
-    "broken_span_demo",
-    "build_named",
-    "desk_schemes",
-    "PROTOCOL_NAMES",
-]

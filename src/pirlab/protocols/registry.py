@@ -4,6 +4,11 @@ The registry performs the ingredient searches (matching families, decoding
 polynomials, parity sets) with deterministic budgets and injects them into
 the protocol builders, so a server and a client constructing the same named
 configuration always agree on every derived object.
+
+``build_named`` imports the builder module of the requested protocol inside
+that protocol's branch, so a process that serves one scheme never loads
+the other constructions.  The ingredient searches stay module-level imports:
+perfbench's set-up tracing wraps them by name on this module.
 """
 
 from __future__ import annotations
@@ -17,11 +22,6 @@ from ..mv import (
     two_subgroup,
     yekhanin_nice_sets,
 )
-from .cube import build_cgks
-from .curve import build_lagrange, build_wy_hermite
-from .mersenne import build_raghavendra, build_yekhanin
-from .ring import build_dvir_gopi, build_efremenko, build_gks
-from .toy import broken_demo, toy_instance
 
 PROTOCOL_NAMES = (
     "toy",
@@ -65,31 +65,47 @@ def build_named(name: str, config: dict | None = None) -> Scheme:
     """
     config = dict(config or {})
     if name == "toy":
+        from .toy import toy_instance
+
         return toy_instance()
     if name == "broken-demo":
+        from .toy import broken_demo
+
         return broken_demo()
     if name == "cgks":
+        from .cube import build_cgks
+
         (n,) = _require(config, "n")
         return build_cgks(n)
     if name == "lagrange":
+        from .curve import build_lagrange
+
         n, t, k, p = _require(config, "n", "t", "k", "p")
         return build_lagrange(n, t, k, p, h=config.get("h"))
     if name == "hermite":
+        from .curve import build_wy_hermite
+
         n, t, k, p = _require(config, "n", "t", "k", "p")
         return build_wy_hermite(n, t, k, p, h=config.get("h"))
     if name == "yekhanin":
+        from .mersenne import build_yekhanin
+
         p = config.get("p", 7)
         n = config.get("n", 3)
         h = config.get("h", 3)
         family = _mersenne_family(p, n, h, side=True)
         return build_yekhanin(p, family, yekhanin_nice_sets(p))
     if name == "raghavendra":
+        from .mersenne import build_raghavendra
+
         p = config.get("p", 7)
         n = config.get("n", 3)
         h = config.get("h", 3)
         family = _mersenne_family(p, n, h, side=True)
         return build_raghavendra(p, family)
     if name == "efremenko":
+        from .ring import build_efremenko
+
         m, p = _require(config, "m", "p")
         n = config.get("n", 3)
         h = config.get("h", 3)
@@ -103,11 +119,15 @@ def build_named(name: str, config: dict | None = None) -> Scheme:
             poly = trivial_decoding_poly(m, p)
         return build_efremenko(m, p, family, poly)
     if name == "dvir-gopi":
+        from .ring import build_dvir_gopi
+
         (m,) = _require(config, "m")
         n = config.get("n", 3)
         h = config.get("h", 3)
         return build_dvir_gopi(m, _canonical_family(m, n, h))
     if name == "gks":
+        from .ring import build_gks
+
         m, p = _require(config, "m", "p")
         n = config.get("n", 3)
         h = config.get("h", 3)

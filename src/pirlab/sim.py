@@ -337,8 +337,11 @@ def client_retrieve(
     ANSWERs read, in server order, so the servers answer at the same time.
     No QUERY goes before its CONFIG: a mismatched server may close on the
     longer frame and lose its digest error.  ``timeout`` bounds each connect
-    and each read.  Seed None draws fresh randomness for every retrieval.
+    and each read; it must be finite and positive.  Seed None draws fresh
+    randomness for every retrieval.
     """
+    if not (math.isfinite(timeout) and timeout > 0):
+        raise ParamError(f"timeout must be finite and > 0, got {timeout!r}")
     if len(endpoints) != scheme.k:
         raise ParamError(
             f"protocol needs exactly {scheme.k} endpoints, got {len(endpoints)}"

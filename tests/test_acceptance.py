@@ -31,19 +31,15 @@ from pirlab.mv import (
     two_subgroup,
     yekhanin_nice_sets,
 )
-from pirlab.protocols import (
+from pirlab.protocols.cube import build_cgks
+from pirlab.protocols.curve import build_lagrange, build_wy_hermite
+from pirlab.protocols.mersenne import build_raghavendra, build_yekhanin
+from pirlab.protocols.registry import desk_schemes
+from pirlab.protocols.ring import build_dvir_gopi, build_efremenko, build_gks
+from pirlab.protocols.toy import (
     broken_demo,
     broken_privacy_demo,
     broken_span_demo,
-    build_cgks,
-    build_dvir_gopi,
-    build_efremenko,
-    build_gks,
-    build_lagrange,
-    build_raghavendra,
-    build_wy_hermite,
-    build_yekhanin,
-    desk_schemes,
     toy_instance,
 )
 from pirlab.sim import ServerNode, client_retrieve, run_inprocess, serve

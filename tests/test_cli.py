@@ -5,9 +5,10 @@ import socket
 
 import pytest
 
+from pirlab import cli
 from pirlab.cli import main
-from pirlab.protocols import build_cgks
-from pirlab.sim import ServerNode, serve
+from pirlab.protocols.cube import build_cgks
+from pirlab.sim import ServerNode, Transcript, serve
 
 
 def run_cli(capsys, *argv):
@@ -118,6 +119,42 @@ class TestConfigFile:
         assert code == 2
         assert "bogus" in err
 
+    def test_non_integer_value_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# sizes\nn = abc\n")
+        code, _, err = run_cli(capsys, "--config", str(cfg), "params", "cgks")
+        assert code == 2
+        assert f"{cfg}:2:" in err
+
+    def test_timeout_is_a_float(self, capsys, tmp_path, monkeypatch):
+        seen = {}
+
+        def fake_retrieve(endpoints, scheme, i, seed, timeout):
+            seen["timeout"] = timeout
+            return 0, Transcript(protocol=scheme.name)
+
+        monkeypatch.setattr(cli, "client_retrieve", fake_retrieve)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("timeout = 0.5\n")
+        code, _, _ = run_cli(
+            capsys, "--config", str(cfg),
+            "get", "cgks", "--n", "8", "--index", "1", "--servers", ":1,:2",
+        )
+        assert code == 0
+        assert seen["timeout"] == 0.5
+
+    def test_config_fills_flags_with_defaults(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("suite = privacy\n")
+        code, out, _ = run_cli(capsys, "--config", str(cfg), "verify", "toy")
+        assert code == 0
+        assert "privacy toy" in out and "correctness" not in out
+        code, out, _ = run_cli(
+            capsys, "--config", str(cfg), "verify", "toy", "--suite", "span"
+        )
+        assert code == 0
+        assert "span toy" in out and "privacy" not in out
+
 
 class TestNetworkCommands:
     def test_get_round_trip(self, capsys, tmp_path):
@@ -188,6 +225,40 @@ class TestNetworkCommands:
             )
             assert code == 2
             assert "exactly 2" in err
+            listener.setblocking(False)
+            with pytest.raises(BlockingIOError):
+                listener.accept()
+
+    @pytest.mark.parametrize("servers", [":70000,:1", ":1,:0", ":1,:-5"])
+    def test_get_rejects_port_out_of_range(self, capsys, servers):
+        code, _, err = run_cli(
+            capsys, "get", "cgks", "--n", "8", "--index", "1", "--servers", servers,
+        )
+        assert code == 2
+        assert "[1, 65535]" in err
+
+    @pytest.mark.parametrize("port", ["70000", "-1"])
+    def test_serve_rejects_port_out_of_range(self, capsys, tmp_path, port):
+        path = tmp_path / "db.bin"
+        run_cli(capsys, "makedb", "--n", "8", "--db", str(path))
+        code, _, err = run_cli(
+            capsys, "serve", "cgks", "--n", "8", "--id", "1",
+            "--db", str(path), "--port", port,
+        )
+        assert code == 2
+        assert "[0, 65535]" in err
+
+    @pytest.mark.parametrize("timeout", ["-1", "0", "nan", "inf"])
+    def test_get_bad_timeout_connects_to_nothing(self, capsys, timeout):
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            port = listener.getsockname()[1]
+            code, _, err = run_cli(
+                capsys,
+                "get", "cgks", "--n", "8", "--index", "1",
+                "--servers", f":{port},:{port}", "--timeout", timeout,
+            )
+            assert code == 2
+            assert "timeout" in err
             listener.setblocking(False)
             with pytest.raises(BlockingIOError):
                 listener.accept()

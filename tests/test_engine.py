@@ -29,7 +29,8 @@ from pirlab.errors import (
     ParamError,
     SpanFailure,
 )
-from pirlab.protocols import broken_span_demo, build_lagrange, toy_instance
+from pirlab.protocols.curve import build_lagrange
+from pirlab.protocols.toy import broken_span_demo, toy_instance
 from pirlab.protocols.registry import build_named, desk_schemes
 from pirlab.protocols.toy import TOY_ARRAYS
 from pirlab.sim import run_inprocess

@@ -66,15 +66,33 @@ def test_no_unused_imports(top):
     assert offenders == []
 
 
+# The protocols the TCP benchmark workloads serve, with a desk-size config
+# and the one builder module each needs.
+SERVED = [
+    ("cgks", {"n": 64}, "cube"),
+    ("hermite", {"n": 64, "t": 1, "k": 2, "p": 5}, "curve"),
+    ("dvir-gopi", {"m": 6, "n": 3}, "ring"),
+    ("gks", {"m": 2, "p": 3, "n": 3}, "ring"),
+]
+BUILDERS = {"cube", "curve", "mersenne", "ring", "toy"}
+
+
 def test_cli_import_leaves_heavy_modules_unloaded():
-    # Every `pirlab serve` process pays for what importing the CLI loads.
-    # numpy must stay a lazy import, and the client needs no thread pool.
-    code = (
-        "import sys, pirlab.cli; "
-        "print(sorted({'concurrent.futures', 'numpy'} & set(sys.modules)))"
-    )
+    # Every `pirlab serve` process pays for what importing the CLI and
+    # building its scheme load.  numpy must stay a lazy import, the client
+    # needs no thread pool, a server never runs the verifier, and a server
+    # loads the builder module of its own protocol only.
+    heavy = {"concurrent.futures", "numpy", "pirlab.verify"}
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "[]"
+    for name, config, needs in SERVED:
+        unwanted = heavy | {f"pirlab.protocols.{m}" for m in BUILDERS - {needs}}
+        code = (
+            "import sys, pirlab.cli; from pirlab.protocols import registry; "
+            f"registry.build_named({name!r}, {config!r}); "
+            f"print(sorted({unwanted!r} & set(sys.modules)))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "[]", name

@@ -12,7 +12,8 @@ import pytest
 from pirlab.algebra import interpolation_matrix, interpolation_vector
 from pirlab.engine import alpha_sum, answer, comm_cost, reconstruct
 from pirlab.errors import MalformedQuery, ParamError
-from pirlab.protocols import build_cgks, build_lagrange, build_wy_hermite
+from pirlab.protocols.cube import build_cgks
+from pirlab.protocols.curve import build_lagrange, build_wy_hermite
 from pirlab.protocols.curve import binomial_tables, colex_unrank, minimal_h
 from pirlab.verify import (
     exhaustive_correctness,

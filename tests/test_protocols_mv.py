@@ -9,13 +9,8 @@ from pirlab.algebra import ExtField, SparsePoly, crt_combine, interpolation_vect
 from pirlab.engine import comm_cost, span_check
 from pirlab.errors import ParamError
 from pirlab.mv import MatchingFamily, canonical_set, search_matching_family
-from pirlab.protocols import (
-    build_dvir_gopi,
-    build_efremenko,
-    build_gks,
-    build_raghavendra,
-    build_yekhanin,
-)
+from pirlab.protocols.mersenne import build_raghavendra, build_yekhanin
+from pirlab.protocols.ring import build_dvir_gopi, build_efremenko, build_gks
 from pirlab.protocols.registry import desk_schemes
 from pirlab.protocols.ring import solve_group_ring_recovery
 from pirlab.verify import (

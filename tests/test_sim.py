@@ -18,7 +18,9 @@ from pirlab.errors import (
     Timeout,
     TransportError,
 )
-from pirlab.protocols import build_cgks, build_lagrange, toy_instance
+from pirlab.protocols.cube import build_cgks
+from pirlab.protocols.curve import build_lagrange
+from pirlab.protocols.toy import toy_instance
 from pirlab.sim import (
     FRAME_HEADER_LEN,
     MAGIC,

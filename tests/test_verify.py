@@ -7,11 +7,11 @@ import pytest
 
 from pirlab.engine import answer, comm_cost
 from pirlab.errors import BudgetExceeded, CapExceeded, Mismatch, ParamError
-from pirlab.protocols import (
+from pirlab.protocols.cube import build_cgks
+from pirlab.protocols.toy import (
     broken_demo,
     broken_privacy_demo,
     broken_span_demo,
-    build_cgks,
     toy_instance,
 )
 from pirlab.sim import run_inprocess
@@ -146,7 +146,7 @@ class TestStructuralChecks:
 
 @pytest.fixture(scope="module")
 def schemes():
-    from pirlab.protocols import desk_schemes
+    from pirlab.protocols.registry import desk_schemes
 
     return desk_schemes()
 
