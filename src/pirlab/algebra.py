@@ -537,13 +537,3 @@ def interpolation_vector(
         )
     return mu
 
-
-def mat_vec(A: Matrix, x: Vector, structure) -> list:
-    """A @ x with the structure's arithmetic."""
-    out = []
-    for row in A:
-        acc = structure.zero
-        for a, v in zip(row, x):
-            acc = structure.add(acc, structure.mul(a, v))
-        out.append(acc)
-    return out

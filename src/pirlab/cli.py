@@ -4,9 +4,10 @@ Subcommands: ``params`` (parameter and cost report), ``verify`` (exhaustive
 suites), ``serve`` (run one server daemon), ``get`` (networked retrieval),
 ``bench`` (cost table across database sizes), ``makedb`` (write a database
 file).  A ``key = value`` config file can supply any flag; explicit flags
-win.  All randomness flows from a single --seed, so a fixed invocation
-prints byte-identical reports.  The exception is ``get``: without --seed it
-draws the query randomness of every retrieval from the operating system
+win, and each subcommand skips the keys of the others.  All randomness
+flows from a single --seed, so a fixed invocation prints byte-identical
+reports.  The exception is ``get``: without --seed it draws the query
+randomness of every retrieval from the operating system
 (``secrets.SystemRandom``), so no server can predict or repeat it.
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage or
@@ -45,7 +46,7 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_TRANSPORT = 3
 
-_PARAM_KEYS = ("n", "t", "k", "p", "m", "h", "sparse_k", "r")
+_PARAM_KEYS = ("n", "t", "k", "p", "m", "h", "sparse_k")
 _SUITES = ("all", "correctness", "privacy", "span", "oa", "comm")
 # Every flag parses to None when it is not typed, so the config file can
 # fill it; these defaults apply after the config file.
@@ -65,18 +66,27 @@ def _switch(value: str) -> bool:
     return value.lower() in ("true", "1")
 
 
-# How a config value is parsed, by key; any other key takes the string.
+# How a config value is parsed, by key: one entry for each flag of every
+# subcommand.  A subcommand skips the keys of the others.
 _CONFIG_TYPES = {
-    **dict.fromkeys(_PARAM_KEYS + ("seed", "id", "port", "trials", "index"), int),
+    **dict.fromkeys(
+        _PARAM_KEYS + ("r", "seed", "id", "port", "trials", "index"), int
+    ),
+    **dict.fromkeys(("out", "db", "host", "servers", "n_values", "bits"), str),
     "timeout": float,
     "suite": _suite,
     "timing": _switch,
 }
 
 
-def _add_protocol_args(sub, skip=()):
-    sub.add_argument("protocol", choices=PROTOCOL_NAMES + ("kr",))
-    for key in _PARAM_KEYS:
+def _add_protocol_args(sub, skip=(), kr=False):
+    """The protocol name and its parameter flags.  Only ``params`` passes
+    kr: it alone reads the good-modulus table ``kr`` and its --r."""
+    names, keys = PROTOCOL_NAMES, _PARAM_KEYS
+    if kr:
+        names, keys = names + ("kr",), keys + ("r",)
+    sub.add_argument("protocol", choices=names)
+    for key in keys:
         if key not in skip:
             sub.add_argument(f"--{key.replace('_', '-')}", type=int, default=None)
 
@@ -99,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_params = sub.add_parser("params", help="print a parameter/cost report")
-    _add_protocol_args(p_params)
+    _add_protocol_args(p_params, kr=True)
     _add_shared_args(p_params, top_level=False)
 
     p_verify = sub.add_parser("verify", help="run exhaustive verification suites")
@@ -156,7 +166,9 @@ def _apply_config(args: argparse.Namespace) -> None:
                 key, value = (part.strip() for part in line.split("=", 1))
                 key = key.replace("-", "_")
                 if not hasattr(args, key):
-                    raise ParamError(f"{where}: unknown key {key!r}")
+                    if key not in _CONFIG_TYPES:
+                        raise ParamError(f"{where}: unknown key {key!r}")
+                    continue  # a flag of another subcommand
                 if getattr(args, key) is None:
                     try:
                         setattr(args, key, _CONFIG_TYPES.get(key, str)(value))
@@ -286,7 +298,12 @@ def _cmd_serve(args, report: _Report) -> int:
     scheme = build_named(args.protocol, _protocol_config(args))
     database = load_database(args.db)
     node = ServerNode(server_id=args.id, scheme=scheme, database=database)
-    server = serve(node, host=args.host, port=args.port)
+    try:
+        server = serve(node, host=args.host, port=args.port)
+    except OSError as exc:
+        raise TransportError(
+            f"cannot listen on {args.host}:{args.port}: {exc}"
+        ) from None
     host, port = server.endpoint
     report.emit(
         f"serving {scheme.name} server {args.id}/{scheme.k} on {host}:{port} "
@@ -338,7 +355,12 @@ def _cmd_get(args, report: _Report) -> int:
 def _cmd_bench(args, report: _Report) -> int:
     if args.n_values is None:
         raise ParamError("bench requires --n (comma-separated sizes)")
-    n_values = [int(v) for v in args.n_values.split(",")]
+    try:
+        n_values = [int(v) for v in args.n_values.split(",")]
+    except ValueError:
+        raise ParamError(
+            f"bad --n {args.n_values!r}; expected comma-separated integers"
+        ) from None
     config = _protocol_config(args)
 
     def build(n):
@@ -356,6 +378,8 @@ def _cmd_bench(args, report: _Report) -> int:
 
 
 def _cmd_makedb(args, report: _Report) -> int:
+    if args.n < 1:
+        raise ParamError(f"--n must be >= 1, got {args.n}")
     if args.bits is not None:
         if len(args.bits) != args.n or set(args.bits) - {"0", "1"}:
             raise ParamError("--bits must be a 0/1 string of length n")

@@ -132,9 +132,6 @@ class Codec:
             nums = split
         return tuple(nums)
 
-    def space_size(self) -> int:
-        return self._size
-
     def enumerate_values(self, cap: int = DEFAULT_ROW_CAP):
         """All value tuples of this codec, in lexicographic order."""
         if self._size > cap:
@@ -154,6 +151,11 @@ class Scheme:
     D-tuple over ``ring``.  ``recon(i, ell)`` returns (lambda, omega):
     lambda is k blocks of D ring elements and omega is a nonzero ring
     element (1 for every protocol except the group-ring one).
+
+    ``report`` holds the builder's public parameters for ``pirlab params``
+    and ``param_digest``.  It always starts with ``protocol``, ``n``, ``k``
+    and ``t``, written here from the fields above; a builder passes only
+    its own keys, and a value it gives for one of these four is replaced.
 
     ``answer_kernel(x, q)``, when set, computes the same answer as the
     alpha sum over the set bits of x, faster; ``answer`` calls it after
@@ -185,6 +187,9 @@ class Scheme:
             raise ParamError("n must be >= 1")
         if not 1 <= self.t < self.k:
             raise ParamError("privacy threshold must satisfy 1 <= t < k")
+        header = {"protocol": self.name, "n": self.n, "k": self.k, "t": self.t}
+        # The first **header fixes the key order, the last one the values.
+        object.__setattr__(self, "report", {**header, **self.report, **header})
         if self.answer_codec is None:
             codec = Codec(self.ring.component_moduli * self.answer_dim)
             object.__setattr__(self, "answer_codec", codec)

@@ -1,9 +1,15 @@
-"""Ingredient factory for the matching-vector protocols.
+"""Ingredient factory and shared parts of the matching-vector protocols.
 
 Produces canonical sets, matching-vector families (by deterministic
 brute-force search with an independent invariant checker), decoding
 polynomials (the product construction and a sparse search), and the
 parity-constrained set pair needed by the Mersenne-prime indicator protocol.
+
+It also holds what the five schemes share: ``dot_mod``, the inner product
+<u, z> mod m; ``shift_row``, the query array; and ``exponent_scheme``, the
+whole of Efremenko's scheme over F_p and of Raghavendra's over F_(2^r).
+Raghavendra's builder lives with the Mersenne schemes, so this module is
+where the two meet without one construction module loading the other.
 
 The searches here replace constructions that only exist asymptotically in
 the literature; at desk scale a verified search result is just as good and
@@ -26,6 +32,7 @@ from .algebra import (
     squarefree_factors,
     try_solve_mod_prime,
 )
+from .engine import Codec, Scheme
 from .errors import (
     DecodingPolyInvalid,
     Exhausted,
@@ -64,7 +71,8 @@ class MatchingFamily:
         return len(self.u)
 
 
-def _dot_mod(a: Sequence[int], b: Sequence[int], m: int) -> int:
+def dot_mod(a: Sequence[int], b: Sequence[int], m: int) -> int:
+    """<a, b> mod m: the one inner product of the matching-vector schemes."""
     return sum(x * y for x, y in zip(a, b)) % m
 
 
@@ -85,14 +93,14 @@ def check_matching_family(family: MatchingFamily) -> list[str]:
     violations = []
     target = set(family.target_set)
     for i in range(family.n):
-        d = _dot_mod(family.u[i], family.v[i], family.m)
+        d = dot_mod(family.u[i], family.v[i], family.m)
         if d != 0:
             violations.append(f"<u_{i}, v_{i}> = {d} != 0")
     for i in range(family.n):
         for j in range(family.n):
             if i == j:
                 continue
-            d = _dot_mod(family.u[i], family.v[j], family.m)
+            d = dot_mod(family.u[i], family.v[j], family.m)
             if d not in target:
                 violations.append(f"<u_{i}, v_{j}> = {d} not in target set")
     return violations
@@ -121,6 +129,50 @@ def shift_row(family: MatchingFamily, offsets: Sequence[int], m: int):
         )
 
     return row
+
+
+def exponent_scheme(
+    name: str,
+    ring,
+    gpow: Sequence,
+    family: MatchingFamily,
+    offsets: Sequence[int],
+    coeffs: Sequence,
+    report: dict,
+) -> Scheme:
+    """The exponent scheme over a family in Z_m^h: server j gets the shift
+    query at offset d_j and answers with g^<u_tau, z>.
+
+    ``gpow[e]`` is g^e in ``ring`` for an element g of order m.  A decoding
+    polynomial sum_j c_j * theta^(d_j) that vanishes on the target set and
+    is 1 at theta = 1 gives the client lambda_j = c_j * g^(-<u_i, ell>):
+    the answers then combine to sum_tau x_tau * P(g^<u_tau, v_i>) = x_i.
+    Efremenko's scheme takes ring = F_p; Raghavendra's takes F_(2^r) with
+    m = 2^r - 1 and P = 1 + theta + theta^gamma.
+    """
+    m, h = family.m, family.h
+
+    def alpha(tau, z):
+        return (gpow[dot_mod(family.u[tau], z, m)],)
+
+    def recon(i, ell):
+        c = gpow[-dot_mod(family.u[i], ell, m) % m]
+        return tuple((ring.mul(c, rho),) for rho in coeffs), ring.one
+
+    return Scheme(
+        name=name,
+        n=family.n,
+        k=len(offsets),
+        t=1,
+        ring=ring,
+        answer_dim=1,
+        level_codec=Codec.uints(m, h),
+        radices=(m,) * h,
+        row=shift_row(family, offsets, m),
+        alpha=alpha,
+        recon=recon,
+        report=report,
+    )
 
 
 def search_matching_family(
@@ -183,9 +235,9 @@ def search_matching_family(
 
     def compatible(u, v) -> bool:
         for u2, v2 in chosen:
-            if _dot_mod(u, v2, m) not in target:
+            if dot_mod(u, v2, m) not in target:
                 return False
-            if _dot_mod(u2, v, m) not in target:
+            if dot_mod(u2, v, m) not in target:
                 return False
         return True
 

@@ -81,10 +81,6 @@ def build_cgks(n: int) -> Scheme:
         alpha=alpha,
         recon=recon,
         report={
-            "protocol": "cgks",
-            "n": n,
-            "k": 2,
-            "t": 1,
             "h": h,
             "levels": f"triples of subsets of [{h}] (3 x {h}-bit masks)",
             "answers": f"F_2^{dim} parity vector",

@@ -152,10 +152,6 @@ def build_lagrange(n: int, t: int, k: int, p: int, h: int | None = None) -> Sche
         recon=recon,
         answer_kernel=answer_kernel,
         report={
-            "protocol": "lagrange",
-            "n": n,
-            "k": k,
-            "t": t,
             "p": p,
             "h": h,
             "d": d,
@@ -225,10 +221,6 @@ def build_wy_hermite(n: int, t: int, k: int, p: int, h: int | None = None) -> Sc
         alpha=alpha,
         recon=recon,
         report={
-            "protocol": "hermite",
-            "n": n,
-            "k": k,
-            "t": t,
             "p": p,
             "h": h,
             "d": d,

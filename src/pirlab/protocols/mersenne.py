@@ -9,6 +9,8 @@ The indicator variant answers with p parity bits - the memberships of
 and the client selects one bit per server.  The exponent variant answers
 with the single field element g^<u_tau, z>; there the three-term polynomial
 1 + theta + theta^gamma vanishes on g^<2> and kills every off-index term.
+That is Efremenko's scheme with F_(2^r) in place of F_p, so both are built
+by ``mv.exponent_scheme``.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from ..errors import DecodingPolyInvalid, ParamError
 from ..mv import (
     MatchingFamily,
     NiceSets,
+    dot_mod,
+    exponent_scheme,
     mersenne_field,
     shift_row,
     two_subgroup,
@@ -43,14 +47,14 @@ def build_yekhanin(p: int, family: MatchingFamily, nice: NiceSets) -> Scheme:
     u_sums = [sum(u) % p for u in family.u]
 
     def alpha(tau, z):
-        base = sum(uc * zc for uc, zc in zip(family.u[tau], z)) % p
+        base = dot_mod(family.u[tau], z, p)
         step = u_sums[tau]
         return tuple(
             1 if (base + rho * step) % p in s0_set else 0 for rho in range(p)
         )
 
     def recon(i, ell):
-        base = sum(uc * wc for uc, wc in zip(family.u[i], ell)) % p
+        base = dot_mod(family.u[i], ell, p)
         step = u_sums[i]
         # <u_i, 1> != 0 makes rho -> base + rho*step a bijection of F_p,
         # so some rho lands in S0; take the smallest.
@@ -71,10 +75,6 @@ def build_yekhanin(p: int, family: MatchingFamily, nice: NiceSets) -> Scheme:
         alpha=alpha,
         recon=recon,
         report={
-            "protocol": "yekhanin",
-            "n": n,
-            "k": 3,
-            "t": 1,
             "p": p,
             "r": r,
             "h": h,
@@ -93,9 +93,9 @@ def build_yekhanin(p: int, family: MatchingFamily, nice: NiceSets) -> Scheme:
 def build_raghavendra(p: int, family: MatchingFamily) -> Scheme:
     validate_family(family, p, two_subgroup(p))
     r, f2r, g, gamma = mersenne_field(p)
-    h, n = family.h, family.n
     offsets = (0, 1, gamma)
-    poly = SparsePoly(f2r, ((0, f2r.one), (1, f2r.one), (gamma, f2r.one)))
+    coeffs = (f2r.one,) * 3
+    poly = SparsePoly(f2r, tuple(zip(offsets, coeffs)))
     for delta in two_subgroup(p):
         val = poly.evaluate(f2r.pow(g, delta))
         if val != f2r.zero:
@@ -106,41 +106,22 @@ def build_raghavendra(p: int, family: MatchingFamily) -> Scheme:
     gpow = [f2r.one]
     for _ in range(p - 1):
         gpow.append(f2r.mul(gpow[-1], g))
-
-    def alpha(tau, z):
-        e = sum(uc * zc for uc, zc in zip(family.u[tau], z)) % p
-        return (gpow[e],)
-
-    def recon(i, ell):
-        e = sum(uc * wc for uc, wc in zip(family.u[i], ell)) % p
-        coeff = gpow[-e % p]
-        return ((coeff,),) * 3, f2r.one
-
-    return Scheme(
-        name="raghavendra",
-        n=n,
-        k=3,
-        t=1,
-        ring=f2r,
-        answer_dim=1,
-        level_codec=Codec.uints(p, h),
-        radices=(p,) * h,
-        row=shift_row(family, offsets, p),
-        alpha=alpha,
-        recon=recon,
+    return exponent_scheme(
+        "raghavendra",
+        f2r,
+        gpow,
+        family,
+        offsets,
+        coeffs,
         report={
-            "protocol": "raghavendra",
-            "n": n,
-            "k": 3,
-            "t": 1,
             "p": p,
             "r": r,
-            "h": h,
+            "h": family.h,
             "gamma": gamma,
             "offsets": offsets,
             "family_u": family.u,
             "family_v": family.v,
-            "levels": f"F_{p}^{h}",
+            "levels": f"F_{p}^{family.h}",
             "answers": f"F_(2^{r})",
         },
     )

@@ -44,12 +44,6 @@ def _require(config: dict, *keys: str) -> list:
     return [config[k] for k in keys]
 
 
-def _mersenne_family(p: int, n: int, h: int, side: bool):
-    return search_matching_family(
-        p, h, two_subgroup(p), n, side_constraint=side
-    )
-
-
 def _canonical_family(m: int, n: int, h: int):
     from ..mv import canonical_set
 
@@ -87,28 +81,23 @@ def build_named(name: str, config: dict | None = None) -> Scheme:
 
         n, t, k, p = _require(config, "n", "t", "k", "p")
         return build_wy_hermite(n, t, k, p, h=config.get("h"))
-    if name == "yekhanin":
-        from .mersenne import build_yekhanin
+    # The matching-vector schemes default to 3 indices in dimension 3.
+    n = config.get("n", 3)
+    h = config.get("h", 3)
+    if name in ("yekhanin", "raghavendra"):
+        from .mersenne import build_raghavendra, build_yekhanin
 
         p = config.get("p", 7)
-        n = config.get("n", 3)
-        h = config.get("h", 3)
-        family = _mersenne_family(p, n, h, side=True)
-        return build_yekhanin(p, family, yekhanin_nice_sets(p))
-    if name == "raghavendra":
-        from .mersenne import build_raghavendra
-
-        p = config.get("p", 7)
-        n = config.get("n", 3)
-        h = config.get("h", 3)
-        family = _mersenne_family(p, n, h, side=True)
+        family = search_matching_family(
+            p, h, two_subgroup(p), n, side_constraint=True
+        )
+        if name == "yekhanin":
+            return build_yekhanin(p, family, yekhanin_nice_sets(p))
         return build_raghavendra(p, family)
     if name == "efremenko":
         from .ring import build_efremenko
 
         m, p = _require(config, "m", "p")
-        n = config.get("n", 3)
-        h = config.get("h", 3)
         family = _canonical_family(m, n, h)
         sparse_k = config.get("sparse_k")
         if sparse_k:
@@ -122,17 +111,12 @@ def build_named(name: str, config: dict | None = None) -> Scheme:
         from .ring import build_dvir_gopi
 
         (m,) = _require(config, "m")
-        n = config.get("n", 3)
-        h = config.get("h", 3)
         return build_dvir_gopi(m, _canonical_family(m, n, h))
     if name == "gks":
         from .ring import build_gks
 
         m, p = _require(config, "m", "p")
-        n = config.get("n", 3)
-        h = config.get("h", 3)
-        family = _canonical_family(m * p, n, h)
-        return build_gks(m, p, family)
+        return build_gks(m, p, _canonical_family(m * p, n, h))
     raise ParamError(f"unknown protocol {name!r}")
 
 

@@ -7,7 +7,8 @@ univariate polynomial:
 
 * ``build_efremenko``: answers are single F_p elements g^<u_tau, z>; a
   sparse decoding polynomial vanishing on the canonical powers of g
-  supplies the combination coefficients directly.
+  supplies the combination coefficients directly (``mv.exponent_scheme``
+  over F_p).
 * ``build_dvir_gopi``: answers live in the group ring Z_m[g]/(g^m - 1) and
   carry the multiplier vector (1, u_tau); a Hermite-style solve over the
   group ring halves the server count.  This is the one scheme whose
@@ -31,12 +32,19 @@ from ..algebra import (
     interpolation_vector,
     is_prime,
     kernel_mod_prime,
-    mat_vec,
     squarefree_factors,
 )
-from ..engine import Codec, Scheme
+from ..engine import Codec, Scheme, pair
 from ..errors import NoMuNu, ParamError
-from ..mv import DecodingPoly, MatchingFamily, canonical_set, shift_row, validate_family
+from ..mv import (
+    DecodingPoly,
+    MatchingFamily,
+    canonical_set,
+    dot_mod,
+    exponent_scheme,
+    shift_row,
+    validate_family,
+)
 
 
 def build_efremenko(m: int, p: int, family: MatchingFamily, poly: DecodingPoly) -> Scheme:
@@ -50,50 +58,27 @@ def build_efremenko(m: int, p: int, family: MatchingFamily, poly: DecodingPoly) 
         pow(g, m // q, p) == 1 for q in set(squarefree_factors(m))
     ):
         raise ParamError(f"{g} does not have order {m} in F_{p}")
-    k = poly.k
-    if k < 2:
+    if poly.k < 2:
         raise ParamError("need at least 2 monomials / servers")
-    h, n = family.h, family.n
-    offsets = poly.exponents
-    coeffs = poly.coefficients
     gpow = [pow(g, j, p) for j in range(m)]
-
-    def alpha(tau, z):
-        e = sum(uc * zc for uc, zc in zip(family.u[tau], z)) % m
-        return (gpow[e],)
-
-    def recon(i, ell):
-        e = sum(uc * wc for uc, wc in zip(family.u[i], ell)) % m
-        c = gpow[-e % m]
-        return tuple((c * rho % p,) for rho in coeffs), 1
-
-    return Scheme(
-        name="efremenko",
-        n=n,
-        k=k,
-        t=1,
-        ring=field,
-        answer_dim=1,
-        level_codec=Codec.uints(m, h),
-        radices=(m,) * h,
-        row=shift_row(family, offsets, m),
-        alpha=alpha,
-        recon=recon,
+    return exponent_scheme(
+        "efremenko",
+        field,
+        gpow,
+        family,
+        poly.exponents,
+        poly.coefficients,
         report={
-            "protocol": "efremenko",
-            "n": n,
-            "k": k,
-            "t": 1,
             "m": m,
             "p": p,
             "g": g,
-            "h": h,
+            "h": family.h,
             "canonical_set": canonical_set(m),
-            "poly_exponents": offsets,
-            "poly_coefficients": coeffs,
+            "poly_exponents": poly.exponents,
+            "poly_coefficients": poly.coefficients,
             "family_u": family.u,
             "family_v": family.v,
-            "levels": f"Z_{m}^{h}",
+            "levels": f"Z_{m}^{family.h}",
             "answers": f"F_{p}",
         },
     )
@@ -166,7 +151,7 @@ def solve_group_ring_recovery(m: int, k: int, offsets) -> tuple[list[tuple], tup
         ]
         for per_col in entries
     ]
-    image = mat_vec(matrix, mu, ring)
+    image = [pair(ring, row, mu) for row in matrix]
     expected = [nu] + [ring.zero] * (len(support) - 1)
     if image != expected:
         raise NoMuNu("recombined (mu, nu) fails M mu = (nu, 0, ...)")
@@ -190,8 +175,7 @@ def build_dvir_gopi(m: int, family: MatchingFamily) -> Scheme:
 
     def alpha(tau, z):
         u = family.u[tau]
-        e = sum(uc * zc for uc, zc in zip(u, z)) % m
-        base = ring.basis(e)
+        base = ring.basis(dot_mod(u, z, m))
         return (base,) + tuple(ring.scalar_mul(uc % m, base) for uc in u)
 
     def recon(i, ell):
@@ -203,8 +187,7 @@ def build_dvir_gopi(m: int, family: MatchingFamily) -> Scheme:
             blocks.append(
                 (m_val,) + tuple(ring.scalar_mul(vc % m, m_der) for vc in v)
             )
-        e = sum(uc * wc for uc, wc in zip(family.u[i], ell)) % m
-        omega = ring.shift(nu, e)
+        omega = ring.shift(nu, dot_mod(family.u[i], ell, m))
         return tuple(blocks), omega
 
     return Scheme(
@@ -220,10 +203,6 @@ def build_dvir_gopi(m: int, family: MatchingFamily) -> Scheme:
         alpha=alpha,
         recon=recon,
         report={
-            "protocol": "dvir-gopi",
-            "n": n,
-            "k": k,
-            "t": 1,
             "m": m,
             "h": h,
             "canonical_set": canonical_set(m),
@@ -300,7 +279,7 @@ def build_gks(
 
     def recon(i, ell):
         u, v = family.u[i], family.v[i]
-        scale = subgroup[-sum(a * uc for a, uc in zip(ell, u)) % m]
+        scale = subgroup[-dot_mod(u, ell, m) % m]
         blocks = []
         for j in range(k):
             m_val = mu[2 * j] * scale % p
@@ -328,10 +307,6 @@ def build_gks(
         alpha=alpha,
         recon=recon,
         report={
-            "protocol": "gks",
-            "n": n,
-            "k": k,
-            "t": 1,
             "m": m,
             "p": p,
             "m_prime": m_prime,

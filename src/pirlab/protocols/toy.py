@@ -67,10 +67,6 @@ def _build(name: str, lam_value: int, fixed_row: int | None) -> Scheme:
         alpha=alpha,
         recon=recon,
         report={
-            "protocol": name,
-            "n": 2,
-            "k": 2,
-            "t": 1,
             "levels": "F_3^2",
             "answers": "F_3",
         },

@@ -46,6 +46,13 @@ class TestParams:
             main(["params", "nonesuch"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["verify", "serve", "get", "bench"])
+    @pytest.mark.parametrize("argv", [["kr"], ["toy", "--r", "3"]])
+    def test_kr_and_r_belong_to_params_only(self, capsys, command, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *argv])
+        assert exc.value.code == 2
+
     def test_deterministic_output(self, capsys):
         _, out1, _ = run_cli(capsys, "params", "efremenko", "--m", "6", "--p", "7")
         _, out2, _ = run_cli(capsys, "params", "efremenko", "--m", "6", "--p", "7")
@@ -111,6 +118,15 @@ class TestConfigFile:
         )
         assert code == 0
         assert "raw_bits_total = 38" in out  # 12*3 + 2
+
+    def test_keys_of_other_subcommands_skipped(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("timeout = 0.5\nport = 7001\nservers = :1,:2\nr = 3\n")
+        code, out, _ = run_cli(
+            capsys, "--config", str(cfg), "verify", "toy", "--suite", "span"
+        )
+        assert code == 0
+        assert "span toy: PASS" in out
 
     def test_unknown_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -248,6 +264,18 @@ class TestNetworkCommands:
         assert code == 2
         assert "[0, 65535]" in err
 
+    def test_serve_port_in_use_transport_error(self, capsys, tmp_path):
+        path = tmp_path / "db.bin"
+        run_cli(capsys, "makedb", "--n", "8", "--db", str(path))
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            port = listener.getsockname()[1]
+            code, _, err = run_cli(
+                capsys, "serve", "cgks", "--n", "8", "--id", "1",
+                "--db", str(path), "--port", str(port),
+            )
+        assert code == 3
+        assert err.startswith("transport error: cannot listen")
+
     @pytest.mark.parametrize("timeout", ["-1", "0", "nan", "inf"])
     def test_get_bad_timeout_connects_to_nothing(self, capsys, timeout):
         with socket.create_server(("127.0.0.1", 0)) as listener:
@@ -286,6 +314,14 @@ class TestNetworkCommands:
 
         assert load_database(path) == (1, 0, 1, 1, 0, 0, 1, 0)
 
+    @pytest.mark.parametrize("n", ["-1", "0"])
+    def test_makedb_rejects_empty_database(self, capsys, tmp_path, n):
+        path = tmp_path / "db.bin"
+        code, out, err = run_cli(capsys, "makedb", "--n", n, "--db", str(path))
+        assert code == 2
+        assert "--n must be >= 1" in err and out == ""
+        assert not path.exists()
+
 
 class TestBenchCommand:
     def test_table_deterministic(self, capsys):
@@ -304,3 +340,8 @@ class TestBenchCommand:
         code, _, err = run_cli(capsys, "bench", "cgks")
         assert code == 2
         assert "--n" in err
+
+    def test_non_integer_grid_is_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "bench", "cgks", "--n", "8,abc")
+        assert code == 2
+        assert "'8,abc'" in err

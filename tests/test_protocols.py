@@ -32,15 +32,13 @@ class TestCgks:
     def test_n1_exhaustive(self):
         scheme = build_cgks(1)
         assert exhaustive_correctness(scheme).passed
-        # n = 1 has no index pairs; privacy holds vacuously but the
-        # marginal-uniformity bookkeeping still runs.
+        # n = 1 has no index pairs, so privacy holds vacuously.
         assert exhaustive_privacy(scheme).passed
 
     def test_n8_suites(self):
         scheme = build_cgks(8)
         assert exhaustive_correctness(scheme).passed
-        report = exhaustive_privacy(scheme)
-        assert report.passed and report.uniform
+        assert exhaustive_privacy(scheme).passed
         assert set(oa_family_check(scheme).values()) == {1}
 
     def test_non_cube_n(self):
@@ -139,21 +137,21 @@ class TestLagrange:
         scheme = build_lagrange(3, 1, 3, 5)
         assert scheme.num_rows == 125
         assert exhaustive_correctness(scheme).passed
-        report = exhaustive_privacy(scheme)
-        assert report.passed and report.uniform
+        assert exhaustive_privacy(scheme).passed
+        assert set(oa_family_check(scheme).values()) == {1}
         assert span_check_all(scheme) == 3 * 125
 
     def test_single_server_marginal_uniform_small(self):
         scheme = build_lagrange(2, 1, 2, 3)
-        report = exhaustive_privacy(scheme)
-        assert report.passed and report.uniform
+        assert exhaustive_privacy(scheme).passed
+        assert set(oa_family_check(scheme).values()) == {1}
 
     def test_two_private(self):
         scheme = build_lagrange(2, 2, 3, 5)
         assert scheme.t == 2
         assert exhaustive_correctness(scheme).passed
-        report = exhaustive_privacy(scheme, t=2)
-        assert report.passed and report.uniform
+        assert exhaustive_privacy(scheme, t=2).passed
+        assert set(oa_family_check(scheme).values()) == {1}
 
     def test_preconditions(self):
         with pytest.raises(ParamError):

@@ -20,6 +20,7 @@ from pirlab.errors import (
 )
 from pirlab.protocols.cube import build_cgks
 from pirlab.protocols.curve import build_lagrange
+from pirlab.protocols.registry import build_named
 from pirlab.protocols.toy import toy_instance
 from pirlab.sim import (
     FRAME_HEADER_LEN,
@@ -133,6 +134,31 @@ class TestNode:
             ServerNode(server_id=3, scheme=toy_instance(), database=(1, 0))
         with pytest.raises(ParamError):
             ServerNode(server_id=1, scheme=toy_instance(), database=(1, 0, 1))
+
+
+# A client and a server agree only when they compute the same digest, so a
+# builder change that moves one breaks every deployment built before it.
+PINNED_DIGESTS = [
+    ("toy", {}, "fa0a9550fc7004d0"),
+    ("cgks", {"n": 8}, "4b5adb15b95ebaec"),
+    ("lagrange", {"n": 3, "t": 1, "k": 3, "p": 5}, "192ac9c5a312bc28"),
+    ("hermite", {"n": 4, "t": 1, "k": 2, "p": 7}, "d6bfb7e83a9b68e7"),
+    ("yekhanin", {}, "80725ddb2f6ad7f1"),
+    ("raghavendra", {}, "7432876131a598fa"),
+    ("efremenko", {"m": 6, "p": 7}, "50f98001b0a4025e"),
+    ("dvir-gopi", {"m": 6}, "b67d8793c48068a9"),
+    ("gks", {"m": 2, "p": 3}, "0ca7c7f01b7adf1d"),
+    ("broken-demo", {}, "7ea0de08b19c09dc"),
+    ("cgks", {"n": 8192}, "022292099ba7685b"),
+    ("lagrange", {"n": 65536, "t": 1, "k": 3, "p": 13}, "accb5306a569fa7a"),
+    ("cgks", {"n": 64}, "f38c65e3c9d1b9d2"),
+    ("hermite", {"n": 64, "t": 1, "k": 2, "p": 5}, "4885f61018fed862"),
+]
+
+
+@pytest.mark.parametrize("name,config,digest", PINNED_DIGESTS)
+def test_param_digest_pinned(name, config, digest):
+    assert param_digest(build_named(name, config)) == digest
 
 
 @pytest.fixture()

@@ -6,7 +6,13 @@ import dataclasses
 import pytest
 
 from pirlab.engine import answer, comm_cost
-from pirlab.errors import BudgetExceeded, CapExceeded, Mismatch, ParamError
+from pirlab.errors import (
+    BudgetExceeded,
+    CapExceeded,
+    Mismatch,
+    OAFailure,
+    ParamError,
+)
 from pirlab.protocols.cube import build_cgks
 from pirlab.protocols.toy import (
     broken_demo,
@@ -88,7 +94,7 @@ class TestPrivacySemantics:
         )
         relabeled = exhaustive_privacy(shuffled)
         assert relabeled.passed == base.passed
-        assert relabeled.uniform == base.uniform
+        assert oa_family_check(shuffled) == oa_family_check(scheme)
 
     def test_t_must_be_below_k(self):
         with pytest.raises(ParamError):
@@ -98,9 +104,16 @@ class TestPrivacySemantics:
         with pytest.raises(CapExceeded):
             exhaustive_privacy(build_cgks(8), cap=10)
 
-    def test_uniformity_reported_separately(self):
-        report = exhaustive_privacy(toy_instance())
-        assert set(report.uniform_verdicts) == set(report.subset_verdicts)
+    def test_equal_but_nonuniform_projections_pass_privacy_fail_oa(self):
+        # Every index sends the same queries, so no coalition learns i, but
+        # the projections are not uniform over S^t: privacy holds while the
+        # array is no orthogonal array.
+        scheme = dataclasses.replace(
+            toy_instance(), row=lambda i, ell: ((0, 0), (0, 0))
+        )
+        assert exhaustive_privacy(scheme).passed
+        with pytest.raises(OAFailure):
+            oa_family_check(scheme)
 
 
 class TestCorrectnessSuite:
