@@ -407,23 +407,21 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     report = _Report(args.out)
     try:
-        _apply_config(args)
-        code = _COMMANDS[args.command](args, report)
-    except (ParamError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        try:
+            _apply_config(args)
+            return _COMMANDS[args.command](args, report)
+        finally:
+            report.close()
     except TransportError as exc:
         print(f"transport error: {exc}", file=sys.stderr)
         return EXIT_TRANSPORT
     except CheckFailure as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAIL
-    except PirError as exc:
+    except (PirError, OSError) as exc:
+        # An unreadable --config or --db, or an unwritable --out.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    finally:
-        report.close()
-    return code
 
 
 if __name__ == "__main__":

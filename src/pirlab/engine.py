@@ -285,6 +285,14 @@ def pair(ring, lam_block: Answer, ans: Answer):
     return acc
 
 
+def combine(ring, lam, answers: Sequence[Answer]):
+    """y = sum_j <lambda_j, a_j>: the k answers paired with their blocks."""
+    y = ring.zero
+    for lam_j, a_j in zip(lam, answers):
+        y = ring.add(y, pair(ring, lam_j, a_j))
+    return y
+
+
 def reconstruct(scheme: Scheme, aux: Aux, answers: Sequence[Answer]) -> int:
     """Combine the k answers: y = sum_j <lambda_j, a_j>, output 1 iff y = omega.
 
@@ -302,13 +310,10 @@ def decide(scheme: Scheme, lam, omega, answers: Sequence[Answer]) -> int:
 
     Raises InconsistentAnswer when y is neither 0 nor omega.
     """
-    ring = scheme.ring
-    y = ring.zero
-    for lam_j, a_j in zip(lam, answers):
-        y = ring.add(y, pair(ring, lam_j, a_j))
+    y = combine(scheme.ring, lam, answers)
     if y == omega:
         return 1
-    if y == ring.zero:
+    if y == scheme.ring.zero:
         return 0
     raise InconsistentAnswer(
         f"combined value {y!r} is neither 0 nor omega {omega!r}"
@@ -361,9 +366,7 @@ def span_check(scheme: Scheme, i: int, ell: tuple[int, ...]) -> None:
     if omega == ring.zero:
         raise SpanFailure(f"{scheme.name}: omega is zero at (i={i}, ell={ell})")
     for tau in range(scheme.n):
-        acc = ring.zero
-        for q, lam_j in zip(queries, lam):
-            acc = ring.add(acc, pair(ring, lam_j, scheme.alpha(tau, q)))
+        acc = combine(ring, lam, [scheme.alpha(tau, q) for q in queries])
         expected = omega if tau == i else ring.zero
         if acc != expected:
             raise SpanFailure(

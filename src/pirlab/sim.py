@@ -298,14 +298,24 @@ def serve(node: ServerNode, host: str = "127.0.0.1", port: int = 0) -> PirServer
     return PirServer(node, host, port).start()
 
 
+@contextlib.contextmanager
+def _socket_errors(host: str, port: int):
+    """A socket error on a connected server becomes a typed error naming it:
+    Timeout for a timeout, TransportError for a reset or broken pipe."""
+    try:
+        yield
+    except TimeoutError as exc:  # itself an OSError, so caught first
+        raise Timeout(f"server {host}:{port} timed out") from exc
+    except OSError as exc:
+        raise TransportError(f"server {host}:{port}: {exc}") from exc
+
+
 def _read_reply(sock, endpoint, digest: str, expected: int) -> bytes:
     """The payload of the next frame, which must be of type ``expected``; an
-    ERROR frame or a timeout becomes the matching typed exception."""
+    ERROR frame or a socket error becomes the matching typed exception."""
     host, port = endpoint
-    try:
+    with _socket_errors(host, port):
         msg_type, payload = read_frame(sock)
-    except TimeoutError as exc:
-        raise Timeout(f"server {host}:{port} timed out") from exc
     if msg_type == MSG_ERROR:
         code = payload[0] if payload else 0
         # The payload comes from the server: undecodable bytes are replaced.
@@ -337,8 +347,9 @@ def client_retrieve(
     ANSWERs read, in server order, so the servers answer at the same time.
     No QUERY goes before its CONFIG: a mismatched server may close on the
     longer frame and lose its digest error.  ``timeout`` bounds each connect
-    and each read; it must be finite and positive.  Seed None draws fresh
-    randomness for every retrieval.
+    and each read; it must be finite and positive.  Every socket error ends
+    in a Timeout or TransportError naming the server.  Seed None draws
+    fresh randomness for every retrieval.
     """
     if not (math.isfinite(timeout) and timeout > 0):
         raise ParamError(f"timeout must be finite and > 0, got {timeout!r}")
@@ -360,7 +371,8 @@ def client_retrieve(
                 # Refused and timed-out connections both mean "this server is down".
                 raise Timeout(f"server {host}:{port} unreachable: {exc}") from exc
             socks.append(stack.enter_context(sock))
-            sent = write_frame(sock, MSG_HELLO, digest.encode())
+            with _socket_errors(host, port):
+                sent = write_frame(sock, MSG_HELLO, digest.encode())
             transcript.entries.append(ServerEntry(
                 server=j + 1, query_payload_bytes=len(query_bytes[j]),
                 answer_payload_bytes=0, query_framed_bytes=sent,
@@ -368,8 +380,11 @@ def client_retrieve(
         for sock, endpoint, entry in zip(socks, endpoints, transcript.entries):
             config = _read_reply(sock, endpoint, digest, MSG_CONFIG)
             entry.answer_framed_bytes = FRAME_HEADER_LEN + len(config)
-        for sock, q_bytes, entry in zip(socks, query_bytes, transcript.entries):
-            entry.query_framed_bytes += write_frame(sock, MSG_QUERY, q_bytes)
+        for sock, endpoint, q_bytes, entry in zip(
+            socks, endpoints, query_bytes, transcript.entries
+        ):
+            with _socket_errors(*endpoint):
+                entry.query_framed_bytes += write_frame(sock, MSG_QUERY, q_bytes)
         answers = []
         for sock, endpoint, entry, t0 in zip(
             socks, endpoints, transcript.entries, starts

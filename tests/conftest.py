@@ -1,3 +1,7 @@
+import socket
+import struct
+import threading
+
 import pytest
 
 from pirlab.mv import (
@@ -7,6 +11,7 @@ from pirlab.mv import (
     two_subgroup,
     yekhanin_nice_sets,
 )
+from pirlab.sim import read_frame
 
 
 @pytest.fixture(scope="session")
@@ -27,3 +32,29 @@ def nice_sets_7():
 @pytest.fixture(scope="session")
 def poly_6_7():
     return trivial_decoding_poly(6, 7)
+
+
+@pytest.fixture
+def resetting_listener():
+    """The endpoint of a listener that reads each of two connections' HELLO
+    and then resets it (SO_LINGER 0 makes close send RST, not FIN)."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(2.0)
+
+    def reset_after_hello():
+        for _ in range(2):
+            try:
+                conn, _ = listener.accept()
+                with conn:
+                    read_frame(conn)
+                    linger = struct.pack("ii", 1, 0)
+                    conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, linger)
+            except OSError:
+                return
+
+    thread = threading.Thread(target=reset_after_hello, daemon=True)
+    thread.start()
+    yield listener.getsockname()[:2]
+    thread.join(timeout=5)
+    listener.close()
+    assert not thread.is_alive()

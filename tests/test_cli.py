@@ -66,6 +66,15 @@ class TestParams:
         assert code == 0
         assert out_path.read_text() == out
 
+    def test_out_file_in_missing_directory_is_usage_error(self, capsys, tmp_path):
+        out_path = tmp_path / "missing" / "report.txt"
+        code, out, err = run_cli(
+            capsys, "--out", str(out_path), "params", "cgks", "--n", "8"
+        )
+        assert code == 2
+        assert "k = 2" in out
+        assert err.startswith("error: ") and str(out_path) in err
+
 
 class TestVerify:
     def test_lagrange_all_suites_pass(self, capsys):
@@ -127,6 +136,11 @@ class TestConfigFile:
         )
         assert code == 0
         assert "span toy: PASS" in out
+
+    def test_config_that_is_a_directory_is_usage_error(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "--config", str(tmp_path), "params", "cgks")
+        assert code == 2
+        assert err.startswith("error: ") and str(tmp_path) in err
 
     def test_unknown_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -264,6 +278,14 @@ class TestNetworkCommands:
         assert code == 2
         assert "[0, 65535]" in err
 
+    def test_serve_db_that_is_a_directory_is_usage_error(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "serve", "cgks", "--n", "8", "--id", "1",
+            "--db", str(tmp_path), "--port", "0",
+        )
+        assert code == 2
+        assert err.startswith("error: ") and str(tmp_path) in err
+
     def test_serve_port_in_use_transport_error(self, capsys, tmp_path):
         path = tmp_path / "db.bin"
         run_cli(capsys, "makedb", "--n", "8", "--db", str(path))
@@ -303,6 +325,16 @@ class TestNetworkCommands:
         )
         assert code == 3
         assert "unreachable" in err
+
+    def test_get_server_reset_transport_error(self, capsys, resetting_listener):
+        host, port = resetting_listener
+        code, _, err = run_cli(
+            capsys,
+            "get", "cgks", "--n", "8", "--index", "1",
+            "--servers", f"{host}:{port},{host}:{port}", "--timeout", "2",
+        )
+        assert code == 3
+        assert err.startswith(f"transport error: server {host}:{port}")
 
     def test_makedb_and_load(self, capsys, tmp_path):
         path = tmp_path / "db.bin"

@@ -323,6 +323,13 @@ class TestTcp:
             listener.close()
         assert not thread.is_alive()
 
+    def test_server_reset_is_a_transport_error_naming_it(self, resetting_listener):
+        scheme = build_cgks(8)
+        port = resetting_listener[1]
+        with pytest.raises(TransportError, match=f"server 127.0.0.1:{port}") as info:
+            client_retrieve([resetting_listener] * 2, scheme, 0, seed=0, timeout=2.0)
+        assert not isinstance(info.value, Timeout)
+
     def test_servers_answer_at_the_same_time(self):
         scheme = build_cgks(8)
 

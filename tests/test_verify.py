@@ -14,6 +14,7 @@ from pirlab.errors import (
     ParamError,
 )
 from pirlab.protocols.cube import build_cgks
+from pirlab.protocols.curve import build_lagrange
 from pirlab.protocols.toy import (
     broken_demo,
     broken_privacy_demo,
@@ -61,10 +62,23 @@ class TestNegativeControls:
 
     def test_broken_demo_fails_everything(self):
         scheme = broken_demo()
-        assert not exhaustive_correctness(scheme).passed
+        report = exhaustive_correctness(scheme)
+        assert not report.passed
+        assert len(report.failures) == 36
         assert not exhaustive_privacy(scheme).passed
         with pytest.raises(Exception):
             span_check_all(scheme)
+
+    def test_kernel_that_drops_the_last_entry_fails_correctness(self):
+        # The suite answers through engine.answer, so it runs the scheme's
+        # answer kernel, not only the alpha sum that the kernel replaces.
+        scheme = build_lagrange(3, 1, 3, 5)
+        kernel = scheme.answer_kernel
+        dropped = dataclasses.replace(
+            scheme, answer_kernel=lambda x, q: kernel(tuple(x[:-1]) + (0,), q)
+        )
+        assert exhaustive_correctness(scheme).passed
+        assert not exhaustive_correctness(dropped).passed
 
     def test_comm_audit_catches_doctored_transcript(self):
         scheme = toy_instance()
