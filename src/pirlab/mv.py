@@ -1,9 +1,9 @@
 """Ingredient factory and shared parts of the matching-vector protocols.
 
-Produces canonical sets, matching-vector families (by deterministic
-brute-force search with an independent invariant checker), decoding
-polynomials (the product construction and a sparse search), and the
-parity-constrained set pair needed by the Mersenne-prime indicator protocol.
+Produces canonical sets, matching-vector families (by a deterministic
+bitmask backtracking search, with an independent invariant checker),
+decoding polynomials (the product construction and a sparse search), and
+the parity-constrained set pair of the Mersenne-prime indicator protocol.
 
 It also holds what the five schemes share: ``dot_mod``, the inner product
 <u, z> mod m; ``shift_row``, the query array; and ``exponent_scheme``, the
@@ -19,6 +19,7 @@ considerably easier to audit.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,6 +30,7 @@ from .algebra import (
     crt_combine,
     find_order_element,
     is_prime,
+    kernel_mod_prime,
     squarefree_factors,
     try_solve_mod_prime,
 )
@@ -76,12 +78,18 @@ def dot_mod(a: Sequence[int], b: Sequence[int], m: int) -> int:
     return sum(x * y for x, y in zip(a, b)) % m
 
 
-def _dot_table(u: Sequence[int], m: int) -> list[int]:
-    """<u, v> mod m for every v in Z_m^h, in lexicographic order of v."""
-    out = [0]
-    for c in u:
-        out = [(d + c * x) % m for d in out for x in range(m)]
-    return out
+def _residue_masks(u: Sequence[int], m: int) -> list[int]:
+    """Bit s of ``masks[r]`` is set iff <u, v> = r mod m for the v of
+    lexicographic rank s in Z_m^h: one shift-and-OR pass per coordinate."""
+    masks, width = [1] + [0] * (m - 1), 1
+    for c in reversed(u):
+        grown = [0] * m
+        for x in range(m):
+            offset = c * x % m
+            for r, mask in enumerate(masks):
+                grown[(r + offset) % m] |= mask << (x * width)
+        masks, width = grown, width * m
+    return masks
 
 
 def check_matching_family(family: MatchingFamily) -> list[str]:
@@ -185,16 +193,17 @@ def search_matching_family(
     budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> MatchingFamily:
     """Greedy backtracking search for a size-n_target matching family in
-    Z_m^h, deterministic in the lexicographic vector enumeration.
+    Z_m^h over the orthogonal pairs (u, v) in lexicographic order.
 
-    The orthogonal pairs (u, v) are built in that order only as far as the
-    backtracking reaches, from one table of <u, v> over all v per u, so a
-    search that succeeds early never touches the rest of Z_m^h x Z_m^h.
-    ``side_constraint`` additionally requires <u_i, 1> != 0, which the
-    Mersenne indicator protocol needs for its shift argument.  Raises
-    Exhausted when the candidate space (or the node budget) runs out below
-    the target.
+    Each pair is one node of ``budget``.  Bitmasks over the ranks of Z_m^h
+    skip each u that meets a chosen v outside the target set, its nodes
+    counted in one step, and give each other u its fitting v in one AND.
+    ``side_constraint`` also requires <u_i, 1> != 0, which the Mersenne
+    indicator protocol needs for its shift argument.  Raises Exhausted
+    when the candidates (or the budget) run out below the target.
     """
+    if h < 1:
+        raise ParamError("h must be >= 1")
     if m**h > vector_cap:
         raise ParamError(f"m^h = {m**h} exceeds the enumeration cap {vector_cap}")
     if n_target < 1:
@@ -203,74 +212,70 @@ def search_matching_family(
     if 0 in target:
         raise ParamError("target set must exclude 0")
     vectors = list(itertools.product(range(m), repeat=h))
-    zero = (0,) * h
-
-    def orthogonal_pairs():
-        for u in vectors:
-            # A zero u or v forces a cross product of 0, impossible once the
-            # family has a second member.
-            if n_target > 1 and u == zero:
-                continue
-            if side_constraint and sum(u) % m == 0:
-                continue
-            for v, d in zip(vectors, _dot_table(u, m)):
-                if d == 0 and not (n_target > 1 and v == zero):
-                    yield u, v
-
-    # Pairs are pulled in lexicographic order only as far as the
-    # backtracking reaches; earlier ones stay listed for re-reading.
-    pending = orthogonal_pairs()
-    pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-
-    def pair_at(idx: int):
-        while len(pairs) <= idx:
-            nxt = next(pending, None)
-            if nxt is None:
-                return None
-            pairs.append(nxt)
-        return pairs[idx]
-
+    drop_zero = n_target > 1  # a zero u or v meets a second member in 0
+    before = [0]  # before[i]: the nodes whose u precedes vectors[i]
     chosen: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     visited = 0
 
-    def compatible(u, v) -> bool:
-        for u2, v2 in chosen:
-            if dot_mod(u, v2, m) not in target:
-                return False
-            if dot_mod(u2, v, m) not in target:
-                return False
-        return True
+    def nodes(u) -> int:  # its m^(h-1) * gcd(u, m) orthogonal v, less zero
+        if (drop_zero and not any(u)) or (side_constraint and sum(u) % m == 0):
+            return 0
+        return m ** (h - 1) * math.gcd(m, *u) - drop_zero
 
-    def extend(start: int) -> bool:
+    def nodes_before(i: int) -> int:  # fills ``before`` only as far as asked
+        for u in vectors[len(before) - 1 : i]:
+            before.append(before[-1] + nodes(u))
+        return before[i]
+
+    def spend(pairs: int) -> bool:
+        # Visits the next ``pairs`` nodes; fails on the first past the budget.
         nonlocal visited
-        if len(chosen) == n_target:
-            return True
-        idx = start
-        while (pair := pair_at(idx)) is not None:
-            visited += 1
-            if visited > budget:
+        fits = not pairs or visited + pairs <= budget
+        visited = visited + pairs if fits else max(visited, budget) + 1
+        return fits
+
+    def extend(start: int, owed: int, u_fit: int, v_fit: int) -> bool:
+        # Bit i of u_fit (v_fit) is set iff vectors[i] meets each chosen v (u)
+        # in the target set; ``owed`` nodes before vectors[start] are unspent.
+        todo = u_fit >> start << start
+        while todo:
+            ui = (todo & -todo).bit_length() - 1
+            todo &= todo - 1
+            if not nodes(vectors[ui]):
+                continue
+            if not spend(owed + nodes_before(ui) - nodes_before(start)):
                 return False
-            u, v = pair
-            if compatible(u, v):
-                chosen.append((u, v))
-                if extend(idx + 1):
+            start = ui + 1
+            masks = _residue_masks(vectors[ui], m)
+            rest = masks[0] >> drop_zero << drop_zero
+            fits = rest & v_fit
+            for_v = sum(masks[r] for r in target)
+            while fits:
+                low = fits & -fits
+                fits ^= low
+                passed = rest & ((low << 1) - 1)
+                rest ^= passed
+                if not spend(passed.bit_count()):
+                    return False
+                v = vectors[low.bit_length() - 1]
+                chosen.append((vectors[ui], v))
+                if len(chosen) == n_target:
+                    return True
+                for_u = sum(_residue_masks(v, m)[r] for r in target)
+                if extend(start, rest.bit_count(), u_fit & for_u, v_fit & for_v):
                     return True
                 chosen.pop()
-            idx += 1
+            owed = rest.bit_count()
+        spend(owed + nodes_before(len(vectors)) - nodes_before(start))
         return False
 
-    if not extend(0):
+    if not extend(0, 0, (1 << m**h) - 1, (1 << m**h) - 1):
         raise Exhausted(
             f"no size-{n_target} family found in Z_{m}^{h} "
             f"({visited} nodes visited)"
         )
-    family = MatchingFamily(
-        m=m,
-        h=h,
-        u=tuple(u for u, _ in chosen),
-        v=tuple(v for _, v in chosen),
-        target_set=tuple(sorted(target)),
-    )
+    us, vs = zip(*chosen)
+    family = MatchingFamily(m, h, us, vs, tuple(sorted(target)))
     problems = check_matching_family(family)
     if problems:  # pragma: no cover - guards against search bugs
         raise Exhausted("search returned an invalid family: " + "; ".join(problems))
@@ -332,8 +337,7 @@ def trivial_decoding_poly(m: int, p: int, g: int | None = None) -> DecodingPoly:
             new[k + 1] = (new[k + 1] + c) % p
             new[k] = (new[k] - c * root) % p
         coeffs = new
-    at_one = sum(coeffs) % p
-    scale = field.inv(at_one)
+    scale = field.inv(sum(coeffs) % p)
     monomials = tuple(
         (d, c * scale % p) for d, c in enumerate(coeffs) if c * scale % p
     )
@@ -372,9 +376,7 @@ def sparse_decoding_poly_search(
     if g is None:
         g = find_order_element(field, m)
     s_m = canonical_set(m)
-    gpow = [1] * m
-    for j in range(1, m):
-        gpow[j] = gpow[j - 1] * g % p
+    gpow = [pow(g, j, p) for j in range(m)]
 
     def try_exponents(exps: tuple[int, ...]) -> DecodingPoly | None:
         rows = [[gpow[delta * d % m] for d in exps] for delta in s_m]
@@ -454,8 +456,6 @@ def yekhanin_nice_sets(p: int) -> NiceSets:
             for s in s1:
                 vec[(sigma + delta * s) % p] = 1
             rows.append(vec)
-    from .algebra import kernel_mod_prime
-
     basis = kernel_mod_prime(rows, 2)
     for vec in basis:
         support = tuple(i for i, b in enumerate(vec) if b)

@@ -53,6 +53,16 @@ class TestParams:
             main([command, *argv])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("h", ["-1", "0"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["dvir-gopi", "--m", "6"], ["gks", "--m", "2", "--p", "3"], ["yekhanin"]],
+    )
+    def test_nonpositive_h_is_usage_error(self, capsys, argv, h):
+        code, _, err = run_cli(capsys, "params", *argv, "--h", h)
+        assert code == 2
+        assert "h must be >= 1" in err
+
     def test_deterministic_output(self, capsys):
         _, out1, _ = run_cli(capsys, "params", "efremenko", "--m", "6", "--p", "7")
         _, out2, _ = run_cli(capsys, "params", "efremenko", "--m", "6", "--p", "7")

@@ -74,6 +74,19 @@ class TestMatchingFamilySearch:
         with pytest.raises(Exhausted):
             search_matching_family(2, 1, (1,), 3)
 
+    def test_default_budget_exhaustion(self):
+        # The whole default budget in well under a second.
+        with pytest.raises(Exhausted) as info:
+            search_matching_family(6, 3, canonical_set(6), 40)
+        assert str(info.value) == (
+            "no size-40 family found in Z_6^3 (5000007 nodes visited)"
+        )
+
+    @pytest.mark.parametrize("h", [0, -1])
+    def test_rejects_nonpositive_h(self, h):
+        with pytest.raises(ParamError, match="h must be >= 1"):
+            search_matching_family(6, h, canonical_set(6), 3)
+
     def test_checker_catches_bad_family(self):
         bad = MatchingFamily(
             m=6, h=2, u=((1, 0), (2, 0)), v=((0, 1), (0, 1)), target_set=(1, 3, 4)
@@ -148,6 +161,15 @@ def _eager_search(m, h, target_set, n_target, side_constraint, budget):
     )
 
 
+def _search_or_message(m, h, target_set, n_target, side_constraint, budget):
+    try:
+        return search_matching_family(
+            m, h, target_set, n_target, side_constraint, budget=budget
+        )
+    except Exhausted as exc:
+        return str(exc)
+
+
 def _target_sets(m):
     """The canonical set, <2> for Mersenne m, and all nonzero residues."""
     sets = {"nonzero": tuple(range(1, m))}
@@ -179,6 +201,27 @@ class TestSearchMatchesEagerReference:
                         want = _eager_search(m, h, target, n_target, side, budget)
                         assert got == want, (target, n_target, side, budget)
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_four_dimensions_agree(self, m):
+        for target in _target_sets(m).values():
+            for n_target in range(1, 6):
+                for side in (False, True):
+                    for budget in (1, 37, 2000):
+                        args = (m, 4, target, n_target, side, budget)
+                        assert _search_or_message(*args) == _eager_search(*args)
+
+    @pytest.mark.parametrize(
+        "m,target,side,last",
+        [(7, two_subgroup(7), True, 500), (6, canonical_set(6), False, 360)],
+    )
+    def test_every_budget_cut_agrees(self, m, target, side, last):
+        # Cuts the budget at every node up to ``last``: inside u-blocks, at
+        # their edges and within runs of skipped u.  The m=6 search succeeds
+        # at 357 nodes; the m=7 one passes four u-block edges by 500.
+        for budget in range(1, last + 1):
+            args = (m, 3, target, 3, side, budget)
+            assert _search_or_message(*args) == _eager_search(*args), budget
+
     def test_full_budget_exhaustion_agrees(self):
         # Runs the backtracking over the whole pair list without a hit.
         with pytest.raises(Exhausted) as info:
@@ -187,18 +230,19 @@ class TestSearchMatchesEagerReference:
 
     def test_builds_tables_only_as_far_as_it_reaches(self, monkeypatch):
         calls = []
-        real = pirlab.mv._dot_table
+        real = pirlab.mv._residue_masks
 
         def counting(u, m):
             calls.append(u)
             return real(u, m)
 
-        monkeypatch.setattr(pirlab.mv, "_dot_table", counting)
+        monkeypatch.setattr(pirlab.mv, "_residue_masks", counting)
         fam = search_matching_family(7, 3, two_subgroup(7), 3, side_constraint=True)
         assert fam.n == 3
         # Listing every pair first takes one table for each of the 294 u
-        # with <u, 1> != 0.
-        assert len(calls) <= 58
+        # with <u, 1> != 0.  The search builds one for each u it does not
+        # skip and one for each v it picks short of the last.
+        assert 0 < len(calls) <= 18
 
 
 class TestDecodingPolys:

@@ -153,6 +153,8 @@ PINNED_DIGESTS = [
     ("lagrange", {"n": 65536, "t": 1, "k": 3, "p": 13}, "accb5306a569fa7a"),
     ("cgks", {"n": 64}, "f38c65e3c9d1b9d2"),
     ("hermite", {"n": 64, "t": 1, "k": 2, "p": 5}, "4885f61018fed862"),
+    ("dvir-gopi", {"m": 6, "n": 3}, "b67d8793c48068a9"),
+    ("gks", {"m": 2, "p": 3, "n": 3}, "0ca7c7f01b7adf1d"),
 ]
 
 
