@@ -33,7 +33,7 @@ poly = trivial_decoding_poly(6, 7)
 print(f"\nproduct-construction polynomial (m=6, p=7, g={poly.g}): "
       f"{poly.k} monomials {poly.monomials}")
 
-sparse = sparse_decoding_poly_search(511, 3067, k_target=3, symmetry_reduction=True)
+sparse = sparse_decoding_poly_search(511, 3067, k_target=3)
 print(f"sparse search at m=511, p=3067: exponents {sparse.exponents}, "
       f"coefficients {sparse.coefficients}")
 

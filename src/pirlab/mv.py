@@ -351,20 +351,19 @@ def sparse_decoding_poly_search(
     p: int,
     g: int | None = None,
     k_target: int = 3,
-    symmetry_reduction: bool = False,
     budget: int | None = None,
 ) -> DecodingPoly:
     """Search for a decoding polynomial with k_target < 2^r monomials.
 
     Exponent subsets of Z_m are enumerated lexicographically; for each, the
     root constraints plus the normalization P(1) = 1 form a small linear
-    system whose first consistent solution wins.  With
-    ``symmetry_reduction`` on, only subsets containing exponent 0 are tried:
+    system whose first consistent solution wins.  Only subsets containing
+    exponent 0 are tried, the lexicographic prefix of all of them:
     multiplying a solution by theta^(-d_min) shifts its exponents to include
-    0 without changing the roots or P(1), so this restriction loses nothing
-    while shrinking the space by a factor of about m / k.  (Scaling the
-    exponent set by a unit of Z_m is NOT a symmetry: it moves the root set
-    off the canonical powers, so no scaling dedup is applied.)
+    0 and only rescales the root rows of the same system, so this loses
+    nothing while shrinking the space by a factor of about m / k.  (Scaling
+    the exponent set by a unit of Z_m is NOT a symmetry: it moves the root
+    set off the canonical powers, so no scaling dedup is applied.)
     """
     r = len(squarefree_factors(m))
     if not 1 <= k_target < 2**r:
@@ -390,12 +389,9 @@ def sparse_decoding_poly_search(
         poly.validate()
         return poly
 
-    if symmetry_reduction:
-        candidates = (
-            (0,) + rest for rest in itertools.combinations(range(1, m), k_target - 1)
-        )
-    else:
-        candidates = itertools.combinations(range(m), k_target)
+    candidates = (
+        (0,) + rest for rest in itertools.combinations(range(1, m), k_target - 1)
+    )
     tried = 0
     for exps in candidates:
         tried += 1

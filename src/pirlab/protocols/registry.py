@@ -101,9 +101,7 @@ def build_named(name: str, config: dict | None = None) -> Scheme:
         family = _canonical_family(m, n, h)
         sparse_k = config.get("sparse_k")
         if sparse_k:
-            poly = sparse_decoding_poly_search(
-                m, p, k_target=sparse_k, symmetry_reduction=True
-            )
+            poly = sparse_decoding_poly_search(m, p, k_target=sparse_k)
         else:
             poly = trivial_decoding_poly(m, p)
         return build_efremenko(m, p, family, poly)

@@ -10,9 +10,11 @@ univariate polynomial:
   supplies the combination coefficients directly (``mv.exponent_scheme``
   over F_p).
 * ``build_dvir_gopi``: answers live in the group ring Z_m[g]/(g^m - 1) and
-  carry the multiplier vector (1, u_tau); a Hermite-style solve over the
-  group ring halves the server count.  This is the one scheme whose
-  reconstruction target omega is not 1.
+  carry the multiplier vector (1, u_tau), so each server also answers a
+  derivative and the server count halves to 2^(r-1).  The recovery pair
+  (mu, nu) is in closed form: per prime q of m, the coefficients of the
+  product of (Y - g^c) over the canonical c = 0 mod q, glued by CRT.
+  This is the one scheme whose reconstruction target omega is not 1.
 * ``build_gks``: queries are points of the order-m subgroup H_m of F_p^*
   and answers carry first-order Hasse derivatives; a multiplicity-2
   constant-term interpolation over the enlarged modulus m' = m * p does
@@ -21,6 +23,7 @@ univariate polynomial:
 
 from __future__ import annotations
 
+import functools
 import math
 
 from ..algebra import (
@@ -31,7 +34,6 @@ from ..algebra import (
     hasse_of_monomial,
     interpolation_vector,
     is_prime,
-    kernel_mod_prime,
     squarefree_factors,
 )
 from ..engine import Codec, Scheme, pair
@@ -84,81 +86,57 @@ def build_efremenko(m: int, p: int, family: MatchingFamily, poly: DecodingPoly) 
     )
 
 
-def solve_group_ring_recovery(m: int, k: int, offsets) -> tuple[list[tuple], tuple, list]:
-    """Find mu in R^2k and nu in R = Z_m[g]/(g^m - 1) with M mu = (nu, 0...)
-    and nu nonzero modulo every prime factor of m.
+def solve_group_ring_recovery(m: int) -> tuple[tuple, list[tuple]]:
+    """The (nu, mu) with M mu = (nu, 0, ...) over R = Z_m[g]/(g^m - 1)
+    and nu nonzero modulo every prime factor q of m.
 
-    M is the evaluation matrix sending a polynomial supported on {0} union
-    the canonical set to its values and weighted derivatives at g^(d_j).
-    The solve runs per prime factor: each group-ring unknown expands to m
-    scalars, the kernel of the expanded homogeneous system is computed, and
-    the first basis vector with a nonzero nu part is kept; the per-prime
-    pieces recombine by CRT.
+    Row c of M, for c in {0} union the canonical set, holds g^(jc) and
+    c * g^(jc): a polynomial's value and weighted derivative at g^c, seen
+    through offset d_j = j for j < k = 2^(r-1).  For each q, P_q(Y) =
+    prod (Y - g^c) = sum_j a_j Y^j over the k - 1 nonzero support c = 0
+    mod q gives mu_2j = a_j, mu_(2j+1) = -a_j and nu = P_q(1) modulo q;
+    the CRT idempotents of m glue the primes together.  Why, modulo q:
+    every support c is 0 or 1 mod q.  A row with c = 1 reads
+    sum_j g^(jc) (1 - c) a_j = 0, a row with c = 0 != c reads P_q(g^c) = 0,
+    and row 0 reads P_q(1) = nu.  In characteristic q, P_q(1) =
+    (prod (1 - g^(c/q)))^q, and no c/q in [1, m/q) is a multiple of m/q,
+    so a primitive (m/q)-th root of unity is not a root: nu != 0 mod q.
     """
+    ring = CyclicGroupRing(m)
     factors = squarefree_factors(m)
     support = (0,) + canonical_set(m)
-    if len(support) != 2 * k:
-        raise ParamError(
-            f"support size {len(support)} != 2k = {2 * k}; wrong server count"
-        )
-    # Column col, support row c: entry is scalar * g^shift.
-    entries = []
-    for c in support:
-        per_col = []
-        for j in range(k):
-            shift = offsets[j] * c % m
-            per_col.append((1, shift))  # value column
-            per_col.append((0 if c == 0 else c % m, shift))  # derivative column
-        entries.append(per_col)
-
-    ncols = 2 * k
-    per_prime_solutions = []
+    k = len(support) // 2
+    values = [ring.zero] * k  # mu_0, mu_2, ...
+    nu = ring.zero
     for q in factors:
-        rows = []
-        for c_idx in range(len(support)):
-            for pos in range(m):
-                row = [0] * ((ncols + 1) * m)
-                for col in range(ncols):
-                    a, b = entries[c_idx][col]
-                    if a % q:
-                        row[col * m + (pos - b) % m] = a % q
-                if c_idx == 0:
-                    row[ncols * m + pos] = (-1) % q
-                rows.append(row)
-        basis = kernel_mod_prime(rows, q)
-        pick = next(
-            (vec for vec in basis if any(vec[ncols * m :])),
-            None,
-        )
-        if pick is None:
-            raise NoMuNu(f"no solution with nu != 0 mod {q} (m={m})")
-        per_prime_solutions.append(pick)
-
-    def combine(index: int) -> int:
-        return crt_combine([sol[index] for sol in per_prime_solutions], factors)
-
-    mu = [
-        tuple(combine(col * m + pos) for pos in range(m)) for col in range(ncols)
-    ]
-    nu = tuple(combine(ncols * m + pos) for pos in range(m))
+        coeffs = [ring.one]  # P_q, lowest degree first
+        for c in support[1:]:
+            if c % q == 0:  # multiply by (Y - g^c)
+                coeffs = [
+                    ring.add(high, ring.scalar_mul(-1, ring.shift(low, c)))
+                    for high, low in zip([ring.zero] + coeffs, coeffs + [ring.zero])
+                ]
+        idempotent = crt_combine([int(f == q) for f in factors], factors)
+        values = [
+            ring.add(acc, ring.scalar_mul(idempotent, a))
+            for acc, a in zip(values, coeffs)
+        ]
+        p_at_one = functools.reduce(ring.add, coeffs)
+        nu = ring.add(nu, ring.scalar_mul(idempotent, p_at_one))
+    mu = [x for a in values for x in (a, ring.scalar_mul(-1, a))]
 
     # Safety net: re-check the defining identity over the group ring.
-    ring = CyclicGroupRing(m)
     matrix = [
-        [
-            ring.scalar_mul(a, ring.basis(b))
-            for (a, b) in per_col
-        ]
-        for per_col in entries
+        [ring.scalar_mul(s, ring.basis(j * c)) for j in range(k) for s in (1, c)]
+        for c in support
     ]
     image = [pair(ring, row, mu) for row in matrix]
-    expected = [nu] + [ring.zero] * (len(support) - 1)
-    if image != expected:
-        raise NoMuNu("recombined (mu, nu) fails M mu = (nu, 0, ...)")
+    if image != [nu] + [ring.zero] * (len(support) - 1):
+        raise NoMuNu("(mu, nu) fails M mu = (nu, 0, ...)")
     for q in factors:
         if all(x % q == 0 for x in nu):
             raise NoMuNu(f"nu vanishes mod {q}")
-    return matrix, nu, mu
+    return nu, mu
 
 
 def build_dvir_gopi(m: int, family: MatchingFamily) -> Scheme:
@@ -169,7 +147,7 @@ def build_dvir_gopi(m: int, family: MatchingFamily) -> Scheme:
         raise ParamError("need a composite modulus with >= 2 prime factors")
     k = 2 ** (r - 1)
     offsets = tuple(range(k))  # evaluation exponents d_j = j - 1
-    _, nu, mu = solve_group_ring_recovery(m, k, offsets)
+    nu, mu = solve_group_ring_recovery(m)
     ring = CyclicGroupRing(m)
     h, n = family.h, family.n
 
@@ -218,15 +196,7 @@ def build_dvir_gopi(m: int, family: MatchingFamily) -> Scheme:
     )
 
 
-def build_gks(
-    m: int,
-    p: int,
-    family: MatchingFamily,
-    points: tuple[int, ...] | None = None,
-    e: int = 2,
-) -> Scheme:
-    if e != 2:
-        raise ParamError("only multiplicity e = 2 is implemented")
+def build_gks(m: int, p: int, family: MatchingFamily) -> Scheme:
     if not is_prime(p):
         raise ParamError(f"{p} is not prime")
     if math.gcd(p, m) != 1 or (p - 1) % m != 0:
@@ -236,7 +206,6 @@ def build_gks(
 
     # The canonical set of m' = m * p must be the CRT image of
     # (canonical set of m, plus 0) x {0, 1}, minus the zero pair.
-    factors_m = squarefree_factors(m)
     support_m = (0,) + canonical_set(m)
     lifted = {
         crt_combine((a, b), (m, p))
@@ -249,13 +218,8 @@ def build_gks(
 
     field = PrimeField(p)
     g = find_order_element(field, m)
-    subgroup = [pow(g, j, p) for j in range(m)]
-    if points is None:
-        points = tuple(subgroup)
-    if not set(points) <= set(subgroup):
-        raise ParamError("interpolation points must lie in the order-m subgroup")
-    k = len(points)
-    betas = [subgroup.index(b) for b in points]
+    k = m  # one server per point of the order-m subgroup H_m
+    points = tuple(pow(g, j, p) for j in range(k))
 
     # Plain constant-term recovery on the small support certifies the point
     # set; the multiplicity-2 vector on the lifted support is what the
@@ -272,19 +236,19 @@ def build_gks(
 
     def alpha(tau, z):
         u = family.u[tau]
-        zvals = tuple(subgroup[a] for a in z)
+        zvals = tuple(points[a] for a in z)
         return (hasse_of_monomial(field, u, zero_index, zvals),) + tuple(
             hasse_of_monomial(field, u, idx, zvals) for idx in unit_indices
         )
 
     def recon(i, ell):
         u, v = family.u[i], family.v[i]
-        scale = subgroup[-dot_mod(u, ell, m) % m]
+        scale = points[-dot_mod(u, ell, m) % m]
         blocks = []
         for j in range(k):
             m_val = mu[2 * j] * scale % p
             m_der = mu[2 * j + 1] * scale % p
-            qvals = [subgroup[(a + betas[j] * vc) % m] for a, vc in zip(ell, v)]
+            qvals = [points[(a + j * vc) % m] for a, vc in zip(ell, v)]
             blocks.append(
                 (m_val,)
                 + tuple(
@@ -303,7 +267,7 @@ def build_gks(
         answer_dim=h + 1,
         level_codec=Codec.uints(m, h),
         radices=(m,) * h,
-        row=shift_row(family, betas, m),
+        row=shift_row(family, range(k), m),
         alpha=alpha,
         recon=recon,
         report={
@@ -312,7 +276,7 @@ def build_gks(
             "m_prime": m_prime,
             "g": g,
             "h": h,
-            "points": tuple(points),
+            "points": points,
             "support": tuple(support_mp),
             "mu": tuple(mu),
             "family_u": family.u,

@@ -447,8 +447,10 @@ def bench(
     row also carries the closed-form prediction and the k^2/(k-1) * log2(n)
     lower-bound baseline for context.
     """
+    if trials < 1:
+        raise ParamError(f"trials must be >= 1, got {trials}")
     rows = []
-    for idx, n in enumerate(n_values):
+    for n in n_values:
         scheme = build(n)
         cost = comm_cost(scheme)
         x = tuple((j * 2654435761 >> 7) & 1 for j in range(n))

@@ -202,9 +202,7 @@ def test_criterion_08_sparse_polynomial_511():
     with _Clock(8, "3-monomial decoding polynomial for m=511"):
         p = 3067
         assert is_prime(p) and p % 511 == 1
-        poly = sparse_decoding_poly_search(
-            511, p, k_target=3, symmetry_reduction=True
-        )
+        poly = sparse_decoding_poly_search(511, p, k_target=3)
         assert poly.k == 3
         poly.validate()
         print(f"  found exponents {poly.exponents} coefficients "

@@ -378,6 +378,15 @@ class TestBenchCommand:
         header = out1.splitlines()[0].split("\t")
         assert "predicted_bits" in header and "lower_bound_bits" in header
 
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    @pytest.mark.parametrize("timing", [(), ("--timing",)])
+    def test_nonpositive_trials_is_usage_error(self, capsys, trials, timing):
+        code, out, err = run_cli(
+            capsys, "bench", "cgks", "--n", "8", "--trials", trials, *timing
+        )
+        assert code == 2
+        assert f"trials must be >= 1, got {trials}" in err and out == ""
+
     def test_requires_grid(self, capsys):
         code, _, err = run_cli(capsys, "bench", "cgks")
         assert code == 2

@@ -7,7 +7,7 @@ import itertools
 import pytest
 
 import pirlab.mv
-from pirlab.algebra import PrimeField
+from pirlab.algebra import PrimeField, find_order_element, try_solve_mod_prime
 from pirlab.errors import Exhausted, ParamError
 from pirlab.mv import (
     DecodingPoly,
@@ -277,14 +277,33 @@ class TestDecodingPolys:
             broken.validate()
 
     def test_sparse_search_m6_terminates(self):
-        # Exhaustive over the C(6,3) = 20 exponent sets; either outcome is
-        # legitimate, a found polynomial just has to verify.
+        # Exhaustive over the C(5,2) = 10 exponent sets containing 0; either
+        # outcome is legitimate, a found polynomial just has to verify.
         try:
             poly = sparse_decoding_poly_search(6, 7, k_target=3)
         except Exhausted:
             return
         poly.validate()
         assert poly.k == 3
+
+    # No 3-monomial polynomial exists at m=6 or m=15; m=35 has one.
+    @pytest.mark.parametrize("m,p,k", [(6, 7, 3), (15, 31, 3), (35, 71, 3)])
+    def test_sparse_search_matches_full_enumeration(self, m, p, k):
+        # The search tries only the exponent sets containing 0; a plain
+        # scan of all C(m, k) sets must find the same first polynomial.
+        g = find_order_element(PrimeField(p), m)
+        full = None
+        for exps in itertools.combinations(range(m), k):
+            rows = [[pow(g, delta * d, p) for d in exps] for delta in canonical_set(m)]
+            coeffs = try_solve_mod_prime(rows + [[1] * k], [0] * len(rows) + [1], p)
+            if coeffs is not None and all(coeffs):
+                full = tuple(zip(exps, coeffs))
+                break
+        try:
+            found = sparse_decoding_poly_search(m, p, k_target=k).monomials
+        except Exhausted:
+            found = None
+        assert found == full
 
     def test_sparse_search_rejects_trivial_target(self):
         with pytest.raises(ParamError):

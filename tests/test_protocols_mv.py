@@ -2,11 +2,18 @@
 Z_m, their construction-time identities, and exhaustive desk suites."""
 
 import math
+import random
 
 import pytest
 
-from pirlab.algebra import ExtField, SparsePoly, crt_combine, interpolation_vector
-from pirlab.engine import comm_cost, span_check
+from pirlab.algebra import (
+    CyclicGroupRing,
+    ExtField,
+    SparsePoly,
+    crt_combine,
+    interpolation_vector,
+)
+from pirlab.engine import comm_cost, pair, span_check
 from pirlab.errors import ParamError
 from pirlab.mv import MatchingFamily, canonical_set, search_matching_family
 from pirlab.protocols.mersenne import build_raghavendra, build_yekhanin
@@ -149,12 +156,40 @@ class TestEfremenko:
         )
 
 
+def _prime_factors(m):
+    return [q for q in range(2, m + 1) if m % q == 0 and all(q % d for d in range(2, q))]
+
+
+# Every squarefree m <= 42 with at least two prime factors, and three more.
+RECOVERY_MODULI = [
+    m
+    for m in range(2, 43)
+    if len(_prime_factors(m)) >= 2 and math.prod(_prime_factors(m)) == m
+] + [66, 105, 210]
+
+
 class TestDvirGopi:
     def test_recovery_pair(self):
-        matrix, nu, mu = solve_group_ring_recovery(6, 2, (0, 1))
+        nu, mu = solve_group_ring_recovery(6)
         assert any(x % 2 for x in nu)
         assert any(x % 3 for x in nu)
         assert len(mu) == 4
+
+    @pytest.mark.parametrize("m", RECOVERY_MODULI)
+    def test_recovery_identity(self, m):
+        # Rebuild M: row c holds g^(jc) and c * g^(jc) for j < k.
+        primes = _prime_factors(m)
+        k = 2 ** (len(primes) - 1)
+        ring = CyclicGroupRing(m)
+        nu, mu = solve_group_ring_recovery(m)
+        assert len(mu) == 2 * k
+        for c in (0,) + canonical_set(m):
+            row = []
+            for j in range(k):
+                row += [ring.basis(j * c), ring.scalar_mul(c, ring.basis(j * c))]
+            assert pair(ring, row, mu) == (nu if c == 0 else ring.zero)
+        for q in primes:
+            assert any(x % q for x in nu)
 
     def test_no_recovery_for_prime_modulus(self, canonical_family_6):
         with pytest.raises(ParamError):
@@ -177,6 +212,21 @@ class TestDvirGopi:
     def test_desk_suites(self, canonical_family_6):
         scheme = build_dvir_gopi(6, canonical_family_6)
         _suites(scheme)
+
+    def test_desk_suites_m10(self):
+        scheme = build_dvir_gopi(10, search_matching_family(10, 3, canonical_set(10), 3))
+        assert scheme.k == 2
+        assert exhaustive_correctness(scheme).passed
+        assert exhaustive_privacy(scheme).passed
+        assert span_check_all(scheme) == 3 * 10**3
+
+    def test_span_m30_sampled(self):
+        scheme = build_dvir_gopi(30, search_matching_family(30, 3, canonical_set(30), 3))
+        assert scheme.k == 4
+        rng = random.Random(30)
+        for _ in range(200):
+            ell = scheme.sample_randomness(rng)
+            span_check(scheme, rng.randrange(scheme.n), ell)
 
     def test_answer_structure(self, canonical_family_6):
         scheme = build_dvir_gopi(6, canonical_family_6)

@@ -146,14 +146,14 @@ PINNED_DIGESTS = [
     ("yekhanin", {}, "80725ddb2f6ad7f1"),
     ("raghavendra", {}, "7432876131a598fa"),
     ("efremenko", {"m": 6, "p": 7}, "50f98001b0a4025e"),
-    ("dvir-gopi", {"m": 6}, "b67d8793c48068a9"),
+    ("dvir-gopi", {"m": 6}, "f51a787961735340"),
     ("gks", {"m": 2, "p": 3}, "0ca7c7f01b7adf1d"),
     ("broken-demo", {}, "7ea0de08b19c09dc"),
     ("cgks", {"n": 8192}, "022292099ba7685b"),
     ("lagrange", {"n": 65536, "t": 1, "k": 3, "p": 13}, "accb5306a569fa7a"),
     ("cgks", {"n": 64}, "f38c65e3c9d1b9d2"),
     ("hermite", {"n": 64, "t": 1, "k": 2, "p": 5}, "4885f61018fed862"),
-    ("dvir-gopi", {"m": 6, "n": 3}, "b67d8793c48068a9"),
+    ("dvir-gopi", {"m": 6, "n": 3}, "f51a787961735340"),
     ("gks", {"m": 2, "p": 3, "n": 3}, "0ca7c7f01b7adf1d"),
 ]
 
