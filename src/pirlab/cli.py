@@ -17,6 +17,7 @@ parameter error, 3 transport error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import random
 import sys
 
@@ -31,6 +32,7 @@ from .errors import (
 from .mv import k_r_table
 from .protocols.registry import PROTOCOL_NAMES, build_named
 from .sim import (
+    PirServer,
     ServerNode,
     bench,
     client_retrieve,
@@ -38,7 +40,6 @@ from .sim import (
     param_digest,
     run_inprocess,
     save_database,
-    serve,
 )
 
 EXIT_OK = 0
@@ -299,7 +300,7 @@ def _cmd_serve(args, report: _Report) -> int:
     database = load_database(args.db)
     node = ServerNode(server_id=args.id, scheme=scheme, database=database)
     try:
-        server = serve(node, host=args.host, port=args.port)
+        server = PirServer(node, host=args.host, port=args.port)
     except OSError as exc:
         raise TransportError(
             f"cannot listen on {args.host}:{args.port}: {exc}"
@@ -309,10 +310,8 @@ def _cmd_serve(args, report: _Report) -> int:
         f"serving {scheme.name} server {args.id}/{scheme.k} on {host}:{port} "
         f"(n={scheme.n}, digest {param_digest(scheme)})"
     )
-    try:
-        server._thread.join()
-    except KeyboardInterrupt:
-        server.stop()
+    with server, contextlib.suppress(KeyboardInterrupt):
+        server.serve_forever()
     return EXIT_OK
 
 

@@ -19,6 +19,7 @@ degenerates to ring multiplication for scalar protocols (D = 1).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -84,8 +85,8 @@ class Codec:
             splits.append(low)
             products = merged
         self._splits = tuple(splits)
-        self._size = products[0]
-        self.nbytes = ((self._size - 1).bit_length() + 7) // 8
+        self.size = products[0]
+        self.nbytes = ((self.size - 1).bit_length() + 7) // 8
 
     @classmethod
     def uints(cls, modulus: int, count: int) -> "Codec":
@@ -118,10 +119,15 @@ class Codec:
                 f"expected {self.nbytes} bytes, got {len(data)}"
             )
         number = int.from_bytes(data, "little")
-        if number >= self._size:
+        if number >= self.size:
             raise MalformedQuery(
                 f"encoded value exceeds the space of {self.nvalues} values"
             )
+        return self.unrank(number)
+
+    def unrank(self, number: int) -> tuple[int, ...]:
+        """The value tuple whose mixed-radix integer is ``number``, which
+        must lie in [0, size): the inverse of encode before its bytes."""
         nums = [number]
         for low in reversed(self._splits):
             highs, lows = zip(*map(divmod, nums, low))
@@ -134,9 +140,9 @@ class Codec:
 
     def enumerate_values(self, cap: int = DEFAULT_ROW_CAP):
         """All value tuples of this codec, in lexicographic order."""
-        if self._size > cap:
+        if self.size > cap:
             raise CapExceeded(
-                f"codec space of {self._size} values exceeds cap {cap}"
+                f"codec space of {self.size} values exceeds cap {cap}"
             )
         return itertools.product(*(range(r) for r in self.radices))
 
@@ -146,7 +152,8 @@ class Scheme:
     """One complete protocol instantiation.
 
     ``row(i, ell)`` returns the k queries for index i under randomness ell,
-    where ell is a tuple drawn componentwise from ``radices``.  ``alpha(tau,
+    a value of ``randomness``, the codec over ``radices``; a draw of ell is
+    one uniform rank in [0, N), split by ``randomness.unrank``.  ``alpha(tau,
     z)`` evaluates the tau-th encoding map at a level point, returning a
     D-tuple over ``ring``.  ``recon(i, ell)`` returns (lambda, omega):
     lambda is k blocks of D ring elements and omega is a nonzero ring
@@ -194,21 +201,24 @@ class Scheme:
             codec = Codec(self.ring.component_moduli * self.answer_dim)
             object.__setattr__(self, "answer_codec", codec)
 
+    @functools.cached_property
+    def randomness(self) -> Codec:
+        """The space ell ranges over, one value per radix.  Built on first
+        use: at h = 363 it costs a quarter of a lagrange build."""
+        return Codec(self.radices)
+
     @property
     def num_rows(self) -> int:
         """N, the number of rows of each query array."""
-        return math.prod(self.radices)
+        return self.randomness.size
 
     def enumerate_randomness(self, cap: int = DEFAULT_ROW_CAP):
-        if self.num_rows > cap:
-            raise CapExceeded(
-                f"randomness space of {self.num_rows} rows exceeds cap {cap}"
-            )
-        return itertools.product(*(range(r) for r in self.radices))
+        return self.randomness.enumerate_values(cap)
 
     def sample_randomness(self, rng: random.Random) -> tuple[int, ...]:
-        # randrange draws unbiased values via rejection on getrandbits.
-        return tuple(rng.randrange(r) for r in self.radices)
+        # One unbiased randrange over [0, N); unrank is a bijection onto the
+        # space, so ell is uniform.
+        return self.randomness.unrank(rng.randrange(self.num_rows))
 
     def encode_answer(self, answer: Answer) -> bytes:
         """One codec message holding the D elements' components in order.
@@ -232,9 +242,10 @@ def query_gen(
 ) -> tuple[tuple[LevelPoint, ...], Aux]:
     """The querying algorithm: draw ell uniformly, emit row(i, ell) and aux.
 
-    Deterministic for an int seed, which only verification, benchmarks and
-    tests should pass.  With seed None, ell comes from the operating
-    system's randomness: a seeded generator has far less entropy than the
+    ell is one rank drawn below ``num_rows``.  Deterministic for an int
+    seed, which only verification, benchmarks and tests should pass.  With
+    seed None, that rank comes from one call to the operating system's
+    randomness: a seeded generator has far less entropy than the
     randomness space, so servers without a computational bound could
     recompute ell and read off i.
     """

@@ -61,6 +61,8 @@ def colex_unrank(rank: int, d: int, tables: list[list[int]]) -> tuple[int, ...]:
 
 def _index_tables(h: int, d: int, n: int) -> list[list[int]]:
     """The binomial tables, once C(h, d) leaves room for n indices."""
+    if h < 1:
+        raise ParamError("h must be >= 1")
     if math.comb(h, d) < n:
         raise ParamError(f"C({h},{d}) = {math.comb(h, d)} < n = {n}")
     return binomial_tables(h, d)

@@ -12,8 +12,8 @@ from __future__ import annotations
 from ..algebra import PrimeField
 from ..engine import Codec, Scheme
 
-# Query array for index 0: column 2 shifts column 1 by (0, 0) / (-1, 0)...
-# in fact both arrays are built from a shift pattern over F_3^2.
+# Row q of the array for index i is (q, 2 * e_i - q) mod 3, for q over all of
+# F_3^2; the two queries sum to 2 * e_i, so lambda = (2, 2) pairs them to e_i.
 _ARRAY_0 = (
     ((1, 0), (1, 0)),
     ((1, 1), (1, 2)),

@@ -348,8 +348,9 @@ def client_retrieve(
     No QUERY goes before its CONFIG: a mismatched server may close on the
     longer frame and lose its digest error.  ``timeout`` bounds each connect
     and each read; it must be finite and positive.  Every socket error ends
-    in a Timeout or TransportError naming the server.  Seed None draws
-    fresh randomness for every retrieval.
+    in a Timeout or TransportError naming the server, and so does an ANSWER
+    payload that the answer codec rejects.  Seed None draws fresh
+    randomness for every retrieval.
     """
     if not (math.isfinite(timeout) and timeout > 0):
         raise ParamError(f"timeout must be finite and > 0, got {timeout!r}")
@@ -393,7 +394,13 @@ def client_retrieve(
             entry.rtt_seconds = time.perf_counter() - t0
             entry.answer_payload_bytes = len(payload)
             entry.answer_framed_bytes += FRAME_HEADER_LEN + len(payload)
-            answers.append(scheme.decode_answer(payload))
+            try:
+                answers.append(scheme.decode_answer(payload))
+            except MalformedQuery as exc:
+                host, port = endpoint
+                raise TransportError(
+                    f"server {host}:{port} sent a malformed answer: {exc}"
+                ) from exc
     return reconstruct(scheme, aux, answers), transcript
 
 

@@ -19,6 +19,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .engine import (
+    DEFAULT_ROW_CAP,
     Scheme,
     answer,
     comm_cost,
@@ -28,14 +29,12 @@ from .engine import (
 )
 from .errors import (
     BudgetExceeded,
-    CapExceeded,
     InconsistentAnswer,
     Mismatch,
     ParamError,
 )
 
 DEFAULT_CORRECTNESS_BUDGET = 2**8 * 8 * 10**5
-DEFAULT_PRIVACY_CAP = 10**6
 
 
 def all_databases(n: int):
@@ -158,7 +157,7 @@ def exhaustive_correctness(
 def exhaustive_privacy(
     scheme: Scheme,
     t: int | None = None,
-    cap: int = DEFAULT_PRIVACY_CAP,
+    cap: int = DEFAULT_ROW_CAP,
 ) -> PrivacyReport:
     """Exact multiset equality of projected queries across all index pairs.
 
@@ -171,10 +170,6 @@ def exhaustive_privacy(
         t = scheme.t
     if not 1 <= t < scheme.k:
         raise ParamError(f"need 1 <= t < k = {scheme.k}, got t = {t}")
-    if scheme.num_rows > cap:
-        raise CapExceeded(
-            f"randomness space {scheme.num_rows} exceeds privacy cap {cap}"
-        )
     ells = list(scheme.enumerate_randomness(cap))
     report = PrivacyReport(protocol=scheme.name, t=t)
     for coalition in itertools.combinations(range(scheme.k), t):
@@ -199,7 +194,7 @@ def exhaustive_privacy(
     return report
 
 
-def span_check_all(scheme: Scheme, cap: int = DEFAULT_PRIVACY_CAP) -> int:
+def span_check_all(scheme: Scheme, cap: int = DEFAULT_ROW_CAP) -> int:
     """span_check over the full (i, ell) grid; returns the number checked."""
     count = 0
     for i in range(scheme.n):
@@ -209,7 +204,7 @@ def span_check_all(scheme: Scheme, cap: int = DEFAULT_PRIVACY_CAP) -> int:
     return count
 
 
-def oa_family_check(scheme: Scheme, cap: int = DEFAULT_PRIVACY_CAP) -> dict[int, int]:
+def oa_family_check(scheme: Scheme, cap: int = DEFAULT_ROW_CAP) -> dict[int, int]:
     """Every query array of the family must be an OA at the scheme's t."""
     return {i: scheme_oa_index(scheme, i, cap) for i in range(scheme.n)}
 

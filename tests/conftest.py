@@ -11,7 +11,7 @@ from pirlab.mv import (
     two_subgroup,
     yekhanin_nice_sets,
 )
-from pirlab.sim import read_frame
+from pirlab.sim import MSG_ANSWER, MSG_CONFIG, read_frame, write_frame
 
 
 @pytest.fixture(scope="session")
@@ -53,6 +53,39 @@ def resetting_listener():
                 return
 
     thread = threading.Thread(target=reset_after_hello, daemon=True)
+    thread.start()
+    yield listener.getsockname()[:2]
+    thread.join(timeout=5)
+    listener.close()
+    assert not thread.is_alive()
+
+
+@pytest.fixture
+def malformed_answer_listener():
+    """The endpoint of a listener that takes two connections, replies to
+    each HELLO with a CONFIG and to each QUERY with a 5-byte ANSWER, four
+    bytes wider than a cgks n=8 answer."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(2.0)
+
+    def answer_too_wide():
+        try:
+            conns = [listener.accept()[0] for _ in range(2)]
+        except OSError:
+            return
+        with conns[0], conns[1]:
+            try:
+                for conn in conns:
+                    conn.settimeout(2.0)
+                    read_frame(conn)
+                    write_frame(conn, MSG_CONFIG, b"")
+                for conn in conns:
+                    read_frame(conn)
+                    write_frame(conn, MSG_ANSWER, bytes(5))
+            except OSError:
+                return
+
+    thread = threading.Thread(target=answer_too_wide, daemon=True)
     thread.start()
     yield listener.getsockname()[:2]
     thread.join(timeout=5)

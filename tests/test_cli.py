@@ -1,7 +1,14 @@
 """CLI behaviour: reports, exit codes, config files, determinism, and the
 networked get path."""
 
+import os
+import re
+import select
+import signal
 import socket
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +16,9 @@ from pirlab import cli
 from pirlab.cli import main
 from pirlab.protocols.cube import build_cgks
 from pirlab.sim import ServerNode, Transcript, serve
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -56,7 +66,13 @@ class TestParams:
     @pytest.mark.parametrize("h", ["-1", "0"])
     @pytest.mark.parametrize(
         "argv",
-        [["dvir-gopi", "--m", "6"], ["gks", "--m", "2", "--p", "3"], ["yekhanin"]],
+        [
+            ["dvir-gopi", "--m", "6"],
+            ["gks", "--m", "2", "--p", "3"],
+            ["yekhanin"],
+            ["lagrange", "--n", "3", "--t", "1", "--k", "3", "--p", "5"],
+            ["hermite", "--n", "3", "--t", "1", "--k", "2", "--p", "5"],
+        ],
     )
     def test_nonpositive_h_is_usage_error(self, capsys, argv, h):
         code, _, err = run_cli(capsys, "params", *argv, "--h", h)
@@ -323,6 +339,44 @@ class TestNetworkCommands:
             with pytest.raises(BlockingIOError):
                 listener.accept()
 
+    def test_serve_processes_answer_get_and_exit_on_sigint(self, capsys, tmp_path):
+        path = tmp_path / "db.bin"
+        run_cli(capsys, "makedb", "--n", "8", "--bits", "01101001", "--db", str(path))
+        env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONUNBUFFERED": "1"}
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-m", "pirlab.cli", "serve", "cgks", "--n", "8",
+                 "--id", str(j), "--db", str(path), "--port", "0"],
+                stdout=subprocess.PIPE, text=True, env=env,
+                # A shell may start background jobs with SIGINT ignored;
+                # restore the default so the interpreter turns it into
+                # KeyboardInterrupt.
+                preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+            )
+            for j in (1, 2)
+        ]
+        try:
+            endpoints = []
+            for proc in procs:
+                assert select.select([proc.stdout], [], [], 30)[0], "no banner"
+                banner = proc.stdout.readline()
+                endpoints.append(re.search(r" on (\S+:\d+) ", banner).group(1))
+            code, out, _ = run_cli(
+                capsys, "get", "cgks", "--n", "8", "--index", "3",
+                "--servers", ",".join(endpoints),
+            )
+            assert code == 0
+            assert "x_3 = 1" in out
+            for proc in procs:
+                proc.send_signal(signal.SIGINT)
+            assert [proc.wait(timeout=10) for proc in procs] == [0, 0]
+        finally:
+            for proc in procs:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
+                proc.stdout.close()
+
     def test_get_dead_servers_transport_error(self, capsys):
         probe = socket.socket()
         probe.bind(("127.0.0.1", 0))
@@ -345,6 +399,19 @@ class TestNetworkCommands:
         )
         assert code == 3
         assert err.startswith(f"transport error: server {host}:{port}")
+
+    def test_get_malformed_answer_transport_error(
+        self, capsys, malformed_answer_listener
+    ):
+        host, port = malformed_answer_listener
+        code, _, err = run_cli(
+            capsys,
+            "get", "cgks", "--n", "8", "--index", "1",
+            "--servers", f"{host}:{port},{host}:{port}", "--timeout", "2",
+        )
+        assert code == 3
+        assert err.startswith(f"transport error: server {host}:{port}")
+        assert "expected 1 bytes, got 5" in err
 
     def test_makedb_and_load(self, capsys, tmp_path):
         path = tmp_path / "db.bin"

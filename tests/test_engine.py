@@ -1,6 +1,7 @@
 """Engine-level behaviour: codecs, array checks, the three algorithms, and
 communication accounting, mostly exercised on the hand-sized instance."""
 
+import dataclasses
 import math
 import random
 import secrets
@@ -101,6 +102,17 @@ class TestCodec:
         # The wire integer is sum_j v_j * prod_{i<j} r_i.
         number = sum(v * math.prod(radices[:j]) for j, v in enumerate(values))
         assert number == int.from_bytes(blob, "little")
+
+    @pytest.mark.parametrize(
+        "radices",
+        [(2,), (9,), (2, 3, 5), (4, 4, 4), (5, 7, 2, 3), (13, 13, 13)],
+    )
+    def test_unrank_hits_every_tuple_once(self, radices):
+        codec = Codec(radices)
+        values = [codec.unrank(j) for j in range(codec.size)]
+        assert sorted(values) == sorted(codec.enumerate_values())
+        for j, v in enumerate(values):
+            assert codec.encode(v) == j.to_bytes(codec.nbytes, "little")
 
     def test_space_enumeration(self):
         codec = Codec.uints(3, 2)
@@ -206,9 +218,36 @@ class TestQueryGen:
         x = (1, 0, 1, 1, 0)
         for i in range(scheme.n):
             draws.clear()
+            queries, aux = query_gen(scheme, i, seed=None)
+            assert len(draws) == 1
+            assert 0 <= draws[0] < scheme.num_rows
+            assert aux.ell == scheme.randomness.unrank(draws[0])
+            assert queries == scheme.row(i, aux.ell)
+            draws.clear()
             bit, _ = run_inprocess(scheme, x, i, seed=None)
             assert bit == x[i]
-            assert len(draws) == len(scheme.radices)
+            assert len(draws) == 1
+
+    @pytest.mark.parametrize(
+        "radices",
+        [(2,), (9,), (2, 3, 5), (4, 4, 4), (5, 7, 2, 3), (13, 13, 13)],
+    )
+    def test_each_rank_emits_its_own_ell(self, monkeypatch, radices):
+        scheme = dataclasses.replace(
+            toy_instance(), radices=radices, row=lambda i, ell: (ell, ell)
+        )
+        ranks = iter(range(scheme.num_rows))
+
+        class RankByRank:
+            def randrange(self, stop):
+                assert stop == scheme.num_rows
+                return next(ranks)
+
+        monkeypatch.setattr(engine.secrets, "SystemRandom", RankByRank)
+        ells = [
+            query_gen(scheme, 0, seed=None)[1].ell for _ in range(scheme.num_rows)
+        ]
+        assert sorted(ells) == sorted(scheme.enumerate_randomness())
 
 
 class TestAnswer:

@@ -113,6 +113,12 @@ class TestWeightVectors:
         with pytest.raises(ParamError):
             build_lagrange(4, 1, 3, 5, h=3)  # d = 2, C(3,2) = 3 < 4
 
+    @pytest.mark.parametrize("build", [build_lagrange, build_wy_hermite])
+    @pytest.mark.parametrize("h", [-1, 0])
+    def test_nonpositive_h(self, build, h):
+        with pytest.raises(ParamError, match="h must be >= 1"):
+            build(3, 1, 2, 5, h=h)
+
     def test_minimal_h(self):
         assert minimal_h(2, 3) == 3
         assert minimal_h(3, 4) == 4

@@ -158,7 +158,16 @@ PINNED_DIGESTS = [
 ]
 
 
-@pytest.mark.parametrize("name,config,digest", PINNED_DIGESTS)
+# The ids name the protocol and its config, never the digest, so that moving
+# a pin keeps the test's name.
+@pytest.mark.parametrize(
+    "name,config,digest",
+    PINNED_DIGESTS,
+    ids=[
+        "-".join([name, *(f"{key}{value}" for key, value in config.items())])
+        for name, config, _ in PINNED_DIGESTS
+    ],
+)
 def test_param_digest_pinned(name, config, digest):
     assert param_digest(build_named(name, config)) == digest
 
@@ -330,6 +339,18 @@ class TestTcp:
         port = resetting_listener[1]
         with pytest.raises(TransportError, match=f"server 127.0.0.1:{port}") as info:
             client_retrieve([resetting_listener] * 2, scheme, 0, seed=0, timeout=2.0)
+        assert not isinstance(info.value, Timeout)
+
+    def test_malformed_answer_is_a_transport_error_naming_it(
+        self, malformed_answer_listener
+    ):
+        scheme = build_cgks(8)
+        host, port = malformed_answer_listener
+        with pytest.raises(TransportError, match=f"server {host}:{port}") as info:
+            client_retrieve(
+                [malformed_answer_listener] * 2, scheme, 0, seed=0, timeout=2.0
+            )
+        assert "expected 1 bytes, got 5" in str(info.value)
         assert not isinstance(info.value, Timeout)
 
     def test_servers_answer_at_the_same_time(self):
