@@ -193,7 +193,8 @@ class _Report:
 
     def emit(self, *lines: str):
         for line in lines:
-            print(line)
+            # Flushed, so a reader on a pipe sees a server's banner at once.
+            print(line, flush=True)
             self.lines.append(line)
 
     def kv(self, mapping: dict):

@@ -261,7 +261,8 @@ def search_matching_family(
                 chosen.append((vectors[ui], v))
                 if len(chosen) == n_target:
                     return True
-                for_u = sum(_residue_masks(v, m)[r] for r in target)
+                v_masks = _residue_masks(v, m)
+                for_u = sum(v_masks[r] for r in target)
                 if extend(start, rest.bit_count(), u_fit & for_u, v_fit & for_v):
                     return True
                 chosen.pop()

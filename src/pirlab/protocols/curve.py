@@ -12,6 +12,9 @@ The plain variant recovers phi(0) by Lagrange interpolation from k values
 ships the h partial derivatives of F_x, which yield phi'(j) through the
 chain rule, doubling the usable constraints (d = floor((2k-1)/t)).
 
+R is ell read row by row as an h x t matrix.  The curve points and their
+tangents R * (1, 2j, ..., t*j^(t-1)) weight and add its columns ell[b::t].
+
 Index tau encodes the weight-d vector u_tau whose support is the tau-th
 d-subset of [h] in colexicographic order.  Colex order is the combinatorial
 number system: the support c_1 < ... < c_d has rank tau = sum_j C(c_j, j).
@@ -59,13 +62,15 @@ def colex_unrank(rank: int, d: int, tables: list[list[int]]) -> tuple[int, ...]:
     return tuple(support)
 
 
-def _index_tables(h: int, d: int, n: int) -> list[list[int]]:
-    """The binomial tables, once C(h, d) leaves room for n indices."""
+def _index_tables(h: int | None, d: int, n: int) -> tuple[int, list[list[int]]]:
+    """h (the least with C(h, d) >= n when None) and its binomial tables."""
+    if h is None:
+        h = minimal_h(d, n)
     if h < 1:
         raise ParamError("h must be >= 1")
     if math.comb(h, d) < n:
         raise ParamError(f"C({h},{d}) = {math.comb(h, d)} < n = {n}")
-    return binomial_tables(h, d)
+    return h, binomial_tables(h, d)
 
 
 def _block_sum(x, z, d: int, tables: list[list[int]]) -> int:
@@ -94,18 +99,31 @@ def minimal_h(d: int, n: int) -> int:
     return h
 
 
-def _curve_points(support, ell, h, t, k, p):
-    """Evaluate q(theta) = u_i + R*(theta..theta^t) at theta = 1..k, where
-    u_i is the 0/1 vector with ones exactly at ``support``."""
-    rows = [ell[c * t : (c + 1) * t] for c in range(h)]
-    points = []
-    for j in range(1, k + 1):
-        powers = [pow(j, b, p) for b in range(1, t + 1)]
-        point = [sum(r * w for r, w in zip(row, powers)) for row in rows]
-        for c in support:
-            point[c] += 1
-        points.append(tuple(v % p for v in point))
-    return tuple(points)
+def _columns_times(ell, weights) -> list[int]:
+    """R * weights, unreduced: sum_b weights[b] * ell[b::t] for every
+    coordinate, one pass per column of R."""
+    t = len(weights)
+    total = [weights[0] * v for v in ell[::t]]
+    for b, w in enumerate(weights[1:], 1):
+        total = [s + w * v for s, v in zip(total, ell[b::t])]
+    return total
+
+
+def _curve_row(d: int, tables: list[list[int]], t: int, k: int, p: int):
+    """row(i, ell): q(theta) = u_i + R * (theta, ..., theta^t) at theta =
+    1..k, where u_i is the 0/1 vector with ones at the support of index i."""
+
+    def row(i, ell):
+        support = colex_unrank(i, d, tables)
+        points = []
+        for j in range(1, k + 1):
+            point = _columns_times(ell, [pow(j, b, p) for b in range(1, t + 1)])
+            for c in support:
+                point[c] += 1
+            points.append(tuple([v % p for v in point]))
+        return tuple(points)
+
+    return row
 
 
 def build_lagrange(n: int, t: int, k: int, p: int, h: int | None = None) -> Scheme:
@@ -115,18 +133,11 @@ def build_lagrange(n: int, t: int, k: int, p: int, h: int | None = None) -> Sche
     if not 1 <= t < k:
         raise ParamError("need 1 <= t < k")
     d = (k - 1) // t
-    if d < 1:
-        raise ParamError(f"degree bound floor((k-1)/t) = {d} < 1")
-    if h is None:
-        h = minimal_h(d, n)
-    tables = _index_tables(h, d, n)
+    h, tables = _index_tables(h, d, n)
 
     # Lagrange basis values at 0 for the points 1..k; independent of (i, ell).
     lam = interpolation_vector(p, range(1, k + 1), range(k), multiplicity=1)
     lam_tuple = (tuple((val,) for val in lam), 1)
-
-    def row(i, ell):
-        return _curve_points(colex_unrank(i, d, tables), ell, h, t, k, p)
 
     def alpha(tau, z):
         acc = 1
@@ -149,7 +160,7 @@ def build_lagrange(n: int, t: int, k: int, p: int, h: int | None = None) -> Sche
         answer_dim=1,
         level_codec=Codec.uints(p, h),
         radices=(p,) * (h * t),
-        row=row,
+        row=_curve_row(d, tables, t, k, p),
         alpha=alpha,
         recon=recon,
         answer_kernel=answer_kernel,
@@ -171,13 +182,8 @@ def build_wy_hermite(n: int, t: int, k: int, p: int, h: int | None = None) -> Sc
     if not 1 <= t < k:
         raise ParamError("need 1 <= t < k")
     d = (2 * k - 1) // t
-    if h is None:
-        h = minimal_h(d, n)
-    tables = _index_tables(h, d, n)
+    h, tables = _index_tables(h, d, n)
     mu = interpolation_vector(p, range(1, k + 1), range(2 * k), multiplicity=2)
-
-    def row(i, ell):
-        return _curve_points(colex_unrank(i, d, tables), ell, h, t, k, p)
 
     def alpha(tau, z):
         support = colex_unrank(tau, d, tables)
@@ -195,19 +201,12 @@ def build_wy_hermite(n: int, t: int, k: int, p: int, h: int | None = None) -> Sc
         return tuple(out)
 
     def recon(i, ell):
-        rows = [ell[c * t : (c + 1) * t] for c in range(h)]
         blocks = []
         for j in range(1, k + 1):
             # Tangent of the curve at theta = j: R * (1, 2j, ..., t*j^(t-1)).
-            dpow = [(b + 1) * pow(j, b, p) % p for b in range(t)]
-            tangent = [
-                sum(r * w for r, w in zip(rows[c], dpow)) % p for c in range(h)
-            ]
-            m_val = mu[2 * (j - 1)]
-            m_der = mu[2 * (j - 1) + 1]
-            blocks.append(
-                (m_val,) + tuple(m_der * tc % p for tc in tangent)
-            )
+            tangent = _columns_times(ell, [(b + 1) * pow(j, b, p) for b in range(t)])
+            m_der = mu[2 * j - 1]
+            blocks.append((mu[2 * j - 2], *[m_der * v % p for v in tangent]))
         return tuple(blocks), 1
 
     return Scheme(
@@ -219,7 +218,7 @@ def build_wy_hermite(n: int, t: int, k: int, p: int, h: int | None = None) -> Sc
         answer_dim=h + 1,
         level_codec=Codec.uints(p, h),
         radices=(p,) * (h * t),
-        row=row,
+        row=_curve_row(d, tables, t, k, p),
         alpha=alpha,
         recon=recon,
         report={

@@ -100,7 +100,7 @@ def build_named(name: str, config: dict | None = None) -> Scheme:
         m, p = _require(config, "m", "p")
         family = _canonical_family(m, n, h)
         sparse_k = config.get("sparse_k")
-        if sparse_k:
+        if sparse_k is not None:
             poly = sparse_decoding_poly_search(m, p, k_target=sparse_k)
         else:
             poly = trivial_decoding_poly(m, p)

@@ -41,6 +41,21 @@ class TestParams:
         assert code == 0
         assert "k = 4" in out
 
+    def test_efremenko_sparse_k_zero_is_usage_error(self, capsys):
+        code, _, err = run_cli(
+            capsys, "params", "efremenko", "--m", "6", "--p", "7", "--sparse-k", "0"
+        )
+        assert code == 2
+        assert "k_target must be in [1, 2^2)" in err
+
+    def test_efremenko_sparse_k_three(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "params", "efremenko", "--m", "35", "--p", "71", "--sparse-k", "3"
+        )
+        assert code == 0
+        assert "k = 3" in out.splitlines()
+        assert "poly_exponents = (0, 1, 12)" in out.splitlines()
+
     def test_kr(self, capsys):
         code, out, _ = run_cli(capsys, "params", "kr", "--r", "3")
         assert code == 0
@@ -342,7 +357,10 @@ class TestNetworkCommands:
     def test_serve_processes_answer_get_and_exit_on_sigint(self, capsys, tmp_path):
         path = tmp_path / "db.bin"
         run_cli(capsys, "makedb", "--n", "8", "--bits", "01101001", "--db", str(path))
-        env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONUNBUFFERED": "1"}
+        # Without PYTHONUNBUFFERED, stdout on a pipe is block-buffered: the
+        # banner arrives in time only if the server flushes it.
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        env.pop("PYTHONUNBUFFERED", None)
         procs = [
             subprocess.Popen(
                 [sys.executable, "-m", "pirlab.cli", "serve", "cgks", "--n", "8",

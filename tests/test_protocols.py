@@ -76,6 +76,14 @@ def _dense_row(u, ell, t, k, p):
     )
 
 
+def _dense_tangent(ell, h, t, j, p):
+    # Row c of R is ell[c*t:(c+1)*t]; the tangent is R * (1, 2j, ..., t*j^(t-1)).
+    return tuple(
+        sum(ell[c * t + b] * (b + 1) * pow(j, b, p) for b in range(t)) % p
+        for c in range(h)
+    )
+
+
 def _dense_monomial(u, z, p):
     value = 1
     for zc, uc in zip(z, u):
@@ -258,9 +266,11 @@ class TestSparseAgainstDense:
             (build_lagrange, 30, 1, 3, 13),
             (build_lagrange, 20, 2, 5, 7),
             (build_lagrange, 50, 1, 4, 11),
+            (build_lagrange, 10, 3, 7, 11),
             (build_wy_hermite, 30, 1, 2, 7),
             (build_wy_hermite, 20, 2, 3, 7),
             (build_wy_hermite, 40, 1, 3, 11),
+            (build_wy_hermite, 10, 3, 4, 11),
         ],
     )
     def test_row_and_alpha(self, build, n, t, k, p):
@@ -280,6 +290,24 @@ class TestSparseAgainstDense:
                     if hermite:
                         expected += _dense_gradient(u, z, p)
                     assert scheme.alpha(tau, z) == expected
+
+    @pytest.mark.parametrize(
+        "n,t,k,p", [(30, 1, 2, 7), (20, 2, 3, 7), (40, 1, 3, 11), (10, 3, 4, 11)]
+    )
+    def test_hermite_recon(self, n, t, k, p):
+        scheme = build_wy_hermite(n, t, k, p)
+        h = scheme.report["h"]
+        mu = interpolation_vector(p, range(1, k + 1), range(2 * k), multiplicity=2)
+        rng = random.Random(n * 1000 + k)
+        for _ in range(20):
+            i = rng.randrange(n)
+            ell = scheme.sample_randomness(rng)
+            blocks = tuple(
+                (mu[2 * j - 2],)
+                + tuple(mu[2 * j - 1] * v % p for v in _dense_tangent(ell, h, t, j, p))
+                for j in range(1, k + 1)
+            )
+            assert scheme.recon(i, ell) == (blocks, 1)
 
     def test_build_memory_is_sparse(self):
         # A dense u_tau per index costs ~190 MB here (h = 363).
