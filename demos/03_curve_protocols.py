@@ -35,7 +35,7 @@ print(" ", exhaustive_privacy(hermite).to_lines()[0])
 two_private = build_lagrange(2, 2, 3, 5)
 print(f"\nLagrange t=2 k=3 p=5: d={two_private.report['d']} "
       f"(each extra colluder costs curve degree)")
-print(" ", exhaustive_privacy(two_private, t=2).to_lines()[0])
+print(" ", exhaustive_privacy(two_private).to_lines()[0])
 
 print("\ncost comparison at matched (n, t):")
 for name, scheme in (("lagrange", lagrange), ("hermite", hermite)):

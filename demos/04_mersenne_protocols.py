@@ -17,7 +17,7 @@ the exponent variant answers with the single field element g^<u_tau, z> and
 reconstructs through the vanishing polynomial.
 """
 
-from pirlab.algebra import ExtField, SparsePoly
+from pirlab.algebra import BinaryField, SparsePoly
 from pirlab.engine import comm_cost
 from pirlab.mv import search_matching_family, two_subgroup, yekhanin_nice_sets
 from pirlab.protocols.mersenne import build_raghavendra, build_yekhanin
@@ -29,7 +29,7 @@ nice = yekhanin_nice_sets(7)
 print(f"gamma = {nice.gamma}  (1 + g + g^{nice.gamma} = 0 in F_8)")
 print(f"S1 = {nice.s1}, S0 = {nice.s0}")
 
-f8 = ExtField(2, 3)
+f8 = BinaryField(3)
 poly = SparsePoly(f8, ((0, f8.one), (1, f8.one), (nice.gamma, f8.one)))
 values = {d: poly.evaluate(f8.pow(f8.gen, d)) for d in (0, 1, 2, 4)}
 print("P(theta) = 1 + theta + theta^3 on powers of g:",

@@ -1,11 +1,13 @@
 """Exact arithmetic over the structures the retrieval protocols need.
 
-Everything here is pure and exact: prime fields F_p, small extension fields
-F_{p^e}, the cyclic group ring Z_m[g]/(g^m - 1) for squarefree m, sparse
-univariate polynomials, and Hasse derivatives of monomials.  Elements are
-plain Python ints (canonical residues) or tuples of ints (coefficient
-vectors); the structure objects carry the operations.  All values are
-immutable, so everything in this module is safe to share across threads.
+Everything here is pure and exact: prime fields F_p, the binary fields
+F_(2^r), the cyclic group ring Z_m[g]/(g^m - 1) for squarefree m, sparse
+univariate polynomials, and Hasse derivatives of monomials.  Elements of
+F_p and F_(2^r) are plain Python ints (canonical residues, or bit vectors
+of polynomial coefficients); only group-ring elements are tuples of ints.
+The structure objects carry the operations, and each has one ``dot``, the
+inner product of two element sequences.  All values are immutable, so
+everything in this module is safe to share across threads.
 
 Linear algebra is Gaussian elimination over a prime field.  On top of it,
 ``interpolation_vector`` computes the weights that recover a polynomial's
@@ -16,9 +18,10 @@ the reconstruction vector of every polynomial scheme.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import (
     DimensionMismatch,
@@ -114,6 +117,9 @@ class PrimeField:
     def mul(self, a: int, b: int) -> int:
         return a * b % self.p
 
+    def dot(self, a: Sequence[int], b: Sequence[int]) -> int:
+        return sum(map(operator.mul, a, b)) % self.p
+
     def inv(self, a: int) -> int:
         if a % self.p == 0:
             raise NonUnit(f"0 has no inverse in F_{self.p}")
@@ -143,102 +149,95 @@ def crt_combine(residues: Sequence[int], factors: Sequence[int]) -> int:
     return x % m
 
 
-def _poly_mod_mul(a: Sequence[int], b: Sequence[int], modulus: Sequence[int], p: int) -> tuple[int, ...]:
-    """Multiply coefficient vectors mod (monic modulus, p)."""
-    e = len(modulus)
-    prod = [0] * (2 * e - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    for d in range(2 * e - 2, e - 1, -1):
-        c = prod[d]
-        if c:
-            prod[d] = 0
-            for j, mj in enumerate(modulus):
-                prod[d - e + j] = (prod[d - e + j] - c * mj) % p
-    return tuple(prod[:e])
+def _poly2_mod(a: int, b: int) -> int:
+    """a mod b for polynomials over F_2 held as ints (bit j: coefficient of
+    x^j), by shift-and-XOR."""
+    while a.bit_length() >= b.bit_length():
+        a ^= b << (a.bit_length() - b.bit_length())
+    return a
 
 
-# Fixed representations for the small binary fields the protocols use:
-# x^2 + x + 1 for F_4 and x^3 + x + 1 for F_8 (lower coefficients only).
-SHIPPED_MODULI = {
-    (2, 2): (1, 1),
-    (2, 3): (1, 1, 0),
-}
+def _binary_modulus(r: int) -> int:
+    """x^3 + x + 1 for r = 3; otherwise the first irreducible monic f of
+    degree r over F_2 in lexicographic order of its lower coefficients
+    (c_0, ..., c_(r-1)).  f is irreducible iff no polynomial of degree 1 ..
+    r // 2 divides it."""
+    if r == 3:
+        return 0b1011
+    # Reversing k's r-bit string puts c_0 in k's top bit, so counting k up
+    # walks the coefficient tuples in lexicographic order.
+    candidates = ((1 << r) | int(f"{k:0{r}b}"[::-1], 2) for k in range(1 << r))
+    return next(
+        f
+        for f in candidates
+        if all(_poly2_mod(f, d) for d in range(2, 2 << r // 2))
+    )
 
 
-class ExtField:
-    """The extension field F_{p^e} = F_p[x]/(modulus).
+class BinaryField:
+    """The field F_(2^r) = F_2[x]/(f) for the fixed irreducible f of
+    ``_binary_modulus``.
 
-    Elements are length-e coefficient tuples, lowest degree first.  The
-    modulus is a monic degree-e polynomial given by its e lower coefficients;
-    F_4 and F_8 use the shipped constants above, anything else is found by
-    exhaustive search.  Irreducibility is verified at construction by
-    checking for roots and by trial division with every monic factor of
-    degree up to e // 2.
+    Elements are ints below 2^r: bit j is the coefficient of x^j, so
+    addition is XOR and multiplication is a shift-and-XOR product reduced
+    by f.  The int is also the element's wire value.
     """
 
-    def __init__(self, p: int, e: int, modulus: Sequence[int] | None = None):
-        if not is_prime(p):
-            raise ParamError(f"{p} is not prime")
-        if e < 2:
+    def __init__(self, r: int):
+        if r < 2:
             raise ParamError("extension degree must be >= 2")
-        self.p = p
-        self.e = e
-        base = PrimeField(p)
-        if modulus is None:
-            modulus = SHIPPED_MODULI.get((p, e)) or _find_irreducible(base, e)
-        self.modulus = tuple(c % p for c in modulus)
-        if len(self.modulus) != e:
-            raise ParamError("modulus must supply exactly e lower coefficients")
-        if not _is_irreducible(base, self.modulus):
-            raise ParamError(f"x^{e} + {list(self.modulus)} is reducible over F_{p}")
-        self.order = p**e
-        self.zero = (0,) * e
-        self.one = (1,) + (0,) * (e - 1)
-        # x itself; for F_{2^r} with 2^r - 1 prime this generates the
-        # multiplicative group.
-        self.gen = (0, 1) + (0,) * (e - 2)
+        self.r = r
+        self.modulus = _binary_modulus(r)
+        self.order = 1 << r
+        self.zero = 0
+        self.one = 1
+        # x itself; it generates the multiplicative group when 2^r - 1 is
+        # prime.
+        self.gen = 0b10
 
     def __repr__(self):
-        return f"ExtField({self.p}^{self.e})"
+        return f"BinaryField({self.r})"
 
     def __eq__(self, other):
-        return (
-            isinstance(other, ExtField)
-            and (other.p, other.e, other.modulus) == (self.p, self.e, self.modulus)
-        )
+        return isinstance(other, BinaryField) and other.r == self.r
 
     def __hash__(self):
-        return hash(("EF", self.p, self.e, self.modulus))
+        return hash(("F2", self.r))
 
-    def add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
+    def add(self, a: int, b: int) -> int:
+        return a ^ b
 
-    def mul(self, a, b):
-        return _poly_mod_mul(a, b, self.modulus, self.p)
+    def mul(self, a: int, b: int) -> int:
+        product = 0
+        while b:
+            if b & 1:
+                product ^= a
+            a <<= 1
+            b >>= 1
+        return _poly2_mod(product, self.modulus)
 
-    def pow(self, a, n: int):
+    def dot(self, a: Sequence[int], b: Sequence[int]) -> int:
+        return reduce(operator.xor, map(self.mul, a, b), 0)
+
+    def pow(self, a: int, n: int) -> int:
         if n < 0:
             return self.pow(self.inv(a), -n)
-        result = self.one
-        base = a
+        result = 1
         while n:
             if n & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
+                result = self.mul(result, a)
+            a = self.mul(a, a)
             n >>= 1
         return result
 
-    def inv(self, a):
-        if a == self.zero:
+    def inv(self, a: int) -> int:
+        if a == 0:
             raise NonUnit(f"0 has no inverse in {self!r}")
         return self.pow(a, self.order - 2)
 
-    def dlog(self, base, value) -> int:
+    def dlog(self, base: int, value: int) -> int:
         """Discrete log by enumeration; only sensible for tiny fields."""
-        acc = self.one
+        acc = 1
         for k in range(self.order - 1):
             if acc == value:
                 return k
@@ -247,59 +246,7 @@ class ExtField:
 
     @property
     def component_moduli(self) -> tuple[int, ...]:
-        return (self.p,) * self.e
-
-
-def _eval_monic(base: PrimeField, lower: Sequence[int], x: int) -> int:
-    acc = 1  # leading coefficient
-    for c in reversed(lower):
-        acc = (acc * x + c) % base.p
-    return acc
-
-
-def _is_irreducible(base: PrimeField, lower: Sequence[int]) -> bool:
-    e = len(lower)
-    for x in range(base.p):
-        if _eval_monic(base, lower, x) == 0:
-            return False
-    # No roots rules out linear factors; exhaustive trial division rules out
-    # factors of degree 2 .. e // 2.
-    for d in range(2, e // 2 + 1):
-        for divisor in _monic_polys(base, d):
-            if _poly_divides(base, divisor, lower, e):
-                return False
-    return True
-
-
-def _monic_polys(base: PrimeField, d: int) -> Iterator[tuple[int, ...]]:
-    def rec(prefix):
-        if len(prefix) == d:
-            yield tuple(prefix)
-            return
-        for c in range(base.p):
-            yield from rec(prefix + [c])
-
-    return rec([])
-
-
-def _poly_divides(base: PrimeField, div_lower: Sequence[int], lower: Sequence[int], e: int) -> bool:
-    p = base.p
-    d = len(div_lower)
-    rem = list(lower) + [1]  # degree-e monic
-    for k in range(e, d - 1, -1):
-        c = rem[k]
-        if c:
-            rem[k] = 0
-            for j, mj in enumerate(div_lower):
-                rem[k - d + j] = (rem[k - d + j] - c * mj) % p
-    return all(c == 0 for c in rem[:d])
-
-
-def _find_irreducible(base: PrimeField, e: int) -> tuple[int, ...]:
-    for lower in _monic_polys(base, e):
-        if _is_irreducible(base, lower):
-            return lower
-    raise NoSuchElement(f"no irreducible degree-{e} polynomial over F_{base.p}")
+        return (self.order,)
 
 
 class CyclicGroupRing:
@@ -345,6 +292,9 @@ class CyclicGroupRing:
                             k -= m
                         out[k] = (out[k] + ai * bj) % m
         return tuple(out)
+
+    def dot(self, a, b):
+        return reduce(self.add, map(self.mul, a, b), self.zero)
 
     def scalar_mul(self, c: int, a):
         return tuple(c * x % self.m for x in a)

@@ -13,8 +13,9 @@ algorithms, exact communication accounting, and the structural checks
 (orthogonal-array strength, unit-vector span) that protocols must pass.
 
 Answers live in R^D for a base ring R and a per-protocol dimension D; the
-pairing of a lambda block with an answer is the dot product over R, which
-degenerates to ring multiplication for scalar protocols (D = 1).
+client pairs the k lambda blocks with the k answers in one ``ring.dot``
+over R, which degenerates to ring multiplication for scalar protocols
+(D = 1).
 """
 
 from __future__ import annotations
@@ -222,7 +223,7 @@ class Scheme:
 
     def encode_answer(self, answer: Answer) -> bytes:
         """One codec message holding the D elements' components in order.
-        Prime-field elements are ints; other rings' are component tuples."""
+        Field elements are ints; group-ring elements are component tuples."""
         if not isinstance(self.ring.zero, int):
             answer = [c for element in answer for c in element]
         return self.answer_codec.encode(answer)
@@ -286,22 +287,13 @@ def alpha_sum(scheme: Scheme, x: Sequence[int], q: LevelPoint) -> Answer:
     return tuple(acc)
 
 
-def pair(ring, lam_block: Answer, ans: Answer):
-    """Dot product of a lambda block with one server's answer."""
-    if len(lam_block) != len(ans):
-        raise DimensionMismatch("lambda block / answer width mismatch")
-    acc = ring.zero
-    for l, a in zip(lam_block, ans):
-        acc = ring.add(acc, ring.mul(l, a))
-    return acc
-
-
 def combine(ring, lam, answers: Sequence[Answer]):
-    """y = sum_j <lambda_j, a_j>: the k answers paired with their blocks."""
-    y = ring.zero
-    for lam_j, a_j in zip(lam, answers):
-        y = ring.add(y, pair(ring, lam_j, a_j))
-    return y
+    """y = sum_j <lambda_j, a_j>: one dot product over the chained blocks,
+    once each block is known to be as wide as its answer."""
+    if list(map(len, lam)) != list(map(len, answers)):
+        raise DimensionMismatch("lambda blocks / answer widths mismatch")
+    chain = itertools.chain.from_iterable
+    return ring.dot(chain(lam), chain(answers))
 
 
 def reconstruct(scheme: Scheme, aux: Aux, answers: Sequence[Answer]) -> int:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .algebra import (
-    ExtField,
+    BinaryField,
     PrimeField,
     SparsePoly,
     crt_combine,
@@ -426,11 +426,11 @@ def two_subgroup(p: int) -> tuple[int, ...]:
     return tuple(pow(2, j, p) for j in range(r))
 
 
-def mersenne_field(p: int) -> tuple[int, ExtField, tuple[int, ...], int]:
+def mersenne_field(p: int) -> tuple[int, BinaryField, int, int]:
     """(r, F_{2^r}, g, gamma) for a Mersenne prime p = 2^r - 1: the field's
     generator g = x and the gamma with 1 + g + g^gamma = 0."""
     r = len(two_subgroup(p))
-    f2r = ExtField(2, r)
+    f2r = BinaryField(r)
     g = f2r.gen
     gamma = f2r.dlog(g, f2r.add(f2r.one, g))
     return r, f2r, g, gamma

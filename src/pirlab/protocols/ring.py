@@ -36,7 +36,7 @@ from ..algebra import (
     is_prime,
     squarefree_factors,
 )
-from ..engine import Codec, Scheme, pair
+from ..engine import Codec, Scheme
 from ..errors import NoMuNu, ParamError
 from ..mv import (
     DecodingPoly,
@@ -130,7 +130,7 @@ def solve_group_ring_recovery(m: int) -> tuple[tuple, list[tuple]]:
         [ring.scalar_mul(s, ring.basis(j * c)) for j in range(k) for s in (1, c)]
         for c in support
     ]
-    image = [pair(ring, row, mu) for row in matrix]
+    image = [ring.dot(row, mu) for row in matrix]
     if image != [nu] + [ring.zero] * (len(support) - 1):
         raise NoMuNu("(mu, nu) fails M mu = (nu, 0, ...)")
     for q in factors:

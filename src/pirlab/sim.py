@@ -287,10 +287,12 @@ class PirServer(socketserver.ThreadingTCPServer):
         return self
 
     def stop(self):
-        self.shutdown()
-        self.server_close()
+        # shutdown() waits for serve_forever to return, so on a server that
+        # was never started it would wait forever.
         if self._thread is not None:
+            self.shutdown()
             self._thread.join(timeout=2)
+        self.server_close()
 
 
 def serve(node: ServerNode, host: str = "127.0.0.1", port: int = 0) -> PirServer:

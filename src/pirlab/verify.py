@@ -31,7 +31,6 @@ from .errors import (
     BudgetExceeded,
     InconsistentAnswer,
     Mismatch,
-    ParamError,
 )
 
 DEFAULT_CORRECTNESS_BUDGET = 2**8 * 8 * 10**5
@@ -154,22 +153,16 @@ def exhaustive_correctness(
     return report
 
 
-def exhaustive_privacy(
-    scheme: Scheme,
-    t: int | None = None,
-    cap: int = DEFAULT_ROW_CAP,
-) -> PrivacyReport:
+def exhaustive_privacy(scheme: Scheme, cap: int = DEFAULT_ROW_CAP) -> PrivacyReport:
     """Exact multiset equality of projected queries across all index pairs.
 
     This is the privacy definition itself: for every coalition of t
-    servers, every index yields the same multiset of projected queries.
-    It does not ask that multiset to be uniform over S^t; that stronger
-    orthogonal-array property is what ``oa_family_check`` verifies.
+    servers, at the scheme's own threshold t, every index yields the same
+    multiset of projected queries.  It does not ask that multiset to be
+    uniform over S^t; that stronger orthogonal-array property is what
+    ``oa_family_check`` verifies.
     """
-    if t is None:
-        t = scheme.t
-    if not 1 <= t < scheme.k:
-        raise ParamError(f"need 1 <= t < k = {scheme.k}, got t = {t}")
+    t = scheme.t
     ells = list(scheme.enumerate_randomness(cap))
     report = PrivacyReport(protocol=scheme.name, t=t)
     for coalition in itertools.combinations(range(scheme.k), t):

@@ -13,7 +13,7 @@ import time
 import pytest
 
 from pirlab.algebra import (
-    ExtField,
+    BinaryField,
     SparsePoly,
     crt_combine,
     interpolation_matrix,
@@ -163,7 +163,7 @@ def test_criterion_06_mersenne_pair():
         nice = yekhanin_nice_sets(7)
         assert nice.gamma == 3
 
-        f8 = ExtField(2, 3)
+        f8 = BinaryField(3)
         g = f8.gen
         poly = SparsePoly(f8, ((0, f8.one), (1, f8.one), (3, f8.one)))
         for delta in (1, 2, 4):

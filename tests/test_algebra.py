@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pirlab.algebra import (
+    BinaryField,
     CyclicGroupRing,
-    ExtField,
     PrimeField,
     SparsePoly,
     crt_combine,
@@ -61,32 +61,108 @@ class TestPrimeField:
                 assert f.mul(a, f.inv(a)) == 1
 
 
+def _schoolbook_mul2(a, b, modulus):
+    """Independent F_2[x]/(f) product on coefficient lists: multiply out
+    term by term, then cancel the top terms with shifted copies of f."""
+    r = len(modulus) - 1
+    prod = [0] * (2 * r - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            prod[i + j] ^= ai & bj
+    for d in range(2 * r - 2, r - 1, -1):
+        if prod[d]:
+            for j, fj in enumerate(modulus):
+                prod[d - r + j] ^= fj
+    return prod[:r]
+
+
+def _bits(value, width):
+    return [value >> j & 1 for j in range(width)]
+
+
 class TestExtField:
+    """F_(2^r) as BinaryField: elements are ints, bit j the coefficient of
+    x^j."""
+
+    # The moduli in force; each enters gamma and so the Mersenne digests.
+    PINNED_MODULI = {
+        2: 0b111,  # x^2 + x + 1
+        3: 0b1011,  # x^3 + x + 1
+        5: 0b101001,  # x^5 + x^3 + 1
+        7: 0b11000001,  # x^7 + x^6 + 1
+        13: 0b11011000000001,  # x^13 + x^12 + x^10 + x^9 + 1
+    }
+
     def test_f8_uses_shipped_modulus(self):
-        f8 = ExtField(2, 3)
-        assert f8.modulus == (1, 1, 0)  # x^3 + x + 1
+        assert BinaryField(3).modulus == 0b1011  # x^3 + x + 1
 
     def test_f8_reduction(self):
         # x * x^2 = x^3 = x + 1 under x^3 + x + 1
-        f8 = ExtField(2, 3)
+        f8 = BinaryField(3)
         x = f8.gen
         x2 = f8.mul(x, x)
-        assert f8.mul(x, x2) == (1, 1, 0)
+        assert x2 == 0b100
+        assert f8.mul(x, x2) == 0b011
 
-    def test_rejects_reducible_modulus(self):
-        with pytest.raises(ParamError):
-            ExtField(2, 3, modulus=(1, 0, 0))  # x^3 + 1 = (x+1)(x^2+x+1)
+    def test_pinned_moduli_are_irreducible(self):
+        # Independent check, for prime r: f divides x^(2^r) - x, so its
+        # irreducible factors have degree 1 or r, and f(0) = f(1) = 1 rules
+        # out degree 1.
+        for r, f in self.PINNED_MODULI.items():
+            assert BinaryField(r).modulus == f
+            coeffs = _bits(f, r + 1)
+            assert coeffs[0] == 1 and sum(coeffs) % 2 == 1  # f(0), f(1)
+            power = _bits(0b10, r)  # x
+            for _ in range(r):
+                power = _schoolbook_mul2(power, power, coeffs)
+            assert power == _bits(0b10, r), r  # x^(2^r) = x mod f
+
+    @pytest.mark.parametrize("r", [2, 3, 5])
+    def test_mul_matches_schoolbook(self, r):
+        field = BinaryField(r)
+        coeffs = _bits(field.modulus, r + 1)
+        for a, b in itertools.product(range(2**r), repeat=2):
+            expected = _schoolbook_mul2(_bits(a, r), _bits(b, r), coeffs)
+            assert _bits(field.mul(a, b), r) == expected
 
     def test_f4_inverse_roundtrip(self):
-        f4 = ExtField(2, 2)
-        for el in itertools.product(range(2), repeat=2):
-            if el != f4.zero:
-                assert f4.mul(el, f4.inv(el)) == f4.one
+        f4 = BinaryField(2)
+        for el in range(1, 4):
+            assert f4.mul(el, f4.inv(el)) == f4.one
 
     def test_generator_order(self):
-        f8 = ExtField(2, 3)
+        f8 = BinaryField(3)
         powers = {f8.pow(f8.gen, k) for k in range(7)}
         assert len(powers) == 7
+
+
+def _fold_dot(ring, a, b):
+    acc = ring.zero
+    for x, y in zip(a, b, strict=True):
+        acc = ring.add(acc, ring.mul(x, y))
+    return acc
+
+
+def _random_element(ring, rng):
+    values = [rng.randrange(m) for m in ring.component_moduli]
+    return values[0] if isinstance(ring.zero, int) else tuple(values)
+
+
+class TestDot:
+    """Each ring's ``dot`` equals the fold of its own add and mul."""
+
+    @pytest.mark.parametrize(
+        "ring",
+        [PrimeField(2), PrimeField(7), BinaryField(3), BinaryField(5), CyclicGroupRing(6)],
+        ids=repr,
+    )
+    def test_dot_is_fold(self, ring):
+        rng = random.Random(0)
+        for length in (0, 1, 2, 5, 17):
+            for _ in range(5):
+                a = [_random_element(ring, rng) for _ in range(length)]
+                b = [_random_element(ring, rng) for _ in range(length)]
+                assert ring.dot(a, b) == _fold_dot(ring, a, b)
 
 
 class TestIntRing:
@@ -164,12 +240,12 @@ class TestOrderElement:
 
 class TestPolyEval:
     def test_vanishes_at_x_over_f8(self):
-        f8 = ExtField(2, 3)
+        f8 = BinaryField(3)
         poly = SparsePoly(f8, ((0, f8.one), (1, f8.one), (3, f8.one)))
         assert poly.evaluate(f8.gen) == f8.zero
 
     def test_value_one_at_one(self):
-        f8 = ExtField(2, 3)
+        f8 = BinaryField(3)
         poly = SparsePoly(f8, ((0, f8.one), (1, f8.one), (3, f8.one)))
         assert poly.evaluate(f8.one) == f8.one
 

@@ -24,6 +24,7 @@ from pirlab.engine import (
 )
 from pirlab.errors import (
     CapExceeded,
+    DimensionMismatch,
     InconsistentAnswer,
     MalformedQuery,
     OAFailure,
@@ -121,8 +122,8 @@ class TestCodec:
         ]
 
     def test_answer_roundtrip_every_desk_scheme(self):
-        # Covers int elements (prime fields) and the component tuples of
-        # ExtField (raghavendra) and CyclicGroupRing (dvir-gopi).
+        # Covers int elements (prime fields, and F_(2^r) for raghavendra)
+        # and the component tuples of CyclicGroupRing (dvir-gopi).
         rng = random.Random(5)
         for scheme in desk_schemes():
             for trial in range(4):
@@ -312,6 +313,18 @@ class TestReconstruct:
     def test_wrong_answer_count(self):
         with pytest.raises(ParamError):
             reconstruct(toy_instance(), Aux(0, (0,)), [(1,)])
+
+    def test_combine_rejects_short_lambda_block(self):
+        # A lambda block one element short of its answer must not be paired
+        # as if the missing element were zero.
+        for scheme in desk_schemes():
+            queries, aux = query_gen(scheme, 0, seed=3)
+            answers = [answer(scheme, (1,) * scheme.n, q) for q in queries]
+            lam, omega = scheme.recon(aux.i, aux.ell)
+            assert engine.combine(scheme.ring, lam, answers) == omega
+            short = (lam[0][:-1], *lam[1:])
+            with pytest.raises(DimensionMismatch):
+                engine.combine(scheme.ring, short, answers)
 
 
 class TestCommCost:

@@ -164,7 +164,7 @@ class TestLagrange:
         scheme = build_lagrange(2, 2, 3, 5)
         assert scheme.t == 2
         assert exhaustive_correctness(scheme).passed
-        assert exhaustive_privacy(scheme, t=2).passed
+        assert exhaustive_privacy(scheme).passed
         assert set(oa_family_check(scheme).values()) == {1}
 
     def test_preconditions(self):

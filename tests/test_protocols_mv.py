@@ -7,13 +7,13 @@ import random
 import pytest
 
 from pirlab.algebra import (
+    BinaryField,
     CyclicGroupRing,
-    ExtField,
     SparsePoly,
     crt_combine,
     interpolation_vector,
 )
-from pirlab.engine import comm_cost, pair, span_check
+from pirlab.engine import comm_cost, span_check
 from pirlab.errors import ParamError
 from pirlab.mv import MatchingFamily, canonical_set, search_matching_family
 from pirlab.protocols.mersenne import build_raghavendra, build_yekhanin
@@ -100,7 +100,7 @@ class TestYekhanin:
 
 class TestRaghavendra:
     def test_polynomial_identities(self):
-        f8 = ExtField(2, 3)
+        f8 = BinaryField(3)
         g = f8.gen
         poly = SparsePoly(f8, ((0, f8.one), (1, f8.one), (3, f8.one)))
         for delta in (1, 2, 4):
@@ -187,7 +187,7 @@ class TestDvirGopi:
             row = []
             for j in range(k):
                 row += [ring.basis(j * c), ring.scalar_mul(c, ring.basis(j * c))]
-            assert pair(ring, row, mu) == (nu if c == 0 else ring.zero)
+            assert ring.dot(row, mu) == (nu if c == 0 else ring.zero)
         for q in primes:
             assert any(x % q for x in nu)
 

@@ -3,6 +3,7 @@ pair, database files, and the bench table."""
 
 import dataclasses
 import hashlib
+import random
 import socket
 import struct
 import threading
@@ -140,34 +141,52 @@ class TestNode:
 # A client and a server agree only when they compute the same digest, so a
 # builder change that moves one breaks every deployment built before it.  The
 # second pin covers the queries: a refactor of ``row`` must keep every row.
+# The third covers the answers on the wire, the bytes of ``encode_answer``.
+# raghavendra and yekhanin at p = 31 pin F_(2^5), the first binary field
+# whose modulus the search picks rather than a constant.
 PINNED_DIGESTS = [
-    ("toy", {}, "fa0a9550fc7004d0", "254ee99461dbd7fe"),
-    ("cgks", {"n": 8}, "4b5adb15b95ebaec", "68c35e479db6389f"),
+    ("toy", {}, "fa0a9550fc7004d0", "254ee99461dbd7fe", "a0454a24dd4bc418"),
+    ("cgks", {"n": 8}, "4b5adb15b95ebaec", "68c35e479db6389f",
+     "f5340b544a6e34a2"),
     ("lagrange", {"n": 3, "t": 1, "k": 3, "p": 5},
-     "192ac9c5a312bc28", "18f097a65fc0a7b5"),
+     "192ac9c5a312bc28", "18f097a65fc0a7b5", "80134d07df2e0126"),
     ("hermite", {"n": 4, "t": 1, "k": 2, "p": 7},
-     "d6bfb7e83a9b68e7", "81c7917457b2cece"),
-    ("yekhanin", {}, "80725ddb2f6ad7f1", "c1ec7b370a1c2ef2"),
-    ("raghavendra", {}, "7432876131a598fa", "c1ec7b370a1c2ef2"),
-    ("efremenko", {"m": 6, "p": 7}, "50f98001b0a4025e", "3167994aba5da272"),
-    ("dvir-gopi", {"m": 6}, "f51a787961735340", "5f30874068016659"),
-    ("gks", {"m": 2, "p": 3}, "0ca7c7f01b7adf1d", "f4c69829a0fdf3b2"),
-    ("broken-demo", {}, "7ea0de08b19c09dc", "4fa32532433a4df2"),
-    ("cgks", {"n": 8192}, "022292099ba7685b", "379de9369d4dfa19"),
+     "d6bfb7e83a9b68e7", "81c7917457b2cece", "988ea33f145096fa"),
+    ("yekhanin", {}, "80725ddb2f6ad7f1", "c1ec7b370a1c2ef2",
+     "64d45c3d2d6bcf52"),
+    ("raghavendra", {}, "7432876131a598fa", "c1ec7b370a1c2ef2",
+     "affb16b74ececf9b"),
+    ("efremenko", {"m": 6, "p": 7}, "50f98001b0a4025e", "3167994aba5da272",
+     "8b9ebe223ef10610"),
+    ("dvir-gopi", {"m": 6}, "f51a787961735340", "5f30874068016659",
+     "e05605ba0090ab41"),
+    ("gks", {"m": 2, "p": 3}, "0ca7c7f01b7adf1d", "f4c69829a0fdf3b2",
+     "cb3603ec9b0b5178"),
+    ("broken-demo", {}, "7ea0de08b19c09dc", "4fa32532433a4df2",
+     "a0454a24dd4bc418"),
+    ("cgks", {"n": 8192}, "022292099ba7685b", "379de9369d4dfa19",
+     "83a33a11441ba15e"),
     ("lagrange", {"n": 65536, "t": 1, "k": 3, "p": 13},
-     "accb5306a569fa7a", "6049be563cf464d6"),
-    ("cgks", {"n": 64}, "f38c65e3c9d1b9d2", "d4dd3682abf3cebf"),
+     "accb5306a569fa7a", "6049be563cf464d6", "2c6c34be10b0296c"),
+    ("cgks", {"n": 64}, "f38c65e3c9d1b9d2", "d4dd3682abf3cebf",
+     "b61f3e9c9e94d266"),
     ("hermite", {"n": 64, "t": 1, "k": 2, "p": 5},
-     "4885f61018fed862", "2b2058b7f6582577"),
-    ("dvir-gopi", {"m": 6, "n": 3}, "f51a787961735340", "5f30874068016659"),
-    ("gks", {"m": 2, "p": 3, "n": 3}, "0ca7c7f01b7adf1d", "f4c69829a0fdf3b2"),
+     "4885f61018fed862", "2b2058b7f6582577", "eef002cddb1fcae4"),
+    ("dvir-gopi", {"m": 6, "n": 3}, "f51a787961735340", "5f30874068016659",
+     "e05605ba0090ab41"),
+    ("gks", {"m": 2, "p": 3, "n": 3}, "0ca7c7f01b7adf1d", "f4c69829a0fdf3b2",
+     "cb3603ec9b0b5178"),
+    ("raghavendra", {"p": 31}, "9088d5db7e21c4f2", "b92ae49dc4597a8d",
+     "3ad4bb4acff3eede"),
+    ("yekhanin", {"p": 31}, "7715e50481dd343c", "b92ae49dc4597a8d",
+     "81cb25eb30092ad4"),
 ]
 
 
 # The ids name the protocol and its config, never the digest, so that moving
 # a pin keeps the test's name.
 _pinned = pytest.mark.parametrize(
-    "name,config,param_pin,row_pin",
+    "name,config,param_pin,row_pin,answer_pin",
     PINNED_DIGESTS,
     ids=[
         "-".join([name, *(f"{key}{value}" for key, value in config.items())])
@@ -177,12 +196,12 @@ _pinned = pytest.mark.parametrize(
 
 
 @_pinned
-def test_param_digest_pinned(name, config, param_pin, row_pin):
+def test_param_digest_pinned(name, config, param_pin, row_pin, answer_pin):
     assert param_digest(build_named(name, config)) == param_pin
 
 
 @_pinned
-def test_rows_pinned(name, config, param_pin, row_pin):
+def test_rows_pinned(name, config, param_pin, row_pin, answer_pin):
     # row(i, ell) for a few i at ranks spread over the whole randomness space.
     scheme = build_named(name, config)
     size = scheme.num_rows
@@ -192,6 +211,21 @@ def test_rows_pinned(name, config, param_pin, row_pin):
         for i in sorted({0, scheme.n // 2, scheme.n - 1}):
             rows.update(repr(scheme.row(i, ell)).encode())
     assert rows.hexdigest()[:16] == row_pin
+
+
+@_pinned
+def test_answers_pinned(name, config, param_pin, row_pin, answer_pin):
+    # The encoded answers to the queries of two seeded retrievals, on one
+    # seeded database.
+    scheme = build_named(name, config)
+    rng = random.Random(2024)
+    x = tuple(rng.randrange(2) for _ in range(scheme.n))
+    answers = hashlib.sha256()
+    for i, seed in ((0, 1), (scheme.n - 1, 2)):
+        queries, _ = query_gen(scheme, i, seed=seed)
+        for q in queries:
+            answers.update(scheme.encode_answer(answer(scheme, x, q)))
+    assert answers.hexdigest()[:16] == answer_pin
 
 
 @pytest.fixture()
@@ -414,6 +448,16 @@ class TestTcp:
         scheme, _, servers = cgks_servers
         with pytest.raises(ParamError):
             client_retrieve([servers[0].endpoint], scheme, 0, seed=0)
+
+    def test_stop_without_start_returns_and_frees_the_port(self):
+        server = PirServer(ServerNode(1, build_cgks(8), (0,) * 8))
+        port = server.endpoint[1]
+        stopper = threading.Thread(target=server.stop, daemon=True)
+        stopper.start()
+        stopper.join(timeout=2)
+        assert not stopper.is_alive()
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", port))
 
     def test_concurrent_clients_identical_answers(self, cgks_servers):
         scheme, x, servers = cgks_servers

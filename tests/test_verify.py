@@ -11,7 +11,6 @@ from pirlab.errors import (
     CapExceeded,
     Mismatch,
     OAFailure,
-    ParamError,
 )
 from pirlab.protocols.cube import build_cgks
 from pirlab.protocols.curve import build_lagrange
@@ -109,10 +108,6 @@ class TestPrivacySemantics:
         relabeled = exhaustive_privacy(shuffled)
         assert relabeled.passed == base.passed
         assert oa_family_check(shuffled) == oa_family_check(scheme)
-
-    def test_t_must_be_below_k(self):
-        with pytest.raises(ParamError):
-            exhaustive_privacy(toy_instance(), t=2)
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
