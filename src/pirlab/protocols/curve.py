@@ -20,6 +20,10 @@ d-subset of [h] in colexicographic order.  Colex order is the combinatorial
 number system: the support c_1 < ... < c_d has rank tau = sum_j C(c_j, j).
 So the builders keep one table of C(c, j) per degree j, not the n supports,
 and ``colex_unrank`` recovers a support with one bisection per degree.
+Each table is the running sum of the one below it, by the hockey-stick
+identity C(c, j) = sum_{m < c} C(m, j-1), starting from C(c, 0) = 1; so a
+build makes no ``math.comb`` call per coordinate.  ``minimal_h`` finds h by
+bisection, with O(log n) calls in all.
 
 The ranks whose top element is b form the block [C(b, d), C(b+1, d)), and
 the lower (d-1)-subsets of that block are again in colex order.  So
@@ -44,8 +48,14 @@ from ..errors import ParamError
 
 
 def binomial_tables(h: int, d: int) -> list[list[int]]:
-    """Row j holds C(c, j) for c in range(h), for each degree j <= d."""
-    return [[math.comb(c, j) for c in range(h)] for j in range(d + 1)]
+    """Row j holds C(c, j) for c in range(h), for each degree j <= d.
+
+    Row j is the prefix sums of row j - 1, shifted by one place."""
+    tables = [[1] * h]
+    for _ in range(d):
+        sums = itertools.accumulate(tables[-1], initial=0)
+        tables.append(list(itertools.islice(sums, h)))
+    return tables
 
 
 def colex_unrank(rank: int, d: int, tables: list[list[int]]) -> tuple[int, ...]:
@@ -93,10 +103,15 @@ def _block_sum(x, z, d: int, tables: list[list[int]]) -> int:
 
 
 def minimal_h(d: int, n: int) -> int:
-    h = max(d, 1)
-    while math.comb(h, d) < n:
-        h += 1
-    return h
+    """The least h >= max(d, 1) with C(h, d) >= n, so that n indices fit
+    in the weight-d vectors of length h.
+
+    C(h, d) grows with h, and C(lo + n - 1, d) >= n for d >= 1, so a
+    bisection over [lo, lo + n) finds h with O(log n) ``math.comb`` calls."""
+    lo = max(d, 1)
+    return lo + bisect.bisect_left(
+        range(lo, lo + n), n, key=lambda h: math.comb(h, d)
+    )
 
 
 def _columns_times(ell, weights) -> list[int]:

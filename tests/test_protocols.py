@@ -131,6 +131,45 @@ class TestWeightVectors:
         assert minimal_h(2, 3) == 3
         assert minimal_h(3, 4) == 4
         assert minimal_h(1, 5) == 5
+        for d in range(1, 8):
+            # A linear scan, resumed from the last n's h since h grows with n.
+            h = d
+            for n in range(1, 3000):
+                while math.comb(h, d) < n:
+                    h += 1
+                assert minimal_h(d, n) == h, (d, n)
+
+    @pytest.mark.parametrize("n", [2**20, 2**24, 2**40])
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_minimal_h_is_least(self, d, n):
+        h = minimal_h(d, n)
+        assert math.comb(h, d) >= n > math.comb(h - 1, d)
+
+    def test_binomial_tables_match_comb(self):
+        for h in range(1, 65):
+            for d in range(7):
+                assert binomial_tables(h, d) == [
+                    [math.comb(c, j) for c in range(h)] for j in range(d + 1)
+                ], (h, d)
+
+    @pytest.mark.parametrize(
+        "build, args",
+        [(build_lagrange, (2**24, 1, 3, 13)), (build_wy_hermite, (2**20, 1, 2, 7))],
+    )
+    def test_build_makes_few_comb_calls(self, monkeypatch, build, args):
+        # Choosing h and filling the tables must not cost one math.comb per
+        # coordinate: h is about 5800 for the first build here.
+        calls = 0
+        comb = math.comb
+
+        def counting_comb(*a):
+            nonlocal calls
+            calls += 1
+            return comb(*a)
+
+        monkeypatch.setattr(math, "comb", counting_comb)
+        build(*args)
+        assert 0 < calls <= 64
 
 
 class TestLagrange:

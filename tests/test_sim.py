@@ -3,6 +3,7 @@ pair, database files, and the bench table."""
 
 import dataclasses
 import hashlib
+import math
 import random
 import socket
 import struct
@@ -22,7 +23,7 @@ from pirlab.errors import (
 )
 from pirlab.protocols.cube import build_cgks
 from pirlab.protocols.curve import build_lagrange
-from pirlab.protocols.registry import build_named
+from pirlab.protocols.registry import build_named, desk_schemes
 from pirlab.protocols.toy import toy_instance
 from pirlab.sim import (
     FRAME_HEADER_LEN,
@@ -136,6 +137,16 @@ class TestNode:
             ServerNode(server_id=3, scheme=toy_instance(), database=(1, 0))
         with pytest.raises(ParamError):
             ServerNode(server_id=1, scheme=toy_instance(), database=(1, 0, 1))
+
+    @pytest.mark.parametrize("entry", [0, 1, False, True])
+    def test_accepts_bit_entries(self, entry):
+        ServerNode(server_id=1, scheme=toy_instance(), database=(entry, 1))
+
+    @pytest.mark.parametrize("entry", [2, -1, 0.5, None, "1"])
+    def test_rejects_non_bit_entries(self, entry):
+        for database in ((entry, 1), (0, entry)):
+            with pytest.raises(ParamError, match="must be bits"):
+                ServerNode(server_id=1, scheme=toy_instance(), database=database)
 
 
 # A client and a server agree only when they compute the same digest, so a
@@ -539,6 +550,24 @@ class TestBench:
             assert row["predicted_bits"] == row["raw_bits"]
             assert row["lower_bound_bits"] > 0
 
+    @pytest.mark.parametrize(
+        "scheme", [*desk_schemes(), build_named("broken-demo")], ids=lambda s: s.name
+    )
+    def test_desk_codecs_match_closed_form(self, scheme):
+        # predicted_bits comes from the paper's formula over the report, so
+        # this checks the codec widths, not a copy of them.
+        (row,) = bench(lambda n: scheme, [scheme.n], trials=1)
+        assert math.isclose(row["predicted_bits"], row["raw_bits"], abs_tol=1e-3)
+
+    @pytest.mark.parametrize("name", ["lagrange", "hermite"])
+    @pytest.mark.parametrize("t,k", [(1, 2), (1, 3), (2, 3), (2, 5)])
+    def test_curve_codecs_match_closed_form(self, name, t, k):
+        def build(n):
+            return build_named(name, {"n": n, "t": t, "k": k, "p": 11})
+
+        for row in bench(build, [1, 7, 100, 1000], trials=1):
+            assert math.isclose(row["predicted_bits"], row["raw_bits"], abs_tol=1e-3)
+
     def test_timing_columns_optional(self):
         rows = bench(build_cgks, [8], trials=1)
         assert "server_time_s" not in rows[0]
@@ -546,8 +575,6 @@ class TestBench:
         assert "server_time_s" in rows[0] and "client_time_s" in rows[0]
 
     def test_lagrange_formula(self):
-        import math
-
         rows = bench(lambda n: build_lagrange(n, 1, 3, 5), [3], trials=1)
         h = 3
         assert rows[0]["raw_bits"] == pytest.approx(
