@@ -8,7 +8,8 @@ win, and each subcommand skips the keys of the others.  All randomness
 flows from a single --seed, so a fixed invocation prints byte-identical
 reports.  The exception is ``get``: without --seed it draws the query
 randomness of every retrieval from the operating system
-(``secrets.SystemRandom``), so no server can predict or repeat it.
+(``random.SystemRandom``, which reads ``os.urandom``), so no server can
+predict or repeat it.
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage or
 parameter error, 3 transport error.
@@ -309,7 +310,7 @@ def _cmd_serve(args, report: _Report) -> int:
     host, port = server.endpoint
     report.emit(
         f"serving {scheme.name} server {args.id}/{scheme.k} on {host}:{port} "
-        f"(n={scheme.n}, digest {param_digest(scheme)})"
+        f"(n={scheme.n}, digest {server.digest})"
     )
     with server, contextlib.suppress(KeyboardInterrupt):
         server.serve_forever()

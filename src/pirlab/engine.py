@@ -25,7 +25,6 @@ import itertools
 import math
 import operator
 import random
-import secrets
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
@@ -252,7 +251,7 @@ def query_gen(
     """
     if not 0 <= i < scheme.n:
         raise ParamError(f"index {i} out of range [0, {scheme.n})")
-    rng = secrets.SystemRandom() if seed is None else random.Random(seed)
+    rng = random.SystemRandom() if seed is None else random.Random(seed)
     ell = scheme.sample_randomness(rng)
     return scheme.row(i, ell), Aux(i, ell)
 

@@ -15,7 +15,7 @@ import pytest
 from pirlab import cli
 from pirlab.cli import main
 from pirlab.protocols.cube import build_cgks
-from pirlab.sim import ServerNode, Transcript, serve
+from pirlab.sim import ServerNode, Transcript, param_digest, serve
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -378,6 +378,7 @@ class TestNetworkCommands:
             for proc in procs:
                 assert select.select([proc.stdout], [], [], 30)[0], "no banner"
                 banner = proc.stdout.readline()
+                assert f"digest {param_digest(build_cgks(8))})" in banner
                 endpoints.append(re.search(r" on (\S+:\d+) ", banner).group(1))
             code, out, _ = run_cli(
                 capsys, "get", "cgks", "--n", "8", "--index", "3",

@@ -4,7 +4,6 @@ communication accounting, mostly exercised on the hand-sized instance."""
 import dataclasses
 import math
 import random
-import secrets
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -208,13 +207,13 @@ class TestQueryGen:
     def test_no_seed_draws_from_the_operating_system(self, monkeypatch):
         draws = []
 
-        class RecordingSystemRandom(secrets.SystemRandom):
+        class RecordingSystemRandom(random.SystemRandom):
             def randrange(self, *args):
                 value = super().randrange(*args)
                 draws.append(value)
                 return value
 
-        monkeypatch.setattr(engine.secrets, "SystemRandom", RecordingSystemRandom)
+        monkeypatch.setattr(engine.random, "SystemRandom", RecordingSystemRandom)
         scheme = build_lagrange(5, 1, 3, 7)
         x = (1, 0, 1, 1, 0)
         for i in range(scheme.n):
@@ -244,11 +243,21 @@ class TestQueryGen:
                 assert stop == scheme.num_rows
                 return next(ranks)
 
-        monkeypatch.setattr(engine.secrets, "SystemRandom", RankByRank)
+        monkeypatch.setattr(engine.random, "SystemRandom", RankByRank)
         ells = [
             query_gen(scheme, 0, seed=None)[1].ell for _ in range(scheme.num_rows)
         ]
         assert sorted(ells) == sorted(scheme.enumerate_randomness())
+
+    def test_no_seed_ignores_the_global_random_state(self):
+        # A fallback to the global or any seeded generator would repeat ell
+        # here; the operating system's draws repeat with probability 1/N.
+        scheme = build_lagrange(65536, 1, 3, 13)
+        ells = []
+        for _ in range(2):
+            random.seed(2024)
+            ells.append(query_gen(scheme, 0, seed=None)[1].ell)
+        assert ells[0] != ells[1]
 
 
 class TestAnswer:

@@ -174,3 +174,40 @@ def test_cli_import_leaves_heavy_modules_unloaded():
             check=True,
         )
         assert out.stdout.strip() == "[]", name
+
+
+def test_digest_free_paths_leave_libcrypto_unloaded():
+    # hashlib loads OpenSSL's libcrypto, about 3.6 MB of resident memory.
+    # Only a parameter digest needs it, so retrieval in process, the
+    # builders, the suites, `verify` and `bench` must never import it.
+    crypto = {"_hashlib", "hashlib", "hmac", "secrets", "ssl"}
+    code = f"""
+import contextlib, io, sys
+import pirlab, pirlab.sim, pirlab.verify
+from pirlab import cli, verify
+from pirlab.protocols.registry import desk_schemes
+from pirlab.protocols.toy import toy_instance
+from pirlab.sim import run_inprocess
+desk_schemes()
+toy = toy_instance()
+x = (1, 0)
+run_inprocess(toy, x, 1, seed=None)
+_, transcript = run_inprocess(toy, x, 1, seed=7)
+verify.exhaustive_correctness(toy)
+verify.exhaustive_privacy(toy)
+verify.span_check_all(toy)
+verify.oa_family_check(toy)
+verify.comm_audit(toy, transcript)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["verify", "toy"]) == 0
+    assert cli.main(["bench", "cgks", "--n", "8"]) == 0
+print(sorted({crypto!r} & set(sys.modules)))
+pirlab.sim.param_digest(toy)
+print("_hashlib" in sys.modules)
+"""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.split("\n")[:2] == ["[]", "True"]
