@@ -1,10 +1,10 @@
 """Exact arithmetic over the structures the retrieval protocols need.
 
 Everything here is pure and exact: prime fields F_p, the binary fields
-F_(2^r), the cyclic group ring Z_m[g]/(g^m - 1) for squarefree m, sparse
-univariate polynomials, and Hasse derivatives of monomials.  Elements of
-F_p and F_(2^r) are plain Python ints (canonical residues, or bit vectors
-of polynomial coefficients); only group-ring elements are tuples of ints.
+F_(2^r), the cyclic group ring Z_m[g]/(g^m - 1) for squarefree m, and
+sparse univariate polynomials.  Elements of F_p and F_(2^r) are plain
+Python ints (canonical residues, or bit vectors of polynomial
+coefficients); only group-ring elements are tuples of ints.
 The structure objects carry the operations, and each has one ``dot``, the
 inner product of two element sequences.  All values are immutable, so
 everything in this module is safe to share across threads.
@@ -17,7 +17,6 @@ the reconstruction vector of every polynomial scheme.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from functools import reduce
@@ -99,6 +98,8 @@ class PrimeField:
         if not is_prime(p):
             raise ParamError(f"{p} is not prime")
         self.p = p
+        # Every wire component of an element is a residue below this.
+        self.component_modulus = p
         self.zero = 0
         self.one = 1
 
@@ -129,11 +130,6 @@ class PrimeField:
         if e < 0:
             return pow(self.inv(a), -e, self.p)
         return pow(a, e, self.p)
-
-    # The moduli of an element's components, in the order the wire sends them.
-    @property
-    def component_moduli(self) -> tuple[int, ...]:
-        return (self.p,)
 
 
 def crt_combine(residues: Sequence[int], factors: Sequence[int]) -> int:
@@ -189,6 +185,7 @@ class BinaryField:
         self.r = r
         self.modulus = _binary_modulus(r)
         self.order = 1 << r
+        self.component_modulus = self.order
         self.zero = 0
         self.one = 1
         # x itself; it generates the multiplicative group when 2^r - 1 is
@@ -244,10 +241,6 @@ class BinaryField:
             acc = self.mul(acc, base)
         raise NoSuchElement(f"{value} is not a power of {base}")
 
-    @property
-    def component_moduli(self) -> tuple[int, ...]:
-        return (self.order,)
-
 
 class CyclicGroupRing:
     """The group ring Z_m[g]/(g^m - 1) for squarefree m.
@@ -258,6 +251,7 @@ class CyclicGroupRing:
 
     def __init__(self, m: int):
         self.m = m
+        self.component_modulus = m
         self.factors = squarefree_factors(m)
         self.zero = (0,) * m
         self.one = (1,) + (0,) * (m - 1)
@@ -303,10 +297,6 @@ class CyclicGroupRing:
         """Multiply by g^exponent (a cyclic rotation of the coefficients)."""
         s = exponent % self.m
         return tuple(a[(i - s) % self.m] for i in range(self.m))
-
-    @property
-    def component_moduli(self) -> tuple[int, ...]:
-        return (self.m,) * self.m
 
 
 @dataclass(frozen=True)
@@ -355,31 +345,6 @@ def find_order_element(field: PrimeField, m: int) -> int:
         if all(pow(g, m // q, p) != 1 for q in prime_divisors):
             return g
     raise NoSuchElement(f"no element of order {m} found in F_{p}")
-
-
-def hasse_of_monomial(
-    field: PrimeField,
-    u: Sequence[int],
-    i: Sequence[int],
-    z: Sequence[int],
-) -> int:
-    """The i-th Hasse derivative of z -> z^u evaluated at z.
-
-    Equals prod_j C(u_j, i_j) * z^(u - i) with the binomial coefficients
-    computed over the integers and reduced mod p; zero whenever any
-    i_j > u_j.
-    """
-    if len(u) != len(i) or len(u) != len(z):
-        raise DimensionMismatch("u, i, z must have equal length")
-    coeff = 1
-    value = 1
-    p = field.p
-    for uj, ij, zj in zip(u, i, z):
-        if ij > uj:
-            return 0
-        coeff = coeff * math.comb(uj, ij) % p
-        value = value * pow(zj % p, uj - ij, p) % p
-    return coeff * value % p
 
 
 def _eliminate(A: Matrix, b: Vector, p: int):

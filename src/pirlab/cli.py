@@ -257,7 +257,7 @@ def _cmd_verify(args, report: _Report) -> int:
                 r = exhaustive_correctness(scheme)
             except BudgetExceeded:
                 r = exhaustive_correctness(
-                    scheme, databases=list(structured_databases(scheme.n))
+                    scheme, databases=structured_databases(scheme.n)
                 )
             report.emit(*r.to_lines())
             ok &= r.passed

@@ -20,10 +20,8 @@ over R, which degenerates to ring multiplication for scalar protocols
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import operator
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -53,63 +51,58 @@ class Aux(NamedTuple):
 
 
 class Codec:
-    """Fixed-width byte codec for a tuple of residues.
+    """Fixed-width byte codec for ``count`` residues below one ``radix``.
 
-    Value j lies in [0, radices[j]); a bit is a value of radix 2.  The tuple
-    is sent as one mixed-radix integer sum_j v_j * prod_{i<j} r_i, written
-    little-endian in ceil(bitlen(prod r - 1) / 8) bytes.  So the width is
-    rounded up to whole bytes once per message, not once per value, and it
-    is less than 8 bits above ``raw_bits``, the information-theoretic width
-    sum(log2 r) (a float).  The map is a bijection onto the integers below
-    prod r, so decode accepts exactly the canonical byte strings.
+    A bit is a value of radix 2.  The tuple is sent as one integer
+    sum_j v_j * radix^j, written little-endian in
+    ceil(bitlen(radix^count - 1) / 8) bytes.  So the width is rounded up to
+    whole bytes once per message, not once per value, and it is less than
+    8 bits above ``raw_bits``, the information-theoretic width
+    count * log2(radix) (a float).  The map is a bijection onto the
+    integers below radix^count, so decode accepts exactly the canonical
+    byte strings.
 
-    The integer is built and split through a product tree over the radices,
-    one level at a time: neighbours pair up as low + high * (product of the
-    low node's radices), and an odd node out is carried up unchanged.  That
-    is O(log h) list-wide passes instead of h steps on a growing integer.
+    The integer is built and split through a product tree, one level at a
+    time: at level l neighbours pair up as low + high * radix^(2^l), and an
+    odd node out is carried up unchanged.  The carried node is always the
+    last, so every low node is full and each level has one base.  That is
+    O(log count) list-wide passes instead of count steps on a growing
+    integer.
     """
 
-    def __init__(self, radices: Sequence[int]):
-        self.radices = tuple(radices)
-        if not self.radices or min(self.radices) < 2:
-            raise ParamError("a codec needs at least one radix, and each >= 2")
-        self.nvalues = len(self.radices)
-        self.raw_bits = sum(map(math.log2, self.radices))
-        # _splits[level] holds the radix product of each pair's low node.
-        splits = []
-        products = list(self.radices)
-        while len(products) > 1:
-            low = products[0 : len(products) // 2 * 2 : 2]
-            merged = list(map(operator.mul, low, products[1::2]))
-            merged += products[len(low) * 2 :]
-            splits.append(low)
-            products = merged
-        self._splits = tuple(splits)
-        self.size = products[0]
+    def __init__(self, radix: int, count: int):
+        if radix < 2 or count < 1:
+            raise ParamError("a codec needs a radix >= 2 and at least one value")
+        self.radix = radix
+        self.count = count
+        self.raw_bits = count * math.log2(radix)
+        self.size = radix**count
         self.nbytes = ((self.size - 1).bit_length() + 7) // 8
-
-    @classmethod
-    def uints(cls, modulus: int, count: int) -> "Codec":
-        return cls((modulus,) * count)
+        # One (pairs, base) per tree level, leaves first.
+        levels = []
+        base, nodes = radix, count
+        while nodes > 1:
+            levels.append((nodes // 2, base))
+            base *= base
+            nodes -= nodes // 2
+        self._levels = tuple(levels)
 
     def validate(self, values: Sequence[int]) -> None:
-        if len(values) != self.nvalues:
+        if len(values) != self.count:
             raise MalformedQuery(
-                f"expected {self.nvalues} values, got {len(values)}"
+                f"expected {self.count} values, got {len(values)}"
             )
-        if min(values) < 0 or not all(map(operator.lt, values, self.radices)):
-            v, r = next(
-                (v, r) for v, r in zip(values, self.radices) if not 0 <= v < r
-            )
-            raise MalformedQuery(f"value {v} out of range [0, {r})")
+        low, high = min(values), max(values)
+        if low < 0 or high >= self.radix:
+            v = low if low < 0 else high
+            raise MalformedQuery(f"value {v} out of range [0, {self.radix})")
 
     def encode(self, values: Sequence[int]) -> bytes:
         self.validate(values)
         nums = values
-        for low in self._splits:
-            highs = map(operator.mul, nums[1::2], low)
-            merged = list(map(operator.add, nums[0::2], highs))
-            merged += nums[len(low) * 2 :]
+        for pairs, base in self._levels:
+            merged = [lo + hi * base for lo, hi in zip(nums[0::2], nums[1::2])]
+            merged += nums[2 * pairs :]
             nums = merged
         return nums[0].to_bytes(self.nbytes, "little")
 
@@ -121,20 +114,20 @@ class Codec:
         number = int.from_bytes(data, "little")
         if number >= self.size:
             raise MalformedQuery(
-                f"encoded value exceeds the space of {self.nvalues} values"
+                f"encoded value exceeds the space of {self.count} values"
             )
         return self.unrank(number)
 
     def unrank(self, number: int) -> tuple[int, ...]:
-        """The value tuple whose mixed-radix integer is ``number``, which
-        must lie in [0, size): the inverse of encode before its bytes."""
+        """The value tuple whose integer is ``number``, which must lie in
+        [0, size): the inverse of encode before its bytes."""
         nums = [number]
-        for low in reversed(self._splits):
-            highs, lows = zip(*map(divmod, nums, low))
-            split = [0] * (2 * len(low))
+        for pairs, base in reversed(self._levels):
+            highs, lows = zip(*map(divmod, nums, itertools.repeat(base, pairs)))
+            split = [0] * (2 * pairs)
             split[0::2] = lows
             split[1::2] = highs
-            split += nums[len(low) :]
+            split += nums[pairs:]
             nums = split
         return tuple(nums)
 
@@ -144,7 +137,7 @@ class Codec:
             raise CapExceeded(
                 f"codec space of {self.size} values exceeds cap {cap}"
             )
-        return itertools.product(*(range(r) for r in self.radices))
+        return itertools.product(range(self.radix), repeat=self.count)
 
 
 @dataclass(frozen=True)
@@ -152,8 +145,10 @@ class Scheme:
     """One complete protocol instantiation.
 
     ``row(i, ell)`` returns the k queries for index i under randomness ell,
-    a value of ``randomness``, the codec over ``radices``; a draw of ell is
-    one uniform rank in [0, N), split by ``randomness.unrank``.  ``alpha(tau,
+    a value of the codec ``randomness``; a draw of ell is one uniform rank
+    in [0, N), split by ``randomness.unrank``.  Where ell ranges over the
+    level set itself (cgks, the matching-vector schemes, curves at t = 1),
+    the builder passes its level codec as ``randomness``.  ``alpha(tau,
     z)`` evaluates the tau-th encoding map at a level point, returning a
     D-tuple over ``ring``.  ``recon(i, ell)`` returns (lambda, omega):
     lambda is k blocks of D ring elements and omega is a nonzero ring
@@ -179,7 +174,7 @@ class Scheme:
     ring: object
     answer_dim: int
     level_codec: Codec
-    radices: tuple[int, ...]
+    randomness: Codec
     row: Callable[[int, tuple[int, ...]], tuple[LevelPoint, ...]]
     alpha: Callable[[int, LevelPoint], Answer]
     recon: Callable[[int, tuple[int, ...]], tuple[tuple[Answer, ...], object]]
@@ -198,14 +193,11 @@ class Scheme:
         # The first **header fixes the key order, the last one the values.
         object.__setattr__(self, "report", {**header, **self.report, **header})
         if self.answer_codec is None:
-            codec = Codec(self.ring.component_moduli * self.answer_dim)
+            # Field elements are ints; group-ring elements are tuples.
+            zero = self.ring.zero
+            width = 1 if isinstance(zero, int) else len(zero)
+            codec = Codec(self.ring.component_modulus, width * self.answer_dim)
             object.__setattr__(self, "answer_codec", codec)
-
-    @functools.cached_property
-    def randomness(self) -> Codec:
-        """The space ell ranges over, one value per radix.  Built on first
-        use: at h = 363 it costs a quarter of a lagrange build."""
-        return Codec(self.radices)
 
     @property
     def num_rows(self) -> int:
@@ -231,7 +223,7 @@ class Scheme:
         values = self.answer_codec.decode(data)
         if isinstance(self.ring.zero, int):
             return values
-        width = len(self.ring.component_moduli)
+        width = len(self.ring.zero)
         return tuple(
             values[j : j + width] for j in range(0, len(values), width)
         )

@@ -167,6 +167,7 @@ def exponent_scheme(
         c = gpow[-dot_mod(family.u[i], ell, m) % m]
         return tuple((ring.mul(c, rho),) for rho in coeffs), ring.one
 
+    levels = Codec(m, h)
     return Scheme(
         name=name,
         n=family.n,
@@ -174,8 +175,8 @@ def exponent_scheme(
         t=1,
         ring=ring,
         answer_dim=1,
-        level_codec=Codec.uints(m, h),
-        radices=(m,) * h,
+        level_codec=levels,
+        randomness=levels,
         row=shift_row(family, offsets, m),
         alpha=alpha,
         recon=recon,

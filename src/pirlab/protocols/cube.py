@@ -68,6 +68,7 @@ def build_cgks(n: int) -> Scheme:
         lam_block = tuple(block)
         return (lam_block, lam_block), 1
 
+    levels = Codec(zeta, 3)
     return Scheme(
         name="cgks",
         n=n,
@@ -75,8 +76,8 @@ def build_cgks(n: int) -> Scheme:
         t=1,
         ring=field,
         answer_dim=dim,
-        level_codec=Codec.uints(zeta, 3),
-        radices=(zeta, zeta, zeta),
+        level_codec=levels,
+        randomness=levels,
         row=row,
         alpha=alpha,
         recon=recon,

@@ -166,6 +166,7 @@ def build_lagrange(n: int, t: int, k: int, p: int, h: int | None = None) -> Sche
     def answer_kernel(x, z):
         return (_block_sum(x, z, d, tables) % p,)
 
+    levels = Codec(p, h)
     return Scheme(
         name="lagrange",
         n=n,
@@ -173,8 +174,8 @@ def build_lagrange(n: int, t: int, k: int, p: int, h: int | None = None) -> Sche
         t=t,
         ring=field,
         answer_dim=1,
-        level_codec=Codec.uints(p, h),
-        radices=(p,) * (h * t),
+        level_codec=levels,
+        randomness=levels if t == 1 else Codec(p, h * t),
         row=_curve_row(d, tables, t, k, p),
         alpha=alpha,
         recon=recon,
@@ -224,6 +225,7 @@ def build_wy_hermite(n: int, t: int, k: int, p: int, h: int | None = None) -> Sc
             blocks.append((mu[2 * j - 2], *[m_der * v % p for v in tangent]))
         return tuple(blocks), 1
 
+    levels = Codec(p, h)
     return Scheme(
         name="hermite",
         n=n,
@@ -231,8 +233,8 @@ def build_wy_hermite(n: int, t: int, k: int, p: int, h: int | None = None) -> Sc
         t=t,
         ring=field,
         answer_dim=h + 1,
-        level_codec=Codec.uints(p, h),
-        radices=(p,) * (h * t),
+        level_codec=levels,
+        randomness=levels if t == 1 else Codec(p, h * t),
         row=_curve_row(d, tables, t, k, p),
         alpha=alpha,
         recon=recon,

@@ -62,6 +62,7 @@ def build_yekhanin(p: int, family: MatchingFamily, nice: NiceSets) -> Scheme:
         selector = tuple(1 if j == rho else 0 for j in range(p))
         return (selector,) * 3, 1
 
+    levels = Codec(p, h)
     return Scheme(
         name="yekhanin",
         n=n,
@@ -69,8 +70,8 @@ def build_yekhanin(p: int, family: MatchingFamily, nice: NiceSets) -> Scheme:
         t=1,
         ring=field2,
         answer_dim=p,
-        level_codec=Codec.uints(p, h),
-        radices=(p,) * h,
+        level_codec=levels,
+        randomness=levels,
         row=shift_row(family, offsets, p),
         alpha=alpha,
         recon=recon,

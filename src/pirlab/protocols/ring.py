@@ -31,7 +31,6 @@ from ..algebra import (
     PrimeField,
     crt_combine,
     find_order_element,
-    hasse_of_monomial,
     interpolation_vector,
     is_prime,
     squarefree_factors,
@@ -168,6 +167,7 @@ def build_dvir_gopi(m: int, family: MatchingFamily) -> Scheme:
         omega = ring.shift(nu, dot_mod(family.u[i], ell, m))
         return tuple(blocks), omega
 
+    levels = Codec(m, h)
     return Scheme(
         name="dvir-gopi",
         n=n,
@@ -175,8 +175,8 @@ def build_dvir_gopi(m: int, family: MatchingFamily) -> Scheme:
         t=1,
         ring=ring,
         answer_dim=h + 1,
-        level_codec=Codec.uints(m, h),
-        radices=(m,) * h,
+        level_codec=levels,
+        randomness=levels,
         row=shift_row(family, offsets, m),
         alpha=alpha,
         recon=recon,
@@ -228,17 +228,16 @@ def build_gks(m: int, p: int, family: MatchingFamily) -> Scheme:
     mu = interpolation_vector(p, points, support_mp, multiplicity=2)
 
     h, n = family.h, family.n
-    zero_index = (0,) * h
-    unit_indices = [
-        tuple(1 if c == c0 else 0 for c in range(h)) for c0 in range(h)
-    ]
     inv_points = [field.inv(b) for b in points]
 
     def alpha(tau, z):
+        # At the point b = (g^z_1, ..., g^z_h), the monomial b^u is g^e for
+        # e = <u, z> mod m, and its c-th first Hasse derivative is
+        # C(u_c, 1) * b^(u - e_c) = u_c * g^(e - z_c).
         u = family.u[tau]
-        zvals = tuple(points[a] for a in z)
-        return (hasse_of_monomial(field, u, zero_index, zvals),) + tuple(
-            hasse_of_monomial(field, u, idx, zvals) for idx in unit_indices
+        e = dot_mod(u, z, m)
+        return (points[e],) + tuple(
+            uc % p * points[(e - zc) % m] % p for uc, zc in zip(u, z)
         )
 
     def recon(i, ell):
@@ -258,6 +257,7 @@ def build_gks(m: int, p: int, family: MatchingFamily) -> Scheme:
             )
         return tuple(blocks), 1
 
+    levels = Codec(m, h)
     return Scheme(
         name="gks",
         n=n,
@@ -265,8 +265,8 @@ def build_gks(m: int, p: int, family: MatchingFamily) -> Scheme:
         t=1,
         ring=field,
         answer_dim=h + 1,
-        level_codec=Codec.uints(m, h),
-        radices=(m,) * h,
+        level_codec=levels,
+        randomness=levels,
         row=shift_row(family, range(k), m),
         alpha=alpha,
         recon=recon,

@@ -61,8 +61,8 @@ def _build(name: str, lam_value: int, fixed_row: int | None) -> Scheme:
         t=1,
         ring=field,
         answer_dim=1,
-        level_codec=Codec.uints(3, 2),
-        radices=(9,),
+        level_codec=Codec(3, 2),
+        randomness=Codec(9, 1),
         row=row,
         alpha=alpha,
         recon=recon,

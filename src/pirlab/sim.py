@@ -11,9 +11,10 @@ Wire format: every message is a frame
 with types QUERY 0x01, ANSWER 0x02, ERROR 0x03, HELLO 0x04, CONFIG 0x05,
 and a length of at most MAX_FRAME_PAYLOAD.  A server closes the connection
 on any frame longer than its QUERY width or its digest, whichever is more.
-A QUERY or ANSWER payload is the scheme's codec output: one little-endian
-mixed-radix integer holding every value of the message, so it carries the
-message's raw bit count rounded up to whole bytes once.
+A QUERY or ANSWER payload is the scheme's codec output: the values v_j of
+the message, all below one radix r, as the little-endian integer
+sum_j v_j * r^j, so it carries the message's raw bit count rounded up to
+whole bytes once.
 A HELLO carries the client's parameter digest; the server answers with a
 CONFIG echoing the protocol id and its own digest, which lets mismatched
 deployments fail fast without shipping full parameters.  A wrong digest, or

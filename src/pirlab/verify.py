@@ -115,10 +115,14 @@ def exhaustive_correctness(
             )
         databases = list(all_databases(n))
     else:
-        databases = [tuple(x) for x in databases]
+        # One database past what the budget allows is enough to exceed it,
+        # so a long iterable is never built in full.
+        limit = budget // (n * big_n) + 1
+        databases = [tuple(x) for x in itertools.islice(databases, limit)]
         if len(databases) * n * big_n > budget:
             raise BudgetExceeded(
-                f"{len(databases)} databases x {n} x {big_n} exceeds budget {budget}"
+                f"{len(databases)} or more databases x {n} x {big_n} "
+                f"exceeds budget {budget}"
             )
 
     report = CorrectnessReport(protocol=scheme.name)
@@ -164,23 +168,31 @@ def exhaustive_privacy(scheme: Scheme, cap: int = DEFAULT_ROW_CAP) -> PrivacyRep
     """
     t = scheme.t
     ells = list(scheme.enumerate_randomness(cap))
+    coalitions = list(itertools.combinations(range(scheme.k), t))
+    # Index 0's projected multiset is each coalition's reference; a
+    # coalition keeps only the first index whose multiset differs.
+    reference: dict = {}
+    first_bad: dict = {}
+    for i in range(scheme.n):
+        multisets = {c: [] for c in coalitions if c not in first_bad}
+        for ell in ells:
+            row = scheme.row(i, ell)
+            for coalition, multiset in multisets.items():
+                multiset.append(tuple(row[j] for j in coalition))
+        for coalition, multiset in multisets.items():
+            multiset.sort()
+            if i == 0:
+                reference[coalition] = multiset
+            elif multiset != reference[coalition]:
+                first_bad[coalition] = (i, multiset)
     report = PrivacyReport(protocol=scheme.name, t=t)
-    for coalition in itertools.combinations(range(scheme.k), t):
-        multisets = []
-        for i in range(scheme.n):
-            rows = sorted(
-                tuple(scheme.row(i, ell)[j] for j in coalition) for ell in ells
-            )
-            multisets.append(rows)
-        equal = all(ms == multisets[0] for ms in multisets[1:])
-        report.subset_verdicts[coalition] = equal
-        if not equal and report.counterexample is None:
-            bad = next(
-                idx for idx, ms in enumerate(multisets) if ms != multisets[0]
-            )
+    for coalition in coalitions:
+        report.subset_verdicts[coalition] = coalition not in first_bad
+        if coalition in first_bad and report.counterexample is None:
+            bad, multiset = first_bad[coalition]
             diff = next(
                 (a, b)
-                for a, b in itertools.zip_longest(multisets[0], multisets[bad])
+                for a, b in itertools.zip_longest(reference[coalition], multiset)
                 if a != b
             )
             report.counterexample = (coalition, 0, bad, diff)

@@ -1,11 +1,10 @@
-"""Exact arithmetic: field/ring axioms, CRT, orders, Hasse derivatives,
-linear solving and constant-term interpolation."""
+"""Exact arithmetic: field/ring axioms, CRT, orders, linear solving and
+constant-term interpolation."""
 
 import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from pirlab.algebra import (
     BinaryField,
@@ -14,14 +13,12 @@ from pirlab.algebra import (
     SparsePoly,
     crt_combine,
     find_order_element,
-    hasse_of_monomial,
     is_prime,
     kernel_mod_prime,
     squarefree_factors,
     try_solve_mod_prime,
 )
 from pirlab.errors import (
-    DimensionMismatch,
     NonUnit,
     NoSuchElement,
     ParamError,
@@ -144,8 +141,9 @@ def _fold_dot(ring, a, b):
 
 
 def _random_element(ring, rng):
-    values = [rng.randrange(m) for m in ring.component_moduli]
-    return values[0] if isinstance(ring.zero, int) else tuple(values)
+    if isinstance(ring.zero, int):
+        return rng.randrange(ring.component_modulus)
+    return tuple(rng.randrange(ring.component_modulus) for _ in ring.zero)
 
 
 class TestDot:
@@ -259,66 +257,6 @@ class TestPolyEval:
         f7 = PrimeField(7)
         with pytest.raises(ParamError):
             SparsePoly(f7, ((3, 1), (1, 1)))
-
-
-def _expand_and_read_coefficient(u, z, i, p):
-    """Independent oracle: multiply out prod_j (z_j + y_j)^(u_j) term by
-    term (no binomial shortcuts) and read the coefficient of y^i."""
-    poly = {(0,) * len(u): 1}
-    for j, uj in enumerate(u):
-        for _ in range(uj):
-            new = {}
-            for mono, coeff in poly.items():
-                # * z_j
-                new[mono] = (new.get(mono, 0) + coeff * z[j]) % p
-                # * y_j
-                up = list(mono)
-                up[j] += 1
-                up = tuple(up)
-                new[up] = (new.get(up, 0) + coeff) % p
-            poly = new
-    return poly.get(tuple(i), 0)
-
-
-class TestHasse:
-    def test_linear_coefficient(self):
-        f3 = PrimeField(3)
-        for z1 in range(3):
-            for z2 in range(3):
-                got = hasse_of_monomial(f3, (2, 0), (1, 0), (z1, z2))
-                assert got == 2 * z1 % 3
-
-    def test_zeroth_derivative_is_value(self):
-        f5 = PrimeField(5)
-        u, z = (2, 1, 3), (2, 4, 3)
-        want = pow(2, 2, 5) * 4 * pow(3, 3, 5) % 5
-        assert hasse_of_monomial(f5, u, (0, 0, 0), z) == want
-
-    def test_order_exceeds_degree(self):
-        f3 = PrimeField(3)
-        assert hasse_of_monomial(f3, (1, 1), (2, 0), (1, 1)) == 0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            hasse_of_monomial(PrimeField(3), (1, 1), (1,), (1, 1))
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.integers(1, 3).flatmap(
-            lambda h: st.tuples(
-                st.lists(st.integers(0, 2), min_size=h, max_size=h),
-                st.lists(st.integers(0, 2), min_size=h, max_size=h),
-                st.lists(st.integers(0, 2), min_size=h, max_size=h),
-            )
-        )
-    )
-    def test_matches_symbolic_expansion(self, uzw):
-        u, z, i = uzw
-        if sum(i) > 2:
-            i = [0] * len(i)
-        f3 = PrimeField(3)
-        want = _expand_and_read_coefficient(u, z, i, 3)
-        assert hasse_of_monomial(f3, u, i, z) == want
 
 
 class TestLinearSolve:

@@ -8,6 +8,7 @@ import signal
 import socket
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -143,6 +144,22 @@ class TestVerify:
         )
         assert code == 0
         assert "privacy toy" in out and "correctness" not in out
+
+    def test_correctness_over_budget_exits_before_building_databases(self, capsys):
+        # n + 2 structured databases of 4096 bits would take about 130 MB;
+        # the suite builds only the one that already exceeds the budget.
+        tracemalloc.start()
+        try:
+            code, _, err = run_cli(
+                capsys, "verify", "lagrange", "--suite", "correctness",
+                "--t", "1", "--k", "3", "--p", "13", "--n", "4096",
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "exceeds budget" in err
+        assert peak < 4 * 2**20
 
     def test_missing_params_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "lagrange")

@@ -51,19 +51,19 @@ OA_8_4 = [
 
 class TestCodec:
     def test_residue_roundtrip(self):
-        codec = Codec.uints(5, 3)
+        codec = Codec(5, 3)
         values = (4, 0, 3)
         assert codec.decode(codec.encode(values)) == values
         assert codec.nbytes == 1  # 5^3 - 1 = 124 fits 7 bits
         assert codec.raw_bits == pytest.approx(3 * math.log2(5))
 
     def test_wide_residue(self):
-        codec = Codec.uints(3067, 1)
+        codec = Codec(3067, 1)
         assert codec.nbytes == 2
         assert codec.decode(codec.encode((3066,))) == (3066,)
 
     def test_bit_groups(self):
-        codec = Codec.uints(2, 7)
+        codec = Codec(2, 7)
         values = (1, 0, 1, 1, 0, 0, 1)
         assert codec.decode(codec.encode(values)) == values
         assert codec.nbytes == 1
@@ -71,24 +71,37 @@ class TestCodec:
 
     def test_out_of_range_value(self):
         with pytest.raises(MalformedQuery):
-            Codec.uints(5, 1).encode((5,))
+            Codec(5, 1).encode((5,))
+
+    @pytest.mark.parametrize("radix, count", [(1, 3), (0, 1), (5, 0)])
+    def test_rejects_degenerate_space(self, radix, count):
+        with pytest.raises(ParamError):
+            Codec(radix, count)
+
+    def test_negative_value(self):
+        with pytest.raises(MalformedQuery, match="value -1 out of range"):
+            Codec(5, 3).encode((0, -1, 4))
 
     def test_decode_rejects_bad_length(self):
         with pytest.raises(MalformedQuery):
-            Codec.uints(5, 2).decode(b"\x00\x00")
+            Codec(5, 2).decode(b"\x00\x00")
 
     def test_decode_rejects_out_of_range_residue(self):
         with pytest.raises(MalformedQuery):
-            Codec.uints(5, 1).decode(b"\x07")
+            Codec(5, 1).decode(b"\x07")
 
     def test_decode_rejects_padding_bits(self):
         with pytest.raises(MalformedQuery):
-            Codec.uints(2, 3).decode(b"\xff")
+            Codec(2, 3).decode(b"\xff")
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.integers(2, 300), min_size=1, max_size=40), st.data())
-    def test_decode_fuzz_is_canonical_or_malformed(self, radices, data):
-        codec = Codec(radices)
+    @given(
+        st.sampled_from([2, 2**256]) | st.integers(2, 300),
+        st.integers(1, 40),
+        st.data(),
+    )
+    def test_decode_fuzz_is_canonical_or_malformed(self, radix, count, data):
+        codec = Codec(radix, count)
         blob = data.draw(
             st.binary(min_size=codec.nbytes, max_size=codec.nbytes)
             | st.binary(max_size=codec.nbytes + 2)
@@ -99,23 +112,38 @@ class TestCodec:
             return
         assert isinstance(values, tuple)
         assert codec.encode(values) == blob
-        # The wire integer is sum_j v_j * prod_{i<j} r_i.
-        number = sum(v * math.prod(radices[:j]) for j, v in enumerate(values))
+        # The wire integer is sum_j v_j * radix^j.
+        number = sum(v * radix**j for j, v in enumerate(values))
         assert number == int.from_bytes(blob, "little")
 
     @pytest.mark.parametrize(
-        "radices",
-        [(2,), (9,), (2, 3, 5), (4, 4, 4), (5, 7, 2, 3), (13, 13, 13)],
+        "radix, count", [(2, 1), (9, 1), (2, 5), (4, 3), (3, 7), (13, 3)]
     )
-    def test_unrank_hits_every_tuple_once(self, radices):
-        codec = Codec(radices)
+    def test_unrank_hits_every_tuple_once(self, radix, count):
+        codec = Codec(radix, count)
         values = [codec.unrank(j) for j in range(codec.size)]
         assert sorted(values) == sorted(codec.enumerate_values())
         for j, v in enumerate(values):
             assert codec.encode(v) == j.to_bytes(codec.nbytes, "little")
 
+    @pytest.mark.parametrize(
+        "radix, count",
+        [(2**256, 3), (13, 363), (2, 1000)],
+        ids=["2^256-3", "13-363", "2-1000"],
+    )
+    def test_unrank_splits_large_spaces_into_digits(self, radix, count):
+        # cgks at n = 2^24 sends 3 values below 2^256; lagrange t=1 k=3
+        # p=13 at n = 65536 sends 363 values below 13.
+        codec = Codec(radix, count)
+        rng = random.Random(radix + count)
+        numbers = [0, codec.size - 1] + [rng.randrange(codec.size) for _ in range(20)]
+        for number in numbers:
+            values = codec.unrank(number)
+            assert values == tuple(number // radix**j % radix for j in range(count))
+            assert codec.encode(values) == number.to_bytes(codec.nbytes, "little")
+
     def test_space_enumeration(self):
-        codec = Codec.uints(3, 2)
+        codec = Codec(3, 2)
         assert sorted(codec.enumerate_values()) == [
             (a, b) for a in range(3) for b in range(3)
         ]
@@ -229,12 +257,13 @@ class TestQueryGen:
             assert len(draws) == 1
 
     @pytest.mark.parametrize(
-        "radices",
-        [(2,), (9,), (2, 3, 5), (4, 4, 4), (5, 7, 2, 3), (13, 13, 13)],
+        "radix, count", [(2, 1), (9, 1), (2, 5), (4, 3), (3, 7), (13, 3)]
     )
-    def test_each_rank_emits_its_own_ell(self, monkeypatch, radices):
+    def test_each_rank_emits_its_own_ell(self, monkeypatch, radix, count):
         scheme = dataclasses.replace(
-            toy_instance(), radices=radices, row=lambda i, ell: (ell, ell)
+            toy_instance(),
+            randomness=Codec(radix, count),
+            row=lambda i, ell: (ell, ell),
         )
         ranks = iter(range(scheme.num_rows))
 
@@ -372,13 +401,10 @@ class TestCommCost:
 
     def test_scheme_requires_t_below_k(self):
         scheme = toy_instance()
+        fields = {
+            f.name: getattr(scheme, f.name)
+            for f in dataclasses.fields(scheme)
+            if f.init
+        }
         with pytest.raises(ParamError):
-            type(scheme)(
-                **{
-                    **{f: getattr(scheme, f) for f in (
-                        "name", "n", "k", "ring", "answer_dim", "level_codec",
-                        "answer_codec", "radices", "row", "alpha", "recon", "report",
-                    )},
-                    "t": 2,
-                }
-            )
+            type(scheme)(**{**fields, "t": 2})

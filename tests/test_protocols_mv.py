@@ -248,6 +248,25 @@ def family_m6(canonical_family_6):
     return canonical_family_6
 
 
+def _expand_and_read_coefficient(u, z, i, p):
+    """Independent oracle: multiply out prod_j (z_j + y_j)^(u_j) term by
+    term (no binomial shortcuts) and read the coefficient of y^i."""
+    poly = {(0,) * len(u): 1}
+    for j, uj in enumerate(u):
+        for _ in range(uj):
+            new = {}
+            for mono, coeff in poly.items():
+                # * z_j
+                new[mono] = (new.get(mono, 0) + coeff * z[j]) % p
+                # * y_j
+                up = list(mono)
+                up[j] += 1
+                up = tuple(up)
+                new[up] = (new.get(up, 0) + coeff) % p
+            poly = new
+    return poly.get(tuple(i), 0)
+
+
 class TestGks:
     def test_canonical_lift(self):
         lifted = {
@@ -291,6 +310,22 @@ class TestGks:
     def test_rejects_bad_parameters(self, family_m6):
         with pytest.raises(ParamError):
             build_gks(3, 5, family_m6)  # 3 does not divide 5 - 1
+
+    def test_alpha_is_value_and_first_hasse_derivatives(self, family_m6):
+        # alpha_tau at the subgroup point b = g^z is b^u followed by the
+        # h first-order Hasse derivatives of the monomial, read off the
+        # expansion of (b + y)^u.
+        scheme = build_gks(2, 3, family_m6)
+        h, p, points = scheme.report["h"], 3, scheme.report["points"]
+        units = [tuple(int(c == c0) for c in range(h)) for c0 in range(h)]
+        for tau, u in enumerate(family_m6.u):
+            for z in scheme.level_codec.enumerate_values():
+                b = [points[a] for a in z]
+                want = tuple(
+                    _expand_and_read_coefficient(u, b, i, p)
+                    for i in [(0,) * h] + units
+                )
+                assert scheme.alpha(tau, z) == want
 
     def test_desk_suites(self, family_m6):
         scheme = build_gks(2, 3, family_m6)

@@ -113,6 +113,22 @@ class TestPrivacySemantics:
         with pytest.raises(CapExceeded):
             exhaustive_privacy(build_cgks(8), cap=10)
 
+    def test_leak_at_one_server_from_a_later_index(self):
+        # Server 2 gets a fixed query for i >= 2 only: the verdict is per
+        # coalition, and the counterexample names the first leaking index.
+        scheme = build_lagrange(4, 1, 3, 5)
+        honest = scheme.row
+
+        def row(i, ell):
+            q = honest(i, ell)
+            return q if i < 2 else (q[0], q[1], (0,) * len(q[2]))
+
+        report = exhaustive_privacy(dataclasses.replace(scheme, row=row))
+        assert report.subset_verdicts == {(0,): True, (1,): True, (2,): False}
+        coalition, i1, i2, (want, got) = report.counterexample
+        assert (coalition, i1, i2) == ((2,), 0, 2)
+        assert want != got
+
     def test_equal_but_nonuniform_projections_pass_privacy_fail_oa(self):
         # Every index sends the same queries, so no coalition learns i, but
         # the projections are not uniform over S^t: privacy holds while the
