@@ -40,6 +40,7 @@ from .errors import (
 LevelPoint = tuple[int, ...]
 Answer = tuple  # D ring elements
 DEFAULT_ROW_CAP = 10**6
+_BITS_TO_ASCII = bytes.maketrans(b"\x00\x01", b"01")
 
 
 class Aux(NamedTuple):
@@ -86,6 +87,12 @@ class Codec:
             base *= base
             nodes -= nodes // 2
         self._levels = tuple(levels)
+
+    @property
+    def size_text(self) -> str:
+        """``size`` as "radix^count": printed in full, the randomness space
+        of a deployment runs to hundreds of digits."""
+        return f"{self.radix}^{self.count}"
 
     def validate(self, values: Sequence[int]) -> None:
         if len(values) != self.count:
@@ -135,7 +142,7 @@ class Codec:
         """All value tuples of this codec, in lexicographic order."""
         if self.size > cap:
             raise CapExceeded(
-                f"codec space of {self.size} values exceeds cap {cap}"
+                f"codec space of {self.size_text} values exceeds cap {cap}"
             )
         return itertools.product(range(self.radix), repeat=self.count)
 
@@ -159,10 +166,12 @@ class Scheme:
     and ``t``, written here from the fields above; a builder passes only
     its own keys, and a value it gives for one of these four is replaced.
 
-    ``answer_kernel(x, q)``, when set, computes the same answer as the
+    ``answer_kernel(db, q)``, when set, computes the same answer as the
     alpha sum over the set bits of x, faster; ``answer`` calls it after
-    validating x's length and q.  ``alpha_sum`` stays the reference that
-    every kernel is tested against.
+    validating x's length and q.  ``db`` is ``prepare(x)`` when the scheme
+    has a ``prepare``, which lays the database out once for the kernel,
+    and x itself otherwise.  ``alpha_sum`` stays the reference that every
+    kernel is tested against.
 
     Instances are immutable and safe to share across threads.
     """
@@ -182,11 +191,14 @@ class Scheme:
     # Derived from ring and answer_dim when None; an init field so that
     # dataclasses.replace can swap in a wrapped codec.
     answer_codec: Codec | None = None
-    answer_kernel: Callable[[Sequence[int], LevelPoint], Answer] | None = None
+    answer_kernel: Callable[[object, LevelPoint], Answer] | None = None
+    prepare: Callable[[Sequence[int]], object] | None = None
 
     def __post_init__(self):
         if self.n < 1:
             raise ParamError("n must be >= 1")
+        if self.prepare is not None and self.answer_kernel is None:
+            raise ParamError("a prepared database needs an answer kernel")
         if not 1 <= self.t < self.k:
             raise ParamError("privacy threshold must satisfy 1 <= t < k")
         header = {"protocol": self.name, "n": self.n, "k": self.k, "t": self.t}
@@ -248,19 +260,56 @@ def query_gen(
     return scheme.row(i, ell), Aux(i, ell)
 
 
-def answer(scheme: Scheme, x: Sequence[int], q: LevelPoint) -> Answer:
+def bit_string(x: Sequence[int]) -> bytes:
+    """x as ASCII b"0" and b"1", one byte per entry; ParamError unless
+    every entry is 0 or 1 (False and True count)."""
+    try:
+        raw = bytes(x)
+    except (TypeError, ValueError):
+        raise ParamError("database entries must be bits") from None
+    if raw.translate(None, b"\x00\x01"):
+        raise ParamError("database entries must be bits")
+    return raw.translate(_BITS_TO_ASCII)
+
+
+@dataclass(frozen=True, slots=True)
+class Prepared:
+    """A database of n bits in the form the answer of scheme ``protocol``
+    reads: what ``prepare`` returns."""
+
+    protocol: str
+    n: int
+    data: object
+
+
+def prepare(scheme: Scheme, x: Sequence[int]) -> Prepared:
+    """x laid out once for answering: ``scheme.prepare(x)`` when the
+    scheme has one, x itself otherwise.  A server prepares at start and
+    answers every query from the result."""
+    if len(x) != scheme.n:
+        raise ParamError(f"database length {len(x)} != n = {scheme.n}")
+    data = x if scheme.prepare is None else scheme.prepare(x)
+    return Prepared(scheme.name, scheme.n, data)
+
+
+def answer(scheme: Scheme, x: Sequence[int] | Prepared, q: LevelPoint) -> Answer:
     """The answering algorithm: F_x(q) = sum over set bits of alpha(tau, q).
 
-    The query is validated against the level codec first.  The scheme's
+    x is a bit sequence, prepared here, or ``prepare(scheme, x)``.  The
+    query is validated against the level codec first.  The scheme's
     ``answer_kernel`` computes F_x(q) when it has one; otherwise
     ``alpha_sum``, the reference, does.
     """
-    if len(x) != scheme.n:
-        raise ParamError(f"database length {len(x)} != n = {scheme.n}")
+    db = x if isinstance(x, Prepared) else prepare(scheme, x)
+    if (db.protocol, db.n) != (scheme.name, scheme.n):
+        raise ParamError(
+            f"database prepared for {db.protocol} n = {db.n}, "
+            f"not {scheme.name} n = {scheme.n}"
+        )
     scheme.level_codec.validate(q)
     if scheme.answer_kernel is not None:
-        return scheme.answer_kernel(x, q)
-    return alpha_sum(scheme, x, q)
+        return scheme.answer_kernel(db.data, q)
+    return alpha_sum(scheme, db.data, q)
 
 
 def alpha_sum(scheme: Scheme, x: Sequence[int], q: LevelPoint) -> Answer:

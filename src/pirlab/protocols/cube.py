@@ -8,12 +8,20 @@ parity of x over the queried box, plus the parities over every
 single-coordinate perturbation of the box along each axis.  Selecting the
 box bit and the i1/i2/i3 perturbation bits from both answers and XOR-ing
 recovers x_i; the total payload is exactly 12h + 2 raw bits.
+
+A server answers from h slabs of h^2 bits, laid out once by ``prepare``:
+bit a*h + b of slab w is x at cell (a, b, w), and cells past n are 0.
+Then T = XOR of the slabs w in W holds, in row a, the parities over
+(a, b, W).  The box parity and all 3h perturbations come from T, V and
+the slabs in about 4h operations on h^2-bit integers (the preprocessing
+of Beimel, Ishai & Malkin, CRYPTO 2000, on the cube scheme of Chor,
+Goldreich, Kushilevitz & Sudan, JACM 1998).
 """
 
 from __future__ import annotations
 
 from ..algebra import PrimeField
-from ..engine import Codec, Scheme
+from ..engine import Codec, Scheme, bit_string
 from ..errors import ParamError
 
 
@@ -68,6 +76,38 @@ def build_cgks(n: int) -> Scheme:
         lam_block = tuple(block)
         return (lam_block, lam_block), 1
 
+    row_mask = (1 << h) - 1
+    shifts = range(0, h * h, h)
+    padding = b"0" * (h**3 - n)
+
+    def prepare(x):
+        cells = bit_string(x) + padding
+        # Slab w is every h-th cell from w; int() reads the most
+        # significant bit first, so each slice is reversed.
+        return tuple(int(cells[w::h][::-1], 2) for w in range(h))
+
+    def answer_kernel(slabs, z):
+        mask_u, mask_v, mask_w = z
+        t = 0
+        for c in range(h):
+            if mask_w >> c & 1:
+                t ^= slabs[c]
+        rows = [t >> s & row_mask for s in shifts]
+        # f holds, at bit b, the parity over (U, b, W); uv is V in every
+        # row of U.
+        f = uv = 0
+        for a in range(h):
+            if mask_u >> a & 1:
+                f ^= rows[a]
+                uv |= mask_v << shifts[a]
+        box = (f & mask_v).bit_count() & 1
+        return (
+            box,
+            *[box ^ (r & mask_v).bit_count() & 1 for r in rows],
+            *[box ^ f >> c & 1 for c in range(h)],
+            *[box ^ (slab & uv).bit_count() & 1 for slab in slabs],
+        )
+
     levels = Codec(zeta, 3)
     return Scheme(
         name="cgks",
@@ -81,6 +121,8 @@ def build_cgks(n: int) -> Scheme:
         row=row,
         alpha=alpha,
         recon=recon,
+        answer_kernel=answer_kernel,
+        prepare=prepare,
         report={
             "h": h,
             "levels": f"triples of subsets of [{h}] (3 x {h}-bit masks)",

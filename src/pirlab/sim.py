@@ -39,13 +39,23 @@ import math
 import socket
 import socketserver
 import struct
+import sys
 import threading
 import time
 from dataclasses import dataclass, field
 from math import log2
 from typing import Sequence
 
-from .engine import Scheme, answer, comm_cost, query_gen, reconstruct
+from .engine import (
+    Prepared,
+    Scheme,
+    answer,
+    bit_string,
+    comm_cost,
+    prepare,
+    query_gen,
+    reconstruct,
+)
 from .errors import (
     MalformedQuery,
     ParamDigestMismatch,
@@ -120,9 +130,16 @@ def param_digest(scheme: Scheme) -> str:
     built the same deployment."""
     text = "\n".join(f"{k} = {scheme.report[k]!r}" for k in sorted(scheme.report))
     text = f"{scheme.name}|n={scheme.n}|k={scheme.k}|t={scheme.t}\n" + text
-    import hashlib  # loads OpenSSL's libcrypto: only digest users pay for it
-
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
+    # CPython's own SHA-256, as random.py takes its SHA-512: hashlib would
+    # load OpenSSL's libcrypto, about 3.6 MB, for a few hundred bytes.
+    try:
+        if sys.version_info >= (3, 12):
+            from _sha2 import sha256
+        else:
+            from _sha256 import sha256
+    except ImportError:  # a build without the module
+        from hashlib import sha256
+    return sha256(text.encode()).hexdigest()[:16]
 
 
 @dataclass
@@ -165,15 +182,19 @@ class Transcript:
 def run_inprocess(
     scheme: Scheme, x: Sequence[int], i: int, seed: int | None, check: bool = True
 ) -> tuple[int, Transcript]:
-    """Full query/answer/reconstruct round trip with exact byte accounting."""
+    """Full query/answer/reconstruct round trip with exact byte accounting.
+
+    x is prepared once, outside the timed server side, and every server
+    answers from it."""
     queries, aux = query_gen(scheme, i, seed)
+    db = prepare(scheme, x)
     transcript = Transcript(protocol=scheme.name)
     answers = []
     for j, q in enumerate(queries):
         q_bytes = scheme.level_codec.encode(q)
         # Decode on the "server side" so the wire codec is genuinely exercised.
         t0 = time.perf_counter()
-        a = answer(scheme, x, scheme.level_codec.decode(q_bytes))
+        a = answer(scheme, db, scheme.level_codec.decode(q_bytes))
         a_bytes = scheme.encode_answer(a)
         transcript.entries.append(
             ServerEntry(
@@ -193,12 +214,14 @@ def run_inprocess(
 @dataclass(frozen=True)
 class ServerNode:
     """One server's whole world: its id, the scheme parameters, and the
-    database.  There is deliberately no field for a retrieval index or aux;
-    a node's behaviour is a function of (query, database) only."""
+    database, prepared once for the scheme's answer.  There is deliberately
+    no field for a retrieval index or aux; a node's behaviour is a function
+    of (query, database) only."""
 
     server_id: int
     scheme: Scheme
     database: tuple[int, ...]
+    prepared: Prepared = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.server_id <= self.scheme.k:
@@ -207,14 +230,12 @@ class ServerNode:
             )
         if len(self.database) != self.scheme.n:
             raise ParamError("database length does not match the scheme")
-        db = self.database
-        # count() compares with ==: True and 1.0 pass; 2, None and "1" fail.
-        if db.count(0) + db.count(1) != len(db):
-            raise ParamError("database entries must be bits")
+        bit_string(self.database)  # ParamError unless every entry is a bit
+        object.__setattr__(self, "prepared", prepare(self.scheme, self.database))
 
     def answer_payload(self, query_payload: bytes) -> bytes:
         q = self.scheme.level_codec.decode(query_payload)
-        a = answer(self.scheme, self.database, q)
+        a = answer(self.scheme, self.prepared, q)
         return self.scheme.encode_answer(a)
 
 
@@ -411,7 +432,6 @@ def client_retrieve(
     return reconstruct(scheme, aux, answers), transcript
 
 
-_BITS_TO_ASCII = bytes.maketrans(b"\x00\x01", b"01")
 _ASCII_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
@@ -420,13 +440,7 @@ def save_database(path, x: Sequence[int]) -> None:
 
     The bits go through one integer: bit j of the data is x[j]."""
     n = len(x)
-    try:
-        raw = bytes(x)
-    except (TypeError, ValueError):
-        raise ParamError("database entries must be bits") from None
-    if raw.translate(None, b"\x00\x01"):
-        raise ParamError("database entries must be bits")
-    value = int(b"0" + raw[::-1].translate(_BITS_TO_ASCII), 2)
+    value = int(b"0" + bit_string(x)[::-1], 2)
     with open(path, "wb") as fh:
         fh.write(struct.pack("<Q", n) + value.to_bytes((n + 7) // 8, "little"))
 

@@ -24,6 +24,7 @@ from .engine import (
     answer,
     comm_cost,
     decide,
+    prepare,
     scheme_oa_index,
     span_check,
 )
@@ -107,10 +108,11 @@ def exhaustive_correctness(
     """Full round trip for every (x, i, ell); ell is forced, not sampled."""
     n = scheme.n
     big_n = scheme.num_rows
+    rows = scheme.randomness.size_text
     if databases is None:
         if 2**n * n * big_n > budget:
             raise BudgetExceeded(
-                f"2^{n} databases x {n} indices x {big_n} rows exceeds "
+                f"2^{n} databases x {n} indices x {rows} rows exceeds "
                 f"budget {budget}; pass an explicit database list"
             )
         databases = list(all_databases(n))
@@ -121,18 +123,20 @@ def exhaustive_correctness(
         databases = [tuple(x) for x in itertools.islice(databases, limit)]
         if len(databases) * n * big_n > budget:
             raise BudgetExceeded(
-                f"{len(databases)} or more databases x {n} x {big_n} "
-                f"exceeds budget {budget}"
+                f"{len(databases)} or more databases x {n} indices x {rows} "
+                f"rows exceeds budget {budget}"
             )
 
     report = CorrectnessReport(protocol=scheme.name)
     report.databases_tested = len(databases)
     ells = list(scheme.enumerate_randomness())
+    prepared = [prepare(scheme, x) for x in databases]
     # tables[q] holds the answers to q on every database, in order.  They
-    # come from engine.answer, as a server's do, so a scheme's answer
-    # kernel is what this suite checks; each is computed once.  Equal
-    # answers are stored once: most repeat (hermite n=4 has 7612 distinct
-    # answers among 38416), which halves the tables' memory.
+    # come from engine.answer on each database prepared once, as a
+    # server's do, so a scheme's prepare and answer kernel are what this
+    # suite checks; each is computed once.  Equal answers are stored once:
+    # most repeat (hermite n=4 has 7612 distinct answers among 38416),
+    # which halves the tables' memory.
     tables: dict = {}
     interned: dict = {}
     for i in range(n):
@@ -141,7 +145,7 @@ def exhaustive_correctness(
             lam, omega = scheme.recon(i, ell)
             for q in queries:
                 if q not in tables:
-                    column = (answer(scheme, x, q) for x in databases)
+                    column = (answer(scheme, db, q) for db in prepared)
                     tables[q] = [interned.setdefault(a, a) for a in column]
             for x, *answers in zip(databases, *(tables[q] for q in queries)):
                 try:

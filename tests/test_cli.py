@@ -161,6 +161,17 @@ class TestVerify:
         assert "exceeds budget" in err
         assert peak < 4 * 2**20
 
+    @pytest.mark.parametrize("suite", ["privacy", "correctness"])
+    def test_over_budget_error_prints_the_space_as_a_power(self, capsys, suite):
+        # 13^92 draws: printed in full the count has 103 digits.
+        code, _, err = run_cli(
+            capsys, "verify", "lagrange", "--suite", suite,
+            "--t", "1", "--k", "3", "--p", "13", "--n", "4096",
+        )
+        assert code == 2
+        assert re.search(r"\b13\^92 (values|rows) exceeds", err)
+        assert len(err) < 120
+
     def test_missing_params_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "lagrange")
         assert code == 2

@@ -50,6 +50,12 @@ OA_8_4 = [
 
 
 class TestCodec:
+    def test_cap_error_prints_the_space_as_a_power(self):
+        codec = Codec(13, 92)
+        with pytest.raises(CapExceeded) as info:
+            codec.enumerate_values()
+        assert str(info.value) == "codec space of 13^92 values exceeds cap 1000000"
+
     def test_residue_roundtrip(self):
         codec = Codec(5, 3)
         values = (4, 0, 3)

@@ -176,12 +176,27 @@ def test_cli_import_leaves_heavy_modules_unloaded():
         assert out.stdout.strip() == "[]", name
 
 
+CRYPTO = {"_hashlib", "hashlib", "hmac", "secrets", "ssl"}
+
+
+def loaded_crypto_modules(code: str) -> str:
+    """The crypto modules loaded after running ``code`` in a fresh process,
+    as the text of a sorted list."""
+    code += f"\nimport sys\nprint(sorted({CRYPTO!r} & set(sys.modules)))\n"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    return out.stdout.strip().split("\n")[-1]
+
+
 def test_digest_free_paths_leave_libcrypto_unloaded():
     # hashlib loads OpenSSL's libcrypto, about 3.6 MB of resident memory.
-    # Only a parameter digest needs it, so retrieval in process, the
-    # builders, the suites, `verify` and `bench` must never import it.
-    crypto = {"_hashlib", "hashlib", "hmac", "secrets", "ssl"}
-    code = f"""
+    # Retrieval in process, the builders, the suites, `verify`, `bench` and
+    # the parameter digest, which hashes with CPython's own SHA-256, must
+    # never import it.
+    code = """
 import contextlib, io, sys
 import pirlab, pirlab.sim, pirlab.verify
 from pirlab import cli, verify
@@ -201,13 +216,29 @@ verify.comm_audit(toy, transcript)
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["verify", "toy"]) == 0
     assert cli.main(["bench", "cgks", "--n", "8"]) == 0
-print(sorted({crypto!r} & set(sys.modules)))
+    assert cli.main(["params", "cgks", "--n", "8"]) == 0
 pirlab.sim.param_digest(toy)
-print("_hashlib" in sys.modules)
 """
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        check=True,
-    )
-    assert out.stdout.split("\n")[:2] == ["[]", "True"]
+    assert loaded_crypto_modules(code) == "[]"
+
+
+def test_tcp_retrieval_leaves_libcrypto_unloaded(tmp_path):
+    # Servers and clients digest their parameters on every connection.
+    code = f"""
+from pirlab.protocols.cube import build_cgks
+from pirlab.sim import (
+    PirServer, ServerNode, client_retrieve, load_database, save_database,
+)
+scheme = build_cgks(64)
+x = tuple(j % 3 % 2 for j in range(64))
+save_database({str(tmp_path / "db.bin")!r}, x)
+database = load_database({str(tmp_path / "db.bin")!r})
+servers = [PirServer(ServerNode(j, scheme, database)).start() for j in (1, 2)]
+try:
+    bit, _ = client_retrieve([s.endpoint for s in servers], scheme, 5, seed=None)
+    assert bit == x[5]
+finally:
+    for s in servers:
+        s.stop()
+"""
+    assert loaded_crypto_modules(code) == "[]"

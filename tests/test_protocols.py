@@ -10,7 +10,7 @@ import tracemalloc
 import pytest
 
 from pirlab.algebra import interpolation_matrix, interpolation_vector
-from pirlab.engine import alpha_sum, answer, comm_cost, reconstruct
+from pirlab.engine import alpha_sum, answer, comm_cost, prepare, reconstruct
 from pirlab.errors import MalformedQuery, ParamError
 from pirlab.protocols.cube import build_cgks
 from pirlab.protocols.curve import build_lagrange, build_wy_hermite
@@ -51,6 +51,52 @@ class TestCgks:
         q1, q2 = scheme.row(3, (0, 0, 0))  # index 3 -> cell (0, 1, 1)
         assert q1 == (0, 0, 0)
         assert q2 == (1 << 0, 1 << 1, 1 << 1)
+
+
+def kernel_databases(n, rng):
+    """All zeros, all ones, three units and two random databases of n bits."""
+    yield (0,) * n
+    yield (1,) * n
+    for unit in sorted({0, n // 2, n - 1}):
+        yield tuple(1 if j == unit else 0 for j in range(n))
+    for _ in range(2):
+        yield tuple(rng.randrange(2) for _ in range(n))
+
+
+class TestCgksKernel:
+    """The prepared slab kernel against the alpha sum, the reference."""
+
+    # Full cubes (1, 8, 27) and partial ones, whose padding cells are 0.
+    @pytest.mark.parametrize("n", [1, 7, 8, 27, 100, 1000, 8192])
+    def test_kernel_equals_alpha_sum(self, n):
+        scheme = build_cgks(n)
+        h = scheme.report["h"]
+        full = (1 << h) - 1
+        rng = random.Random(n)
+        for x in kernel_databases(n, rng):
+            db = prepare(scheme, x)
+            queries = [(0, 0, 0), (full, full, full)]
+            queries += [tuple(rng.getrandbits(h) for _ in range(3)) for _ in range(3)]
+            for q in queries:
+                assert answer(scheme, db, q) == alpha_sum(scheme, x, q)
+                assert answer(scheme, x, q) == answer(scheme, db, q)
+
+    def test_bad_input_raises(self):
+        scheme = build_cgks(100)
+        q = (0, 0, 0)
+        with pytest.raises(ParamError, match="database length"):
+            answer(scheme, (0,) * 101, q)
+        for entry in (2, -1, 0.5, None):
+            with pytest.raises(ParamError, match="must be bits"):
+                answer(scheme, (0,) * 99 + (entry,), q)
+        with pytest.raises(MalformedQuery):
+            answer(scheme, (0,) * 100, (1 << 5, 0, 0))
+        with pytest.raises(ParamError, match="prepared for cgks n = 27"):
+            answer(scheme, prepare(build_cgks(27), (0,) * 27), q)
+
+    def test_prepare_needs_a_kernel(self):
+        with pytest.raises(ParamError, match="needs an answer kernel"):
+            dataclasses.replace(build_cgks(8), answer_kernel=None)
 
 
 def _colex_reference(h, d):
@@ -381,22 +427,13 @@ _KERNEL_CONFIGS = [
 class TestLagrangeKernel:
     """The per-top-element kernel against the alpha sum, the reference."""
 
-    @staticmethod
-    def databases(n, rng):
-        yield (0,) * n
-        yield (1,) * n
-        for unit in sorted({0, n // 2, n - 1}):
-            yield tuple(1 if j == unit else 0 for j in range(n))
-        for _ in range(2):
-            yield tuple(rng.randrange(2) for _ in range(n))
-
     @pytest.mark.parametrize("n,t,k,p", _KERNEL_CONFIGS)
     def test_kernel_equals_alpha_sum(self, n, t, k, p):
         scheme = build_lagrange(n, t, k, p)
         assert scheme.answer_kernel is not None
         h = scheme.report["h"]
         rng = random.Random(n * 31 + k)
-        for x in self.databases(n, rng):
+        for x in kernel_databases(n, rng):
             queries = [(0,) * h, (1,) * h]
             for _ in range(3):
                 q = [rng.randrange(p) for _ in range(h)]

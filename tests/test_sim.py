@@ -7,13 +7,15 @@ import math
 import random
 import socket
 import struct
+import sys
 import threading
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pirlab.engine import answer, comm_cost, query_gen, reconstruct
+from pirlab import sim
+from pirlab.engine import Prepared, answer, comm_cost, query_gen, reconstruct
 from pirlab.errors import (
     InconsistentAnswer,
     ParamDigestMismatch,
@@ -100,6 +102,21 @@ class TestInProcess:
             assert transcript.payload_bytes == cost.payload_bytes
             assert transcript.framing_bytes == 0
 
+    def test_prepares_once_per_retrieval(self):
+        # The k servers answer from one prepared database, and the timed
+        # server side leaves the preparation out.
+        scheme = build_cgks(64)
+        calls = []
+
+        def counting_prepare(x):
+            calls.append(len(x))
+            return scheme.prepare(x)
+
+        counted = dataclasses.replace(scheme, prepare=counting_prepare)
+        x = tuple(j % 3 % 2 for j in range(64))
+        assert run_inprocess(counted, x, 5, seed=1)[0] == x[5]
+        assert calls == [64]
+
     def test_sizes_database_independent(self):
         scheme = build_cgks(8)
         _, t0 = run_inprocess(scheme, (0,) * 8, 0, seed=1, check=False)
@@ -142,7 +159,28 @@ class TestNode:
     def test_accepts_bit_entries(self, entry):
         ServerNode(server_id=1, scheme=toy_instance(), database=(entry, 1))
 
-    @pytest.mark.parametrize("entry", [2, -1, 0.5, None, "1"])
+    def test_answers_from_its_prepared_database_through_sim_answer(
+        self, monkeypatch
+    ):
+        # Benchmarks time a server's answer by wrapping the name sim.answer.
+        scheme = build_cgks(64)
+        x = tuple(j % 3 % 2 for j in range(64))
+        node = ServerNode(server_id=1, scheme=scheme, database=x)
+        seen = []
+
+        def recording_answer(scheme, db, q):
+            seen.append(db)
+            return answer(scheme, db, q)
+
+        monkeypatch.setattr(sim, "answer", recording_answer)
+        queries, _ = query_gen(scheme, 5, seed=3)
+        payload = scheme.level_codec.encode(queries[0])
+        expected = scheme.encode_answer(answer(scheme, x, queries[0]))
+        assert node.answer_payload(payload) == expected
+        assert seen == [node.prepared]
+        assert isinstance(node.prepared, Prepared)
+
+    @pytest.mark.parametrize("entry", [2, -1, 0.5, 1.0, None, "1"])
     def test_rejects_non_bit_entries(self, entry):
         for database in ((entry, 1), (0, entry)):
             with pytest.raises(ParamError, match="must be bits"):
@@ -209,6 +247,26 @@ _pinned = pytest.mark.parametrize(
 @_pinned
 def test_param_digest_pinned(name, config, param_pin, row_pin, answer_pin):
     assert param_digest(build_named(name, config)) == param_pin
+
+
+@_pinned
+def test_param_digest_without_builtin_sha256(
+    monkeypatch, name, config, param_pin, row_pin, answer_pin
+):
+    # A Python build without CPython's own SHA-256 modules digests through
+    # hashlib, to the same value.
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    imported = []
+    real_import = __import__
+
+    def recording_import(module, *args, **kwargs):
+        imported.append(module)
+        return real_import(module, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.__import__", recording_import)
+    assert param_digest(build_named(name, config)) == param_pin
+    assert "hashlib" in imported
 
 
 @_pinned
@@ -338,10 +396,11 @@ class TestTcp:
     def test_answer_failure_gets_internal_error_and_close(self):
         scheme = build_cgks(8)
 
-        def failing_alpha(tau, q):
+        def failing_kernel(db, q):
             raise RuntimeError(f"failed on query {q}")
 
-        broken = dataclasses.replace(scheme, alpha=failing_alpha)
+        # cgks answers through its kernel, not through alpha.
+        broken = dataclasses.replace(scheme, answer_kernel=failing_kernel)
         node = ServerNode(server_id=1, scheme=broken, database=(1,) * 8)
         server = PirServer(node).start()
         try:
