@@ -40,7 +40,7 @@ from .errors import (
 LevelPoint = tuple[int, ...]
 Answer = tuple  # D ring elements
 DEFAULT_ROW_CAP = 10**6
-_BITS_TO_ASCII = bytes.maketrans(b"\x00\x01", b"01")
+BITS_TO_ASCII = bytes.maketrans(b"\x00\x01", b"01")
 
 
 class Aux(NamedTuple):
@@ -168,10 +168,10 @@ class Scheme:
 
     ``answer_kernel(db, q)``, when set, computes the same answer as the
     alpha sum over the set bits of x, faster; ``answer`` calls it after
-    validating x's length and q.  ``db`` is ``prepare(x)`` when the scheme
-    has a ``prepare``, which lays the database out once for the kernel,
-    and x itself otherwise.  ``alpha_sum`` stays the reference that every
-    kernel is tested against.
+    validating q.  ``db`` is the engine's ``prepare`` of x: the checked
+    bytes, one 0 or 1 per entry, laid out once for the kernel by the
+    scheme's ``prepare`` when it has one.  ``alpha_sum`` stays the
+    reference that every kernel is tested against.
 
     Instances are immutable and safe to share across threads.
     """
@@ -192,7 +192,7 @@ class Scheme:
     # dataclasses.replace can swap in a wrapped codec.
     answer_codec: Codec | None = None
     answer_kernel: Callable[[object, LevelPoint], Answer] | None = None
-    prepare: Callable[[Sequence[int]], object] | None = None
+    prepare: Callable[[bytes], object] | None = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -261,15 +261,16 @@ def query_gen(
 
 
 def bit_string(x: Sequence[int]) -> bytes:
-    """x as ASCII b"0" and b"1", one byte per entry; ParamError unless
-    every entry is 0 or 1 (False and True count)."""
+    """x as bytes holding one 0 or 1 per entry; ParamError unless every
+    entry is 0 or 1 (False and True count)."""
     try:
-        raw = bytes(x)
+        bits = bytes(x)
     except (TypeError, ValueError):
         raise ParamError("database entries must be bits") from None
-    if raw.translate(None, b"\x00\x01"):
+    # A buffer of wider integers copies to more bytes than it has entries.
+    if len(bits) != len(x) or bits.translate(None, b"\x00\x01"):
         raise ParamError("database entries must be bits")
-    return raw.translate(_BITS_TO_ASCII)
+    return bits
 
 
 @dataclass(frozen=True, slots=True)
@@ -283,21 +284,23 @@ class Prepared:
 
 
 def prepare(scheme: Scheme, x: Sequence[int]) -> Prepared:
-    """x laid out once for answering: ``scheme.prepare(x)`` when the
-    scheme has one, x itself otherwise.  A server prepares at start and
-    answers every query from the result."""
+    """The one database check, for every scheme: n entries, each a bit,
+    turned into ``bit_string`` bytes and laid out by ``scheme.prepare``
+    when the scheme has one.  A server prepares at start and answers
+    every query from the result."""
     if len(x) != scheme.n:
         raise ParamError(f"database length {len(x)} != n = {scheme.n}")
-    data = x if scheme.prepare is None else scheme.prepare(x)
+    bits = bit_string(x)
+    data = bits if scheme.prepare is None else scheme.prepare(bits)
     return Prepared(scheme.name, scheme.n, data)
 
 
 def answer(scheme: Scheme, x: Sequence[int] | Prepared, q: LevelPoint) -> Answer:
     """The answering algorithm: F_x(q) = sum over set bits of alpha(tau, q).
 
-    x is a bit sequence, prepared here, or ``prepare(scheme, x)``.  The
-    query is validated against the level codec first.  The scheme's
-    ``answer_kernel`` computes F_x(q) when it has one; otherwise
+    x is a bit sequence, checked and prepared here, or ``prepare(scheme,
+    x)``.  The query is validated against the level codec first.  The
+    scheme's ``answer_kernel`` computes F_x(q) when it has one; otherwise
     ``alpha_sum``, the reference, does.
     """
     db = x if isinstance(x, Prepared) else prepare(scheme, x)

@@ -42,7 +42,7 @@ from .errors import (
     ParamError,
 )
 
-DEFAULT_VECTOR_CAP = 10**6
+VECTOR_CAP = 10**6
 DEFAULT_SEARCH_BUDGET = 5_000_000
 
 
@@ -190,7 +190,6 @@ def search_matching_family(
     target_set: Sequence[int],
     n_target: int,
     side_constraint: bool = False,
-    vector_cap: int = DEFAULT_VECTOR_CAP,
     budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> MatchingFamily:
     """Greedy backtracking search for a size-n_target matching family in
@@ -205,8 +204,8 @@ def search_matching_family(
     """
     if h < 1:
         raise ParamError("h must be >= 1")
-    if m**h > vector_cap:
-        raise ParamError(f"m^h = {m**h} exceeds the enumeration cap {vector_cap}")
+    if m**h > VECTOR_CAP:
+        raise ParamError(f"m^h = {m**h} exceeds the enumeration cap {VECTOR_CAP}")
     if n_target < 1:
         raise ParamError("n_target must be >= 1")
     target = set(x % m for x in target_set)
@@ -323,12 +322,11 @@ class DecodingPoly:
             raise DecodingPolyInvalid(f"P(1) = {poly.evaluate(1)} != 1")
 
 
-def trivial_decoding_poly(m: int, p: int, g: int | None = None) -> DecodingPoly:
+def trivial_decoding_poly(m: int, p: int) -> DecodingPoly:
     """The product construction prod (theta - g^d) / prod (1 - g^d) over the
     canonical set, with at most 2^r monomials."""
     field = PrimeField(p)
-    if g is None:
-        g = find_order_element(field, m)
+    g = find_order_element(field, m)
     s_m = canonical_set(m)
     # Dense expansion of the monic product, lowest degree first.
     coeffs = [1]
@@ -351,7 +349,6 @@ def trivial_decoding_poly(m: int, p: int, g: int | None = None) -> DecodingPoly:
 def sparse_decoding_poly_search(
     m: int,
     p: int,
-    g: int | None = None,
     k_target: int = 3,
     budget: int | None = None,
 ) -> DecodingPoly:
@@ -374,8 +371,7 @@ def sparse_decoding_poly_search(
             f"the product construction already achieves 2^{r}"
         )
     field = PrimeField(p)
-    if g is None:
-        g = find_order_element(field, m)
+    g = find_order_element(field, m)
     s_m = canonical_set(m)
     gpow = [pow(g, j, p) for j in range(m)]
 

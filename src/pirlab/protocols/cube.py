@@ -21,7 +21,7 @@ Goldreich, Kushilevitz & Sudan, JACM 1998).
 from __future__ import annotations
 
 from ..algebra import PrimeField
-from ..engine import Codec, Scheme, bit_string
+from ..engine import BITS_TO_ASCII, Codec, Scheme
 from ..errors import ParamError
 
 
@@ -78,12 +78,11 @@ def build_cgks(n: int) -> Scheme:
 
     row_mask = (1 << h) - 1
     shifts = range(0, h * h, h)
-    padding = b"0" * (h**3 - n)
 
-    def prepare(x):
-        cells = bit_string(x) + padding
-        # Slab w is every h-th cell from w; int() reads the most
-        # significant bit first, so each slice is reversed.
+    def prepare(bits):
+        cells = bits.translate(BITS_TO_ASCII)
+        # Slab w is every h-th cell from w, reversed, as int() reads the most
+        # significant bit first; cells past n are missing high bits, so 0.
         return tuple(int(cells[w::h][::-1], 2) for w in range(h))
 
     def answer_kernel(slabs, z):

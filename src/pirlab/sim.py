@@ -47,6 +47,7 @@ from math import log2
 from typing import Sequence
 
 from .engine import (
+    BITS_TO_ASCII,
     Prepared,
     Scheme,
     answer,
@@ -184,8 +185,8 @@ def run_inprocess(
 ) -> tuple[int, Transcript]:
     """Full query/answer/reconstruct round trip with exact byte accounting.
 
-    x is prepared once, outside the timed server side, and every server
-    answers from it."""
+    x is checked and prepared once, outside the timed server side, and
+    every server answers from it."""
     queries, aux = query_gen(scheme, i, seed)
     db = prepare(scheme, x)
     transcript = Transcript(protocol=scheme.name)
@@ -214,13 +215,13 @@ def run_inprocess(
 @dataclass(frozen=True)
 class ServerNode:
     """One server's whole world: its id, the scheme parameters, and the
-    database, prepared once for the scheme's answer.  There is deliberately
-    no field for a retrieval index or aux; a node's behaviour is a function
-    of (query, database) only."""
+    database, checked and prepared once by ``engine.prepare``.  There is
+    deliberately no field for a retrieval index or aux; a node's behaviour
+    is a function of (query, database) only."""
 
     server_id: int
     scheme: Scheme
-    database: tuple[int, ...]
+    database: Sequence[int]
     prepared: Prepared = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -228,9 +229,6 @@ class ServerNode:
             raise ParamError(
                 f"server id {self.server_id} out of range [1, {self.scheme.k}]"
             )
-        if len(self.database) != self.scheme.n:
-            raise ParamError("database length does not match the scheme")
-        bit_string(self.database)  # ParamError unless every entry is a bit
         object.__setattr__(self, "prepared", prepare(self.scheme, self.database))
 
     def answer_payload(self, query_payload: bytes) -> bytes:
@@ -440,12 +438,14 @@ def save_database(path, x: Sequence[int]) -> None:
 
     The bits go through one integer: bit j of the data is x[j]."""
     n = len(x)
-    value = int(b"0" + bit_string(x)[::-1], 2)
+    value = int(b"0" + bit_string(x).translate(BITS_TO_ASCII)[::-1], 2)
     with open(path, "wb") as fh:
         fh.write(struct.pack("<Q", n) + value.to_bytes((n + 7) // 8, "little"))
 
 
-def load_database(path) -> tuple[int, ...]:
+def load_database(path) -> bytes:
+    """The n bits of a ``save_database`` file as bytes holding one 0 or 1
+    per entry, the form ``engine.prepare`` answers from."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < 8:
@@ -457,9 +457,9 @@ def load_database(path) -> tuple[int, ...]:
     if n % 8 and body[-1] >> (n % 8):
         raise ParamError(f"{path}: padding bits beyond n = {n} are set")
     if n == 0:
-        return ()
-    bits = format(int.from_bytes(body, "little"), f"0{n}b")[::-1]
-    return tuple(bits.encode().translate(_ASCII_TO_BITS))
+        return b""
+    bits = format(int.from_bytes(body, "little"), f"0{n}b")[::-1].encode()
+    return bits.translate(_ASCII_TO_BITS)
 
 
 def _toy_bits(r, k):

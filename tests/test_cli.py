@@ -468,7 +468,7 @@ class TestNetworkCommands:
         assert code == 0
         from pirlab.sim import load_database
 
-        assert load_database(path) == (1, 0, 1, 1, 0, 0, 1, 0)
+        assert load_database(path) == bytes((1, 0, 1, 1, 0, 0, 1, 0))
 
     @pytest.mark.parametrize("n", ["-1", "0"])
     def test_makedb_rejects_empty_database(self, capsys, tmp_path, n):

@@ -4,6 +4,7 @@ communication accounting, mostly exercised on the hand-sized instance."""
 import dataclasses
 import math
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -316,6 +317,22 @@ class TestAnswer:
     def test_malformed_query(self):
         with pytest.raises(MalformedQuery):
             answer(toy_instance(), (1, 0), (3, 0))
+
+    @pytest.mark.parametrize("entry", [2, -1, 0.5, None])
+    @pytest.mark.parametrize("scheme", desk_schemes(), ids=lambda s: s.name)
+    def test_every_scheme_rejects_non_bit_entries(self, scheme, entry):
+        # An entry of 2 must not read as a set bit on any answer path.
+        x = (entry,) + (0,) * (scheme.n - 1)
+        queries, _ = query_gen(scheme, 0, seed=1)
+        with pytest.raises(ParamError, match="must be bits"):
+            answer(scheme, x, queries[0])
+        with pytest.raises(ParamError, match="must be bits"):
+            run_inprocess(scheme, x, 0, seed=1, check=False)
+
+    def test_rejects_a_buffer_of_wider_integers(self):
+        # bytes() copies a buffer's memory: these two bits are 16 bytes.
+        with pytest.raises(ParamError, match="must be bits"):
+            answer(toy_instance(), array("q", (1, 0)), (1, 2))
 
 
 class TestReconstruct:

@@ -10,6 +10,7 @@ import struct
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -547,7 +548,7 @@ class TestDatabaseFile:
         path = tmp_path / "db.bin"
         x = (1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1)
         save_database(path, x)
-        assert load_database(path) == x
+        assert load_database(path) == bytes(x)
 
     def test_header_is_8_byte_length(self, tmp_path):
         path = tmp_path / "db.bin"
@@ -562,7 +563,31 @@ class TestDatabaseFile:
         assert path.read_bytes()[8:] == bytes([0b01001101, 0b00000001])
         save_database(path, ())
         assert path.read_bytes() == struct.pack("<Q", 0)
-        assert load_database(path) == ()
+        assert load_database(path) == bytes(())
+
+    @pytest.mark.parametrize(
+        "name,config",
+        [
+            ("cgks", {"n": 1 << 20}),
+            ("lagrange", {"n": 1 << 20, "t": 1, "k": 3, "p": 13}),
+        ],
+    )
+    def test_server_from_file_holds_one_byte_per_bit(self, tmp_path, name, config):
+        # A server holds its n bits as n bytes, never as an n-entry tuple
+        # (8 bytes per bit), and reaches no more than a few n-byte copies
+        # on the way from the file.
+        scheme = build_named(name, config)
+        n = scheme.n
+        path = tmp_path / "db.bin"
+        path.write_bytes(struct.pack("<Q", n) + random.Random(5).randbytes(n // 8))
+        tracemalloc.start()
+        try:
+            node = ServerNode(1, scheme, load_database(path))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert node.prepared.n == n
+        assert peak <= 4 << 20 and held <= 2 << 20
 
     @pytest.mark.parametrize("x", [(0, 2), (1, -1), (0, 256), (1, 0.5)])
     def test_save_rejects_non_bit_entries(self, tmp_path, x):
@@ -597,7 +622,7 @@ class TestDatabaseFile:
             x = load_database(path)
         except ParamError:
             return
-        assert isinstance(x, tuple)
+        assert isinstance(x, bytes)
         assert all(bit in (0, 1) for bit in x)
 
 
