@@ -13,11 +13,11 @@ recompute that randomness and read off i.
 
 from pirlab.protocols.cube import build_cgks
 from pirlab.sim import (
+    PirServer,
     ServerNode,
     client_retrieve,
     param_digest,
     run_inprocess,
-    serve,
 )
 from pirlab.verify import comm_audit
 
@@ -26,7 +26,7 @@ x = (1, 0, 0, 1, 1, 0, 1, 0)
 print(f"scheme {scheme.name}, n={scheme.n}, digest {param_digest(scheme)}")
 
 servers = [
-    serve(ServerNode(server_id=j + 1, scheme=scheme, database=x))
+    PirServer(ServerNode(server_id=j + 1, scheme=scheme, database=x)).start()
     for j in range(scheme.k)
 ]
 endpoints = [s.endpoint for s in servers]

@@ -299,8 +299,7 @@ def _cmd_serve(args, report: _Report) -> int:
     if not 0 <= args.port <= 65535:
         raise ParamError(f"--port must be in [0, 65535], got {args.port}")
     scheme = build_named(args.protocol, _protocol_config(args))
-    database = load_database(args.db)
-    node = ServerNode(server_id=args.id, scheme=scheme, database=database)
+    node = ServerNode(args.id, scheme, load_database(args.db))
     try:
         server = PirServer(node, host=args.host, port=args.port)
     except OSError as exc:
@@ -310,7 +309,8 @@ def _cmd_serve(args, report: _Report) -> int:
     host, port = server.endpoint
     report.emit(
         f"serving {scheme.name} server {args.id}/{scheme.k} on {host}:{port} "
-        f"(n={scheme.n}, digest {server.digest})"
+        f"(n={scheme.n}, digest {server.digest})",
+        "warning: plain TCP, no TLS; privacy holds only over private client links",
     )
     with server, contextlib.suppress(KeyboardInterrupt):
         server.serve_forever()

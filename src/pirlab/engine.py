@@ -283,11 +283,18 @@ class Prepared:
     data: object
 
 
-def prepare(scheme: Scheme, x: Sequence[int]) -> Prepared:
+def prepare(scheme: Scheme, x: Sequence[int] | Prepared) -> Prepared:
     """The one database check, for every scheme: n entries, each a bit,
     turned into ``bit_string`` bytes and laid out by ``scheme.prepare``
-    when the scheme has one.  A server prepares at start and answers
-    every query from the result."""
+    when the scheme has one.  A ``Prepared`` passes through if it is for
+    this scheme's (protocol, n).  A server prepares once, at start."""
+    if isinstance(x, Prepared):
+        if (x.protocol, x.n) != (scheme.name, scheme.n):
+            raise ParamError(
+                f"database prepared for {x.protocol} n = {x.n}, "
+                f"not {scheme.name} n = {scheme.n}"
+            )
+        return x
     if len(x) != scheme.n:
         raise ParamError(f"database length {len(x)} != n = {scheme.n}")
     bits = bit_string(x)
@@ -298,17 +305,12 @@ def prepare(scheme: Scheme, x: Sequence[int]) -> Prepared:
 def answer(scheme: Scheme, x: Sequence[int] | Prepared, q: LevelPoint) -> Answer:
     """The answering algorithm: F_x(q) = sum over set bits of alpha(tau, q).
 
-    x is a bit sequence, checked and prepared here, or ``prepare(scheme,
-    x)``.  The query is validated against the level codec first.  The
-    scheme's ``answer_kernel`` computes F_x(q) when it has one; otherwise
+    x is anything ``prepare`` takes, and goes through it.  The query is
+    validated against the level codec first.  The scheme's
+    ``answer_kernel`` computes F_x(q) when it has one; otherwise
     ``alpha_sum``, the reference, does.
     """
-    db = x if isinstance(x, Prepared) else prepare(scheme, x)
-    if (db.protocol, db.n) != (scheme.name, scheme.n):
-        raise ParamError(
-            f"database prepared for {db.protocol} n = {db.n}, "
-            f"not {scheme.name} n = {scheme.n}"
-        )
+    db = prepare(scheme, x)
     scheme.level_codec.validate(q)
     if scheme.answer_kernel is not None:
         return scheme.answer_kernel(db.data, q)

@@ -42,7 +42,7 @@ import struct
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from math import log2
 from typing import Sequence
 
@@ -58,6 +58,7 @@ from .engine import (
     reconstruct,
 )
 from .errors import (
+    InconsistentAnswer,
     MalformedQuery,
     ParamDigestMismatch,
     ParamError,
@@ -181,30 +182,28 @@ class Transcript:
 
 
 def run_inprocess(
-    scheme: Scheme, x: Sequence[int], i: int, seed: int | None, check: bool = True
+    scheme: Scheme, x: Sequence[int] | Prepared, i: int, seed: int | None,
+    check: bool = True,
 ) -> tuple[int, Transcript]:
     """Full query/answer/reconstruct round trip with exact byte accounting.
 
-    x is checked and prepared once, outside the timed server side, and
-    every server answers from it."""
+    x, bits or a ``Prepared``, is prepared once, untimed, and k ServerNodes
+    answer from it.  ``check`` reads x[i]: ParamError on a ``Prepared``."""
+    if check and isinstance(x, Prepared):
+        raise ParamError("check reads x[i]; pass the bits, not a Prepared")
     queries, aux = query_gen(scheme, i, seed)
     db = prepare(scheme, x)
+    nodes = [ServerNode(j, scheme, db) for j in range(1, scheme.k + 1)]
     transcript = Transcript(protocol=scheme.name)
     answers = []
-    for j, q in enumerate(queries):
+    for node, q in zip(nodes, queries):
         q_bytes = scheme.level_codec.encode(q)
-        # Decode on the "server side" so the wire codec is genuinely exercised.
         t0 = time.perf_counter()
-        a = answer(scheme, db, scheme.level_codec.decode(q_bytes))
-        a_bytes = scheme.encode_answer(a)
-        transcript.entries.append(
-            ServerEntry(
-                server=j + 1,
-                query_payload_bytes=len(q_bytes),
-                answer_payload_bytes=len(a_bytes),
-                rtt_seconds=time.perf_counter() - t0,
-            )
-        )
+        a_bytes = node.answer_payload(q_bytes)
+        transcript.entries.append(ServerEntry(
+            server=node.server_id, query_payload_bytes=len(q_bytes),
+            answer_payload_bytes=len(a_bytes), rtt_seconds=time.perf_counter() - t0,
+        ))
         answers.append(scheme.decode_answer(a_bytes))
     bit = reconstruct(scheme, aux, answers)
     if check and bit != x[i]:
@@ -214,27 +213,25 @@ def run_inprocess(
 
 @dataclass(frozen=True)
 class ServerNode:
-    """One server's whole world: its id, the scheme parameters, and the
-    database, checked and prepared once by ``engine.prepare``.  There is
-    deliberately no field for a retrieval index or aux; a node's behaviour
-    is a function of (query, database) only."""
+    """One server's whole world: its id, the scheme, and the database (bits
+    or a ``Prepared``) as ``engine.prepare`` returns it.  No field holds a
+    retrieval index or aux: answers depend on (query, database) only."""
 
     server_id: int
     scheme: Scheme
-    database: Sequence[int]
+    database: InitVar[Sequence[int] | Prepared]
     prepared: Prepared = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, database):
         if not 1 <= self.server_id <= self.scheme.k:
             raise ParamError(
                 f"server id {self.server_id} out of range [1, {self.scheme.k}]"
             )
-        object.__setattr__(self, "prepared", prepare(self.scheme, self.database))
+        object.__setattr__(self, "prepared", prepare(self.scheme, database))
 
     def answer_payload(self, query_payload: bytes) -> bytes:
         q = self.scheme.level_codec.decode(query_payload)
-        a = answer(self.scheme, self.prepared, q)
-        return self.scheme.encode_answer(a)
+        return self.scheme.encode_answer(answer(self.scheme, self.prepared, q))
 
 
 class _Handler(socketserver.BaseRequestHandler):
@@ -319,11 +316,6 @@ class PirServer(socketserver.ThreadingTCPServer):
         self.server_close()
 
 
-def serve(node: ServerNode, host: str = "127.0.0.1", port: int = 0) -> PirServer:
-    """Start a server daemon; returns the running server (caller stops it)."""
-    return PirServer(node, host, port).start()
-
-
 @contextlib.contextmanager
 def _socket_errors(host: str, port: int):
     """A socket error on a connected server becomes a typed error naming it:
@@ -375,8 +367,10 @@ def client_retrieve(
     longer frame and lose its digest error.  ``timeout`` bounds each connect
     and each read; it must be finite and positive.  Every socket error ends
     in a Timeout or TransportError naming the server, and so does an ANSWER
-    payload that the answer codec rejects.  Seed None draws fresh
-    randomness for every retrieval.
+    payload that the answer codec rejects.  Answers that combine to neither
+    0 nor omega end in a TransportError naming all k servers, as no one can
+    be blamed.  Seed None draws fresh randomness for every retrieval.  The
+    links must be private: whoever reads all k sees more than t servers do.
     """
     if not (math.isfinite(timeout) and timeout > 0):
         raise ParamError(f"timeout must be finite and > 0, got {timeout!r}")
@@ -427,7 +421,11 @@ def client_retrieve(
                 raise TransportError(
                     f"server {host}:{port} sent a malformed answer: {exc}"
                 ) from exc
-    return reconstruct(scheme, aux, answers), transcript
+    try:
+        return reconstruct(scheme, aux, answers), transcript
+    except InconsistentAnswer as exc:
+        names = ", ".join(f"{host}:{port}" for host, port in endpoints)
+        raise TransportError(f"servers {names} disagree: {exc}") from exc
 
 
 _ASCII_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -506,9 +504,9 @@ def bench(
 ) -> list[dict]:
     """Payload sizes (and optionally times) across a grid of database sizes.
 
-    ``build`` maps n to a Scheme.  Sizes are database-independent, so each
-    row also carries the closed-form prediction and the k^2/(k-1) * log2(n)
-    lower-bound baseline for context.
+    ``build`` maps n to a Scheme; each database is prepared once.  Sizes
+    are database-independent, so each row also carries the closed-form
+    prediction and the k^2/(k-1) * log2(n) lower-bound baseline for context.
     """
     if trials < 1:
         raise ParamError(f"trials must be >= 1, got {trials}")
@@ -517,13 +515,17 @@ def bench(
         scheme = build(n)
         cost = comm_cost(scheme)
         x = tuple((j * 2654435761 >> 7) & 1 for j in range(n))
+        db = prepare(scheme, x)
         answer_time = 0.0
         total_time = 0.0
         for trial in range(trials):
             i = (trial * 7919) % n
             t0 = time.perf_counter()
-            _, transcript = run_inprocess(scheme, x, i, seed + trial)
+            bit, transcript = run_inprocess(scheme, db, i, seed + trial, check=False)
             total_time += time.perf_counter() - t0
+            if bit != x[i]:
+                msg = f"round trip returned {bit}, database holds {x[i]}"
+                raise AssertionError(msg)
             answer_time += sum(e.rtt_seconds for e in transcript.entries)
         row = {
             "protocol": scheme.name,

@@ -42,7 +42,7 @@ from pirlab.protocols.toy import (
     broken_span_demo,
     toy_instance,
 )
-from pirlab.sim import ServerNode, client_retrieve, run_inprocess, serve
+from pirlab.sim import PirServer, ServerNode, client_retrieve, run_inprocess
 from pirlab.verify import (
     comm_audit,
     exhaustive_correctness,
@@ -264,7 +264,7 @@ def test_criterion_11_framework_span_and_transport():
         scheme = build_cgks(8)
         x = (1, 1, 0, 1, 0, 0, 1, 0)
         servers = [
-            serve(ServerNode(server_id=j + 1, scheme=scheme, database=x))
+            PirServer(ServerNode(server_id=j + 1, scheme=scheme, database=x)).start()
             for j in range(2)
         ]
         try:

@@ -16,7 +16,8 @@ import pytest
 from pirlab import cli
 from pirlab.cli import main
 from pirlab.protocols.cube import build_cgks
-from pirlab.sim import ServerNode, Transcript, param_digest, serve
+from pirlab.protocols.registry import build_named
+from pirlab.sim import PirServer, ServerNode, Transcript, param_digest
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -260,7 +261,7 @@ class TestNetworkCommands:
         scheme = build_cgks(8)
         x = (0, 1, 1, 0, 1, 0, 0, 1)
         servers = [
-            serve(ServerNode(server_id=j + 1, scheme=scheme, database=x))
+            PirServer(ServerNode(server_id=j + 1, scheme=scheme, database=x)).start()
             for j in range(2)
         ]
         try:
@@ -277,6 +278,32 @@ class TestNetworkCommands:
             for s in servers:
                 s.stop()
 
+    def test_lying_server_is_a_transport_error_naming_all(self, capsys):
+        # Server 3 holds another database.  At seed 1 the three answers to
+        # x_1 combine to 2, neither 0 nor omega = 1; no single server can be
+        # blamed, so the error names all three and get exits 3, not 2.
+        scheme = build_named("lagrange", {"n": 16, "t": 1, "k": 3, "p": 7})
+        honest = (1, 1, 0, 1, 1, 1, 1, 1, 1, 0, 0, 1, 0, 0, 1, 0)
+        liar = (0, 0, 1, 0, 1, 1, 1, 1, 0, 0, 1, 0, 1, 1, 0, 1)
+        servers = [
+            PirServer(ServerNode(j, scheme, x)).start()
+            for j, x in ((1, honest), (2, honest), (3, liar))
+        ]
+        try:
+            names = [f"{h}:{p}" for h, p in (s.endpoint for s in servers)]
+            code, out, err = run_cli(
+                capsys,
+                "get", "lagrange", "--n", "16", "--t", "1", "--k", "3", "--p", "7",
+                "--index", "1", "--servers", ",".join(names), "--seed", "1",
+            )
+        finally:
+            for s in servers:
+                s.stop()
+        assert code == 3 and "x_1" not in out
+        assert err.startswith("transport error: servers ")
+        assert all(name in err for name in names)
+        assert "combined value 2 is neither 0 nor omega 1" in err
+
     def test_get_without_seed_sends_fresh_queries(self, capsys):
         received = []
 
@@ -288,8 +315,8 @@ class TestNetworkCommands:
         scheme = build_cgks(512)  # server 1's query is 24 uniform bits
         x = tuple(j % 3 % 2 for j in range(512))
         servers = [
-            serve(RecordingNode(server_id=1, scheme=scheme, database=x)),
-            serve(ServerNode(server_id=2, scheme=scheme, database=x)),
+            PirServer(RecordingNode(server_id=1, scheme=scheme, database=x)).start(),
+            PirServer(ServerNode(server_id=2, scheme=scheme, database=x)).start(),
         ]
         try:
             endpoints = ",".join(f"{h}:{p}" for h, p in (s.endpoint for s in servers))
@@ -417,6 +444,10 @@ class TestNetworkCommands:
             for proc in procs:
                 proc.send_signal(signal.SIGINT)
             assert [proc.wait(timeout=10) for proc in procs] == [0, 0]
+            # Read once the servers have exited, so a missing line is EOF,
+            # not a wait: the line after the banner warns of plain TCP.
+            for proc in procs:
+                assert "no TLS" in proc.stdout.readline()
         finally:
             for proc in procs:
                 if proc.poll() is None:

@@ -15,6 +15,7 @@ from pirlab.errors import MalformedQuery, ParamError
 from pirlab.protocols.cube import build_cgks
 from pirlab.protocols.curve import build_lagrange, build_wy_hermite
 from pirlab.protocols.curve import binomial_tables, colex_unrank, minimal_h
+from pirlab.sim import ServerNode, run_inprocess
 from pirlab.verify import (
     exhaustive_correctness,
     exhaustive_privacy,
@@ -91,8 +92,21 @@ class TestCgksKernel:
                 answer(scheme, (0,) * 99 + (entry,), q)
         with pytest.raises(MalformedQuery):
             answer(scheme, (0,) * 100, (1 << 5, 0, 0))
-        with pytest.raises(ParamError, match="prepared for cgks n = 27"):
-            answer(scheme, prepare(build_cgks(27), (0,) * 27), q)
+        # A Prepared for another n or another protocol is refused by every
+        # entry point that takes a database.
+        for other, label in (
+            (build_cgks(27), "cgks n = 27"),
+            (build_lagrange(100, 1, 3, 13), "lagrange n = 100"),
+        ):
+            db = prepare(other, (0,) * other.n)
+            for call in (
+                lambda: prepare(scheme, db),
+                lambda: answer(scheme, db, q),
+                lambda: ServerNode(1, scheme, db),
+                lambda: run_inprocess(scheme, db, 0, seed=0, check=False),
+            ):
+                with pytest.raises(ParamError, match=f"prepared for {label}, not"):
+                    call()
 
     def test_prepare_needs_a_kernel(self):
         with pytest.raises(ParamError, match="needs an answer kernel"):

@@ -16,7 +16,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pirlab import sim
-from pirlab.engine import Prepared, answer, comm_cost, query_gen, reconstruct
+from pirlab.engine import (
+    Prepared,
+    answer,
+    comm_cost,
+    prepare,
+    query_gen,
+    reconstruct,
+)
 from pirlab.errors import (
     InconsistentAnswer,
     ParamDigestMismatch,
@@ -50,7 +57,6 @@ from pirlab.sim import (
     read_frame,
     run_inprocess,
     save_database,
-    serve,
     write_frame,
 )
 
@@ -117,6 +123,26 @@ class TestInProcess:
         x = tuple(j % 3 % 2 for j in range(64))
         assert run_inprocess(counted, x, 5, seed=1)[0] == x[5]
         assert calls == [64]
+
+    @pytest.mark.parametrize("scheme", desk_schemes(), ids=lambda s: s.name)
+    def test_prepared_database_gives_the_same_round_trip(self, scheme):
+        def sizes(transcript):
+            return transcript.payload_bytes, [
+                (e.server, e.query_payload_bytes, e.answer_payload_bytes)
+                for e in transcript.entries
+            ]
+
+        rng = random.Random(11)
+        x = tuple(rng.randrange(2) for _ in range(scheme.n))
+        db = prepare(scheme, x)
+        for i in range(scheme.n):
+            bit, from_bits = run_inprocess(scheme, x, i, seed=i)
+            same, from_db = run_inprocess(scheme, db, i, seed=i, check=False)
+            assert same == bit
+            assert sizes(from_db) == sizes(from_bits)
+        # check reads x[i], which a Prepared does not offer.
+        with pytest.raises(ParamError, match="check reads x"):
+            run_inprocess(scheme, db, 0, seed=0)
 
     def test_sizes_database_independent(self):
         scheme = build_cgks(8)
@@ -303,7 +329,7 @@ def cgks_servers():
     scheme = build_cgks(8)
     x = (1, 0, 1, 1, 0, 0, 1, 0)
     servers = [
-        serve(ServerNode(server_id=j + 1, scheme=scheme, database=x))
+        PirServer(ServerNode(server_id=j + 1, scheme=scheme, database=x)).start()
         for j in range(scheme.k)
     ]
     yield scheme, x, servers
@@ -380,7 +406,7 @@ class TestTcp:
         # is 17 bytes wide, so the bound is its own width.
         scheme = build_lagrange(600, 1, 3, 13)
         assert scheme.level_codec.nbytes > len(param_digest(scheme))
-        server = serve(ServerNode(server_id=1, scheme=scheme, database=(0,) * 600))
+        server = PirServer(ServerNode(1, scheme, (0,) * 600)).start()
         try:
             with socket.create_connection(server.endpoint, timeout=2) as sock:
                 write_frame(sock, MSG_HELLO, server.digest.encode())
@@ -490,7 +516,7 @@ class TestTcp:
         # All ones: each answer calls alpha 8 times, so takes at least 0.4 s.
         slow = dataclasses.replace(scheme, alpha=slow_alpha)
         servers = [
-            serve(ServerNode(server_id=j + 1, scheme=slow, database=(1,) * 8))
+            PirServer(ServerNode(j + 1, slow, (1,) * 8)).start()
             for j in range(scheme.k)
         ]
         try:
