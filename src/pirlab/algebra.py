@@ -1,18 +1,22 @@
-"""Exact arithmetic over the structures the retrieval protocols need.
+"""Exact arithmetic over the structures the matching-vector schemes and
+the verifier need.
 
-Everything here is pure and exact: prime fields F_p, the binary fields
-F_(2^r), the cyclic group ring Z_m[g]/(g^m - 1) for squarefree m, and
-sparse univariate polynomials.  Elements of F_p and F_(2^r) are plain
-Python ints (canonical residues, or bit vectors of polynomial
-coefficients); only group-ring elements are tuples of ints.
-The structure objects carry the operations, and each has one ``dot``, the
-inner product of two element sequences.  All values are immutable, so
-everything in this module is safe to share across threads.
+Everything here is pure and exact: the binary fields F_(2^r), the cyclic
+group ring Z_m[g]/(g^m - 1) for squarefree m, and sparse univariate
+polynomials.  The prime field F_p and its primality test live in
+:mod:`pirlab.engine`, since the cgks, curve and toy schemes need only that
+field: their servers and clients never load this module.  Elements of
+F_(2^r) are plain Python ints (bit vectors of polynomial coefficients);
+group-ring elements are tuples of ints.  The structure objects carry the
+operations, and each has one ``dot``, the inner product of two element
+sequences.  All values are immutable, so everything in this module is
+safe to share across threads.
 
 Linear algebra is Gaussian elimination over a prime field.  On top of it,
 ``interpolation_vector`` computes the weights that recover a polynomial's
-constant term from its values (and first derivatives) at the server points:
-the reconstruction vector of every polynomial scheme.
+constant term from its values (and first derivatives) at any points: the
+reconstruction vector of gks, and the reference that the closed-form
+weights of the curve schemes are tested against.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
 
+from .engine import PrimeField
 from .errors import (
     DimensionMismatch,
     InterpolationSetInvalid,
@@ -32,36 +37,6 @@ from .errors import (
 
 Matrix = Sequence[Sequence[int]]
 Vector = Sequence[int]
-
-# Witnesses making Miller-Rabin deterministic for every n < 3.3 * 10^24,
-# far beyond the u64 range this library promises.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test for n < 2^64."""
-    if n < 2:
-        return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n == small:
-            return True
-        if n % small == 0:
-            return False
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_WITNESSES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def factorize(n: int) -> tuple[int, ...]:
@@ -86,50 +61,6 @@ def squarefree_factors(m: int) -> tuple[int, ...]:
     if len(set(factors)) != len(factors):
         raise ParamError(f"{m} is not squarefree")
     return factors
-
-
-class PrimeField:
-    """The field F_p of integers modulo a prime p.
-
-    Elements are canonical residues in [0, p).
-    """
-
-    def __init__(self, p: int):
-        if not is_prime(p):
-            raise ParamError(f"{p} is not prime")
-        self.p = p
-        # Every wire component of an element is a residue below this.
-        self.component_modulus = p
-        self.zero = 0
-        self.one = 1
-
-    def __repr__(self):
-        return f"PrimeField({self.p})"
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("F", self.p))
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.p
-
-    def dot(self, a: Sequence[int], b: Sequence[int]) -> int:
-        return sum(map(operator.mul, a, b)) % self.p
-
-    def inv(self, a: int) -> int:
-        if a % self.p == 0:
-            raise NonUnit(f"0 has no inverse in F_{self.p}")
-        return pow(a, self.p - 2, self.p)
-
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return pow(self.inv(a), -e, self.p)
-        return pow(a, e, self.p)
 
 
 def crt_combine(residues: Sequence[int], factors: Sequence[int]) -> int:

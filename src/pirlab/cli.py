@@ -30,7 +30,6 @@ from .errors import (
     PirError,
     TransportError,
 )
-from .mv import k_r_table
 from .protocols.registry import PROTOCOL_NAMES, build_named
 from .sim import (
     PirServer,
@@ -225,6 +224,8 @@ def _scheme_report(scheme, report: _Report):
 
 def _cmd_params(args, report: _Report) -> int:
     if args.protocol == "kr":
+        from .mv import k_r_table
+
         if args.r is None:
             raise ParamError("params kr requires --r")
         report.kv({"r": args.r, "k_r": k_r_table(args.r)})

@@ -16,12 +16,17 @@ Answers live in R^D for a base ring R and a per-protocol dimension D; the
 client pairs the k lambda blocks with the k answers in one ``ring.dot``
 over R, which degenerates to ring multiplication for scalar protocols
 (D = 1).
+
+``PrimeField`` (with its primality test) lives here rather than in
+:mod:`pirlab.algebra`: it is the only ring of cgks, the curve schemes and
+toy, so their servers and clients load no other arithmetic.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -32,6 +37,7 @@ from .errors import (
     DimensionMismatch,
     InconsistentAnswer,
     MalformedQuery,
+    NonUnit,
     OAFailure,
     ParamError,
     SpanFailure,
@@ -41,6 +47,82 @@ LevelPoint = tuple[int, ...]
 Answer = tuple  # D ring elements
 DEFAULT_ROW_CAP = 10**6
 BITS_TO_ASCII = bytes.maketrans(b"\x00\x01", b"01")
+ASCII_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+# Witnesses making Miller-Rabin deterministic for every n < 3.3 * 10^24,
+# far beyond the u64 range this library promises.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test for n < 2^64."""
+    if n < 2:
+        return False
+    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n == small:
+            return True
+        if n % small == 0:
+            return False
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+class PrimeField:
+    """The field F_p of integers modulo a prime p.
+
+    Elements are canonical residues in [0, p).
+    """
+
+    def __init__(self, p: int):
+        if not is_prime(p):
+            raise ParamError(f"{p} is not prime")
+        self.p = p
+        # Every wire component of an element is a residue below this.
+        self.component_modulus = p
+        self.zero = 0
+        self.one = 1
+
+    def __repr__(self):
+        return f"PrimeField({self.p})"
+
+    def __eq__(self, other):
+        return isinstance(other, PrimeField) and other.p == self.p
+
+    def __hash__(self):
+        return hash(("F", self.p))
+
+    def add(self, a: int, b: int) -> int:
+        return (a + b) % self.p
+
+    def mul(self, a: int, b: int) -> int:
+        return a * b % self.p
+
+    def dot(self, a: Sequence[int], b: Sequence[int]) -> int:
+        return sum(map(operator.mul, a, b)) % self.p
+
+    def inv(self, a: int) -> int:
+        if a % self.p == 0:
+            raise NonUnit(f"0 has no inverse in F_{self.p}")
+        return pow(a, self.p - 2, self.p)
+
+    def pow(self, a: int, e: int) -> int:
+        if e < 0:
+            return pow(self.inv(a), -e, self.p)
+        return pow(a, e, self.p)
 
 
 class Aux(NamedTuple):
@@ -68,7 +150,9 @@ class Codec:
     odd node out is carried up unchanged.  The carried node is always the
     last, so every low node is full and each level has one base.  That is
     O(log count) list-wide passes instead of count steps on a growing
-    integer.
+    integer.  Bits (radix 2) skip the tree: the integer is one binary
+    string, most significant bit first, read by ``int(..., 2)`` and written
+    by ``format``.
     """
 
     def __init__(self, radix: int, count: int):
@@ -106,6 +190,9 @@ class Codec:
 
     def encode(self, values: Sequence[int]) -> bytes:
         self.validate(values)
+        if self.radix == 2:
+            number = int(bytes(values).translate(BITS_TO_ASCII)[::-1], 2)
+            return number.to_bytes(self.nbytes, "little")
         nums = values
         for pairs, base in self._levels:
             merged = [lo + hi * base for lo, hi in zip(nums[0::2], nums[1::2])]
@@ -128,6 +215,9 @@ class Codec:
     def unrank(self, number: int) -> tuple[int, ...]:
         """The value tuple whose integer is ``number``, which must lie in
         [0, size): the inverse of encode before its bytes."""
+        if self.radix == 2:
+            bits = format(number, f"0{self.count}b")[::-1].encode()
+            return tuple(bits.translate(ASCII_TO_BITS))
         nums = [number]
         for pairs, base in reversed(self._levels):
             highs, lows = zip(*map(divmod, nums, itertools.repeat(base, pairs)))

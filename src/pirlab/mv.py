@@ -25,16 +25,14 @@ from typing import Sequence
 
 from .algebra import (
     BinaryField,
-    PrimeField,
     SparsePoly,
     crt_combine,
     find_order_element,
-    is_prime,
     kernel_mod_prime,
     squarefree_factors,
     try_solve_mod_prime,
 )
-from .engine import Codec, Scheme
+from .engine import Codec, PrimeField, Scheme, is_prime
 from .errors import (
     DecodingPolyInvalid,
     Exhausted,

@@ -20,8 +20,7 @@ Goldreich, Kushilevitz & Sudan, JACM 1998).
 
 from __future__ import annotations
 
-from ..algebra import PrimeField
-from ..engine import BITS_TO_ASCII, Codec, Scheme
+from ..engine import BITS_TO_ASCII, Codec, PrimeField, Scheme
 from ..errors import ParamError
 
 
@@ -81,9 +80,14 @@ def build_cgks(n: int) -> Scheme:
 
     def prepare(bits):
         cells = bits.translate(BITS_TO_ASCII)
-        # Slab w is every h-th cell from w, reversed, as int() reads the most
-        # significant bit first; cells past n are missing high bits, so 0.
-        return tuple(int(cells[w::h][::-1], 2) for w in range(h))
+        # Slab w is every h-th cell from w, read from its last cell below n
+        # down to w, as int() reads the most significant bit first; cells
+        # past n are missing high bits, so 0.  h <= n, so every slab has a
+        # cell.
+        last = len(cells) - 1
+        return tuple(
+            int(cells[last - (last - w) % h :: -h], 2) for w in range(h)
+        )
 
     def answer_kernel(slabs, z):
         mask_u, mask_v, mask_w = z

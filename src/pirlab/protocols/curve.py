@@ -42,8 +42,7 @@ import bisect
 import itertools
 import math
 
-from ..algebra import PrimeField, interpolation_vector
-from ..engine import Codec, Scheme
+from ..engine import Codec, PrimeField, Scheme
 from ..errors import ParamError
 
 
@@ -124,6 +123,39 @@ def _columns_times(ell, weights) -> list[int]:
     return total
 
 
+def lagrange_weights(k: int, p: int) -> list[int]:
+    """lambda_j = L_j(0) = prod_{m != j} m / (m - j) over F_p for the points
+    j = 1..k: the weights that recover phi(0) from phi(1), ..., phi(k) for
+    every phi of degree below k.  Needs prime p > k."""
+    weights = []
+    for j in range(1, k + 1):
+        num = den = 1
+        for m in range(1, k + 1):
+            if m != j:
+                num *= m
+                den *= m - j
+        weights.append(num * pow(den, -1, p) % p)
+    return weights
+
+
+def hermite_weights(k: int, p: int) -> list[int]:
+    """(mu_value, mu_deriv) for each point j = 1..k in turn, over F_p: the
+    weights that recover phi(0) from phi(j) and phi'(j) for every phi of
+    degree below 2k.  Hermite interpolation on double nodes gives, with
+    L_j(0) from ``lagrange_weights``,
+
+        mu_value = L_j(0)^2 * (1 + 2j * sum_{m != j} 1 / (j - m)),
+        mu_deriv = -j * L_j(0)^2.
+
+    Needs prime p > 2k - 1."""
+    weights = []
+    for j, lam in enumerate(lagrange_weights(k, p), 1):
+        square = lam * lam % p
+        slope = sum(pow(j - m, -1, p) for m in range(1, k + 1) if m != j)
+        weights += [square * (1 + 2 * j * slope) % p, -j * square % p]
+    return weights
+
+
 def _curve_row(d: int, tables: list[list[int]], t: int, k: int, p: int):
     """row(i, ell): q(theta) = u_i + R * (theta, ..., theta^t) at theta =
     1..k, where u_i is the 0/1 vector with ones at the support of index i."""
@@ -151,7 +183,7 @@ def build_lagrange(n: int, t: int, k: int, p: int, h: int | None = None) -> Sche
     h, tables = _index_tables(h, d, n)
 
     # Lagrange basis values at 0 for the points 1..k; independent of (i, ell).
-    lam = interpolation_vector(p, range(1, k + 1), range(k), multiplicity=1)
+    lam = lagrange_weights(k, p)
     lam_tuple = (tuple((val,) for val in lam), 1)
 
     def alpha(tau, z):
@@ -199,7 +231,7 @@ def build_wy_hermite(n: int, t: int, k: int, p: int, h: int | None = None) -> Sc
         raise ParamError("need 1 <= t < k")
     d = (2 * k - 1) // t
     h, tables = _index_tables(h, d, n)
-    mu = interpolation_vector(p, range(1, k + 1), range(2 * k), multiplicity=2)
+    mu = hermite_weights(k, p)
 
     def alpha(tau, z):
         support = colex_unrank(tau, d, tables)

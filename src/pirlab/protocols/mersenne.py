@@ -15,8 +15,8 @@ by ``mv.exponent_scheme``.
 
 from __future__ import annotations
 
-from ..algebra import PrimeField, SparsePoly
-from ..engine import Codec, Scheme
+from ..algebra import SparsePoly
+from ..engine import Codec, PrimeField, Scheme
 from ..errors import DecodingPolyInvalid, ParamError
 from ..mv import (
     MatchingFamily,

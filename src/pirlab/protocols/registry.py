@@ -7,21 +7,19 @@ configuration always agree on every derived object.
 
 ``build_named`` imports the builder module of the requested protocol inside
 that protocol's branch, so a process that serves one scheme never loads
-the other constructions.  The ingredient searches stay module-level imports:
-perfbench's set-up tracing wraps them by name on this module.
+the other constructions.  :mod:`pirlab.mv` (and the :mod:`pirlab.algebra`
+it needs) loads only for the five matching-vector schemes: cgks, lagrange
+and hermite processes never compile it.  The four ingredient searches that
+perfbench's set-up tracing wraps by name on this module are module-level
+functions here that import :mod:`pirlab.mv` when first called, and
+``build_named`` calls them through those names, so a wrapper set on this
+module sees every search.
 """
 
 from __future__ import annotations
 
 from ..engine import Scheme
 from ..errors import ParamError
-from ..mv import (
-    search_matching_family,
-    sparse_decoding_poly_search,
-    trivial_decoding_poly,
-    two_subgroup,
-    yekhanin_nice_sets,
-)
 
 PROTOCOL_NAMES = (
     "toy",
@@ -35,6 +33,30 @@ PROTOCOL_NAMES = (
     "gks",
     "broken-demo",
 )
+
+
+def search_matching_family(*args, **kwargs):
+    from ..mv import search_matching_family
+
+    return search_matching_family(*args, **kwargs)
+
+
+def sparse_decoding_poly_search(*args, **kwargs):
+    from ..mv import sparse_decoding_poly_search
+
+    return sparse_decoding_poly_search(*args, **kwargs)
+
+
+def trivial_decoding_poly(*args, **kwargs):
+    from ..mv import trivial_decoding_poly
+
+    return trivial_decoding_poly(*args, **kwargs)
+
+
+def yekhanin_nice_sets(*args, **kwargs):
+    from ..mv import yekhanin_nice_sets
+
+    return yekhanin_nice_sets(*args, **kwargs)
 
 
 def _require(config: dict, *keys: str) -> list:
@@ -85,6 +107,7 @@ def build_named(name: str, config: dict | None = None) -> Scheme:
     n = config.get("n", 3)
     h = config.get("h", 3)
     if name in ("yekhanin", "raghavendra"):
+        from ..mv import two_subgroup
         from .mersenne import build_raghavendra, build_yekhanin
 
         p = config.get("p", 7)

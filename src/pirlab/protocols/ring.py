@@ -28,14 +28,12 @@ import math
 
 from ..algebra import (
     CyclicGroupRing,
-    PrimeField,
     crt_combine,
     find_order_element,
     interpolation_vector,
-    is_prime,
     squarefree_factors,
 )
-from ..engine import Codec, Scheme
+from ..engine import Codec, PrimeField, Scheme, is_prime
 from ..errors import NoMuNu, ParamError
 from ..mv import (
     DecodingPoly,

@@ -9,8 +9,7 @@ controls for the verification suites.
 
 from __future__ import annotations
 
-from ..algebra import PrimeField
-from ..engine import Codec, Scheme
+from ..engine import Codec, PrimeField, Scheme
 
 # Row q of the array for index i is (q, 2 * e_i - q) mod 3, for q over all of
 # F_3^2; the two queries sum to 2 * e_i, so lambda = (2, 2) pairs them to e_i.

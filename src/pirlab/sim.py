@@ -21,7 +21,10 @@ deployments fail fast without shipping full parameters.  A wrong digest, or
 a QUERY before a matching HELLO, gets ERROR code 3 with the server's digest.
 A query the codec rejects gets code 2; any other failure while answering
 gets code 4 with just the exception's type name, and the server closes the
-connection.  Servers are stateless per request and serve concurrent
+connection.  Each frame a server reads must arrive whole within
+DEFAULT_TIMEOUT of the moment it starts waiting for it, or the server
+closes the connection, so a client that trickles bytes cannot hold a
+handler thread.  Servers are stateless per request and serve concurrent
 connections against an immutable database.
 
 A client retrieval is one round in one thread: ``client_retrieve`` opens
@@ -47,6 +50,7 @@ from math import log2
 from typing import Sequence
 
 from .engine import (
+    ASCII_TO_BITS,
     BITS_TO_ASCII,
     Prepared,
     Scheme,
@@ -92,11 +96,23 @@ def encode_frame(msg_type: int, payload: bytes) -> bytes:
     return MAGIC + bytes([msg_type]) + struct.pack("<I", len(payload)) + payload
 
 
-def _recv_exact(sock: socket.socket, length: int) -> bytes:
+def _recv_exact(
+    sock: socket.socket, length: int, deadline: float | None
+) -> bytes:
     chunks = []
     got = 0
     while got < length:
-        chunk = sock.recv(length - got)
+        try:
+            if deadline is not None:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise TimeoutError
+                sock.settimeout(remaining)
+            chunk = sock.recv(length - got)
+        except TimeoutError:
+            if deadline is None:
+                raise
+            raise Timeout("frame not complete by its deadline") from None
         if not chunk:
             raise TransportError("connection closed mid-frame")
         chunks.append(chunk)
@@ -105,18 +121,23 @@ def _recv_exact(sock: socket.socket, length: int) -> bytes:
 
 
 def read_frame(
-    sock: socket.socket, max_payload: int = MAX_FRAME_PAYLOAD
+    sock: socket.socket,
+    max_payload: int = MAX_FRAME_PAYLOAD,
+    deadline: float | None = None,
 ) -> tuple[int, bytes]:
     """One frame; a declared length above ``max_payload`` raises
-    TransportError before any payload byte is read."""
-    header = _recv_exact(sock, FRAME_HEADER_LEN)
+    TransportError before any payload byte is read.  With a ``deadline``
+    (a ``time.monotonic()`` value) the whole frame must arrive by then, or
+    Timeout is raised; without one, the socket's own timeout bounds each
+    ``recv`` on its own."""
+    header = _recv_exact(sock, FRAME_HEADER_LEN, deadline)
     if header[:4] != MAGIC:
         raise TransportError(f"bad magic {header[:4]!r}")
     msg_type = header[4]
     (length,) = struct.unpack("<I", header[5:9])
     if length > max_payload:
         raise TransportError(f"declared length {length} exceeds {max_payload}")
-    payload = _recv_exact(sock, length) if length else b""
+    payload = _recv_exact(sock, length, deadline) if length else b""
     return msg_type, payload
 
 
@@ -239,7 +260,7 @@ class _Handler(socketserver.BaseRequestHandler):
         node: ServerNode = self.server.node  # type: ignore[attr-defined]
         digest = self.server.digest  # type: ignore[attr-defined]
         sock = self.request
-        sock.settimeout(DEFAULT_TIMEOUT)
+        timeout = DEFAULT_TIMEOUT
         digest_error = bytes([ERR_DIGEST]) + digest.encode()
         # No frame a client may send is longer than a QUERY or a HELLO.
         max_payload = max(node.scheme.level_codec.nbytes, len(digest))
@@ -247,10 +268,15 @@ class _Handler(socketserver.BaseRequestHandler):
         greeted = False
         try:
             while True:
+                # One deadline per frame, not per recv: a client that
+                # trickles bytes cannot hold this thread past it.
+                deadline = time.monotonic() + timeout
                 try:
-                    msg_type, payload = read_frame(sock, max_payload)
+                    msg_type, payload = read_frame(sock, max_payload, deadline)
                 except TransportError:
                     return
+                # The reply gets a whole timeout, not what the read left.
+                sock.settimeout(timeout)
                 if msg_type == MSG_HELLO:
                     if payload.decode(errors="replace") != digest:
                         write_frame(sock, MSG_ERROR, digest_error)
@@ -428,9 +454,6 @@ def client_retrieve(
         raise TransportError(f"servers {names} disagree: {exc}") from exc
 
 
-_ASCII_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
-
-
 def save_database(path, x: Sequence[int]) -> None:
     """8-byte LE length header, then bit-packed little-endian data.
 
@@ -457,7 +480,7 @@ def load_database(path) -> bytes:
     if n == 0:
         return b""
     bits = format(int.from_bytes(body, "little"), f"0{n}b")[::-1].encode()
-    return bits.translate(_ASCII_TO_BITS)
+    return bits.translate(ASCII_TO_BITS)
 
 
 def _toy_bits(r, k):

@@ -18,10 +18,17 @@ from pirlab.algebra import (
     crt_combine,
     interpolation_matrix,
     interpolation_vector,
-    is_prime,
     kernel_mod_prime,
 )
-from pirlab.engine import Aux, answer, comm_cost, oa_strength_check, reconstruct, span_check
+from pirlab.engine import (
+    Aux,
+    answer,
+    comm_cost,
+    is_prime,
+    oa_strength_check,
+    reconstruct,
+    span_check,
+)
 from pirlab.errors import InconsistentAnswer, OAFailure
 from pirlab.mv import (
     canonical_set,

@@ -9,15 +9,14 @@ import pytest
 from pirlab.algebra import (
     BinaryField,
     CyclicGroupRing,
-    PrimeField,
     SparsePoly,
     crt_combine,
     find_order_element,
-    is_prime,
     kernel_mod_prime,
     squarefree_factors,
     try_solve_mod_prime,
 )
+from pirlab.engine import PrimeField, is_prime
 from pirlab.errors import (
     NonUnit,
     NoSuchElement,

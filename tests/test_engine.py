@@ -149,6 +149,29 @@ class TestCodec:
             assert values == tuple(number // radix**j % radix for j in range(count))
             assert codec.encode(values) == number.to_bytes(codec.nbytes, "little")
 
+    def test_bits_encode_as_the_sum_of_their_powers_of_two(self):
+        # Radix 2 packs through one binary string, not the product tree.
+        rng = random.Random(2)
+        for count in range(1, 801):
+            codec = Codec(2, count)
+            bits = tuple(rng.randrange(2) for _ in range(count))
+            number = sum(v << j for j, v in enumerate(bits))
+            assert codec.encode(bits) == number.to_bytes(codec.nbytes, "little")
+            for edge in ((0,) * count, (1,) * count):
+                number = sum(v << j for j, v in enumerate(edge))
+                assert codec.encode(edge) == number.to_bytes(codec.nbytes, "little")
+
+    def test_bits_decode_inverts_encode(self):
+        rng = random.Random(3)
+        for count in range(1, 801):
+            codec = Codec(2, count)
+            for number in (0, codec.size - 1, rng.randrange(codec.size)):
+                values = codec.unrank(number)
+                assert values == tuple(number >> j & 1 for j in range(count))
+                blob = codec.encode(values)
+                assert codec.decode(blob) == values
+                assert int.from_bytes(blob, "little") == number
+
     def test_space_enumeration(self):
         codec = Codec(3, 2)
         assert sorted(codec.enumerate_values()) == [

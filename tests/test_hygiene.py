@@ -144,26 +144,35 @@ def test_no_dead_definitions():
     assert sorted(found) == sorted(CALLED_FROM_OUTSIDE)
 
 
-# The protocols the TCP benchmark workloads serve, with a desk-size config
-# and the one builder module each needs.
+# The protocols the benchmark workloads serve, with a desk-size config and
+# the one builder module each needs.
 SERVED = [
     ("cgks", {"n": 64}, "cube"),
+    ("lagrange", {"n": 64, "t": 1, "k": 3, "p": 13}, "curve"),
     ("hermite", {"n": 64, "t": 1, "k": 2, "p": 5}, "curve"),
     ("dvir-gopi", {"m": 6, "n": 3}, "ring"),
     ("gks", {"m": 2, "p": 3, "n": 3}, "ring"),
 ]
 BUILDERS = {"cube", "curve", "mersenne", "ring", "toy"}
+# Builders whose schemes need only F_p from the engine: no matching vectors
+# and no linear algebra.
+LEAN_BUILDERS = {"cube", "curve"}
 
 
 def test_cli_import_leaves_heavy_modules_unloaded():
     # Every `pirlab serve` process pays for what importing the CLI and
     # building its scheme load.  numpy must stay a lazy import, the client
     # needs no thread pool, a server never runs the verifier, and a server
-    # loads the builder module of its own protocol only.
+    # loads the builder module of its own protocol only.  Without bytecode
+    # caching each module is compiled at every start, so cgks, lagrange and
+    # hermite processes must not load the matching-vector searches or the
+    # algebra module either.
     heavy = {"concurrent.futures", "numpy", "pirlab.verify"}
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     for name, config, needs in SERVED:
         unwanted = heavy | {f"pirlab.protocols.{m}" for m in BUILDERS - {needs}}
+        if needs in LEAN_BUILDERS:
+            unwanted |= {"pirlab.mv", "pirlab.algebra"}
         code = (
             "import sys, pirlab.cli; from pirlab.protocols import registry; "
             f"registry.build_named({name!r}, {config!r}); "

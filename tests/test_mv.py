@@ -7,7 +7,8 @@ import itertools
 import pytest
 
 import pirlab.mv
-from pirlab.algebra import PrimeField, find_order_element, try_solve_mod_prime
+from pirlab.algebra import find_order_element, try_solve_mod_prime
+from pirlab.engine import PrimeField
 from pirlab.errors import Exhausted, ParamError
 from pirlab.mv import (
     DecodingPoly,

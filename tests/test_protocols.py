@@ -10,11 +10,20 @@ import tracemalloc
 import pytest
 
 from pirlab.algebra import interpolation_matrix, interpolation_vector
-from pirlab.engine import alpha_sum, answer, comm_cost, prepare, reconstruct
+from pirlab.engine import (
+    BITS_TO_ASCII,
+    alpha_sum,
+    answer,
+    comm_cost,
+    is_prime,
+    prepare,
+    reconstruct,
+)
 from pirlab.errors import MalformedQuery, ParamError
 from pirlab.protocols.cube import build_cgks
 from pirlab.protocols.curve import build_lagrange, build_wy_hermite
 from pirlab.protocols.curve import binomial_tables, colex_unrank, minimal_h
+from pirlab.protocols.curve import hermite_weights, lagrange_weights
 from pirlab.sim import ServerNode, run_inprocess
 from pirlab.verify import (
     exhaustive_correctness,
@@ -107,6 +116,17 @@ class TestCgksKernel:
             ):
                 with pytest.raises(ParamError, match=f"prepared for {label}, not"):
                     call()
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 27, 100, 1000, 8192])
+    def test_slabs_equal_the_reversed_strided_slices(self, n):
+        # prepare reads each slab with one negative-stride slice; slab w
+        # holds the cells w, w + h, ... below n, with cell w in bit 0.
+        scheme = build_cgks(n)
+        h = scheme.report["h"]
+        for x in kernel_databases(n, random.Random(n)):
+            cells = bytes(x).translate(BITS_TO_ASCII)
+            slabs = tuple(int(cells[w::h][::-1], 2) for w in range(h))
+            assert prepare(scheme, x).data == slabs
 
     def test_prepare_needs_a_kernel(self):
         with pytest.raises(ParamError, match="needs an answer kernel"):
@@ -301,6 +321,42 @@ class TestHermiteAlgebra:
             for col in range(2 * k)
         ]
         assert sum(e * m for e, m in zip(evals, mu)) % p == coeffs[0]
+
+
+class TestClosedFormWeights:
+    """The curve schemes' closed-form reconstruction weights against the
+    linear solve of ``interpolation_vector``, the reference."""
+
+    GRID = [
+        (k, p) for p in range(2, 200) if is_prime(p) for k in range(2, 12)
+    ]
+
+    def test_lagrange_weights_equal_the_solve(self):
+        cases = [(k, p) for k, p in self.GRID if p > k]
+        for k, p in cases:
+            expected = interpolation_vector(
+                p, range(1, k + 1), range(k), multiplicity=1
+            )
+            assert lagrange_weights(k, p) == expected, (k, p)
+        assert len(cases) == 428
+
+    def test_hermite_weights_equal_the_solve(self):
+        cases = [(k, p) for k, p in self.GRID if p > 2 * k - 1]
+        for k, p in cases:
+            expected = interpolation_vector(
+                p, range(1, k + 1), range(2 * k), multiplicity=2
+            )
+            assert hermite_weights(k, p) == expected, (k, p)
+        assert len(cases) == 407
+
+    def test_builders_report_the_weights(self):
+        lagrange = build_lagrange(100, 1, 3, 13)
+        assert lagrange.report["lambda"] == tuple(lagrange_weights(3, 13))
+        assert lagrange.recon(0, (0,) * lagrange.report["h"])[0] == tuple(
+            (v,) for v in lagrange_weights(3, 13)
+        )
+        hermite = build_wy_hermite(64, 1, 2, 7)
+        assert hermite.report["mu"] == tuple(hermite_weights(2, 7))
 
 
 class TestHermiteScheme:

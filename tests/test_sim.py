@@ -97,6 +97,18 @@ class TestFraming:
     def test_header_length(self):
         assert len(encode_frame(MSG_QUERY, b"")) == FRAME_HEADER_LEN
 
+    def test_deadline_bounds_the_whole_frame(self):
+        # Half a header arrives and the writer stays open: the socket's own
+        # timeout would wait 5 s, the frame deadline ends the read first.
+        writer, reader = socket.socketpair()
+        with writer, reader:
+            reader.settimeout(5.0)
+            writer.sendall(encode_frame(MSG_HELLO, b"abc")[:5])
+            start = time.monotonic()
+            with pytest.raises(Timeout, match="deadline"):
+                read_frame(reader, MAX_FRAME_PAYLOAD, start + 0.3)
+            assert time.monotonic() - start < 1.5
+
 
 class TestInProcess:
     def test_round_trip_and_sizes(self):
@@ -400,6 +412,34 @@ class TestTcp:
             msg_type, payload = read_frame(sock)
         assert msg_type == MSG_ERROR
         assert payload[0] == ERR_BAD_QUERY == 2
+
+    def test_trickling_client_is_closed_at_the_frame_deadline(
+        self, cgks_servers, monkeypatch
+    ):
+        # One header byte every 0.2 s: each recv would beat a per-recv
+        # timeout of 0.5 s forever, but the whole frame misses its deadline.
+        monkeypatch.setattr(sim, "DEFAULT_TIMEOUT", 0.5)
+        scheme, x, servers = cgks_servers
+        frame = encode_frame(MSG_HELLO, param_digest(scheme).encode())
+        with socket.create_connection(servers[0].endpoint, timeout=2) as sock:
+            sock.settimeout(0.2)
+            start = time.monotonic()
+            closed = False
+            for byte in frame:
+                try:
+                    sock.sendall(bytes([byte]))
+                    closed = sock.recv(1) == b""
+                except TimeoutError:
+                    continue
+                except OSError:  # reset or broken pipe: closed as well
+                    closed = True
+                if closed:
+                    break
+            elapsed = time.monotonic() - start
+        assert closed and elapsed < 1.5
+        # Clients that send whole frames are served as before.
+        bit, _ = client_retrieve([s.endpoint for s in servers], scheme, 3, seed=3)
+        assert bit == x[3]
 
     def test_query_longer_than_codec_closes_connection(self):
         # The server's bound is max(QUERY width, digest length): this query
