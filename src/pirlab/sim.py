@@ -24,7 +24,8 @@ gets code 4 with just the exception's type name, and the server closes the
 connection.  Each frame a server reads must arrive whole within
 DEFAULT_TIMEOUT of the moment it starts waiting for it, or the server
 closes the connection, so a client that trickles bytes cannot hold a
-handler thread.  Servers are stateless per request and serve concurrent
+handler thread; a client holds each reply to its own ``timeout`` the same
+way.  Servers are stateless per request and serve concurrent
 connections against an immutable database.
 
 A client retrieval is one round in one thread: ``client_retrieve`` opens
@@ -102,17 +103,12 @@ def _recv_exact(
     chunks = []
     got = 0
     while got < length:
-        try:
-            if deadline is not None:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    raise TimeoutError
-                sock.settimeout(remaining)
-            chunk = sock.recv(length - got)
-        except TimeoutError:
-            if deadline is None:
-                raise
-            raise Timeout("frame not complete by its deadline") from None
+        if deadline is not None:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise TimeoutError("frame not complete by its deadline")
+            sock.settimeout(remaining)
+        chunk = sock.recv(length - got)
         if not chunk:
             raise TransportError("connection closed mid-frame")
         chunks.append(chunk)
@@ -121,23 +117,27 @@ def _recv_exact(
 
 
 def read_frame(
-    sock: socket.socket,
-    max_payload: int = MAX_FRAME_PAYLOAD,
-    deadline: float | None = None,
+    sock: socket.socket, max_payload: int = MAX_FRAME_PAYLOAD
 ) -> tuple[int, bytes]:
     """One frame; a declared length above ``max_payload`` raises
-    TransportError before any payload byte is read.  With a ``deadline``
-    (a ``time.monotonic()`` value) the whole frame must arrive by then, or
-    Timeout is raised; without one, the socket's own timeout bounds each
-    ``recv`` on its own."""
-    header = _recv_exact(sock, FRAME_HEADER_LEN, deadline)
-    if header[:4] != MAGIC:
-        raise TransportError(f"bad magic {header[:4]!r}")
-    msg_type = header[4]
-    (length,) = struct.unpack("<I", header[5:9])
-    if length > max_payload:
-        raise TransportError(f"declared length {length} exceeds {max_payload}")
-    payload = _recv_exact(sock, length, deadline) if length else b""
+    TransportError before any payload byte is read.  On a socket with a
+    timeout the whole frame must arrive within that timeout of the call,
+    not each ``recv`` on its own, or TimeoutError is raised; the socket's
+    timeout is the same afterwards."""
+    timeout = sock.gettimeout()
+    deadline = time.monotonic() + timeout if timeout else None
+    try:
+        header = _recv_exact(sock, FRAME_HEADER_LEN, deadline)
+        if header[:4] != MAGIC:
+            raise TransportError(f"bad magic {header[:4]!r}")
+        msg_type = header[4]
+        (length,) = struct.unpack("<I", header[5:9])
+        if length > max_payload:
+            raise TransportError(f"declared length {length} exceeds {max_payload}")
+        payload = _recv_exact(sock, length, deadline) if length else b""
+    finally:
+        if deadline is not None:
+            sock.settimeout(timeout)
     return msg_type, payload
 
 
@@ -260,7 +260,9 @@ class _Handler(socketserver.BaseRequestHandler):
         node: ServerNode = self.server.node  # type: ignore[attr-defined]
         digest = self.server.digest  # type: ignore[attr-defined]
         sock = self.request
-        timeout = DEFAULT_TIMEOUT
+        # read_frame holds each whole frame to this: a client that trickles
+        # bytes cannot hold this thread past it.
+        sock.settimeout(DEFAULT_TIMEOUT)
         digest_error = bytes([ERR_DIGEST]) + digest.encode()
         # No frame a client may send is longer than a QUERY or a HELLO.
         max_payload = max(node.scheme.level_codec.nbytes, len(digest))
@@ -268,15 +270,10 @@ class _Handler(socketserver.BaseRequestHandler):
         greeted = False
         try:
             while True:
-                # One deadline per frame, not per recv: a client that
-                # trickles bytes cannot hold this thread past it.
-                deadline = time.monotonic() + timeout
                 try:
-                    msg_type, payload = read_frame(sock, max_payload, deadline)
+                    msg_type, payload = read_frame(sock, max_payload)
                 except TransportError:
                     return
-                # The reply gets a whole timeout, not what the read left.
-                sock.settimeout(timeout)
                 if msg_type == MSG_HELLO:
                     if payload.decode(errors="replace") != digest:
                         write_frame(sock, MSG_ERROR, digest_error)
@@ -391,9 +388,9 @@ def client_retrieve(
     ANSWERs read, in server order, so the servers answer at the same time.
     No QUERY goes before its CONFIG: a mismatched server may close on the
     longer frame and lose its digest error.  ``timeout`` bounds each connect
-    and each read; it must be finite and positive.  Every socket error ends
-    in a Timeout or TransportError naming the server, and so does an ANSWER
-    payload that the answer codec rejects.  Answers that combine to neither
+    and each whole frame read; it must be finite and positive.  Every
+    socket error ends in a Timeout or TransportError naming the server, and
+    so does an ANSWER payload that the answer codec rejects.  Answers that combine to neither
     0 nor omega end in a TransportError naming all k servers, as no one can
     be blamed.  Seed None draws fresh randomness for every retrieval.  The
     links must be private: whoever reads all k sees more than t servers do.

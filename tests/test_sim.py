@@ -97,17 +97,44 @@ class TestFraming:
     def test_header_length(self):
         assert len(encode_frame(MSG_QUERY, b"")) == FRAME_HEADER_LEN
 
-    def test_deadline_bounds_the_whole_frame(self):
-        # Half a header arrives and the writer stays open: the socket's own
-        # timeout would wait 5 s, the frame deadline ends the read first.
+    def test_socket_timeout_bounds_the_whole_frame(self):
+        # A 40-byte frame arrives one byte per 0.1 s: every recv beats the
+        # 0.3 s timeout, but the whole frame does not.
+        frame = encode_frame(MSG_HELLO, bytes(31))
+        writer, reader = socket.socketpair()
+        stop = threading.Event()
+
+        def trickle():
+            for byte in frame:
+                if stop.wait(0.1):
+                    return
+                try:
+                    writer.sendall(bytes([byte]))
+                except OSError:
+                    return
+
+        thread = threading.Thread(target=trickle, daemon=True)
+        with writer, reader:
+            reader.settimeout(0.3)
+            thread.start()
+            start = time.monotonic()
+            try:
+                with pytest.raises(TimeoutError):
+                    read_frame(reader)
+                assert time.monotonic() - start < 1.5
+                assert reader.gettimeout() == 0.3
+            finally:
+                stop.set()
+                thread.join(timeout=2)
+        assert not thread.is_alive()
+
+    def test_whole_frame_leaves_the_socket_timeout(self):
         writer, reader = socket.socketpair()
         with writer, reader:
-            reader.settimeout(5.0)
-            writer.sendall(encode_frame(MSG_HELLO, b"abc")[:5])
-            start = time.monotonic()
-            with pytest.raises(Timeout, match="deadline"):
-                read_frame(reader, MAX_FRAME_PAYLOAD, start + 0.3)
-            assert time.monotonic() - start < 1.5
+            reader.settimeout(0.7)
+            writer.sendall(encode_frame(MSG_QUERY, b"abc") * 2)
+            assert read_frame(reader) == read_frame(reader) == (MSG_QUERY, b"abc")
+            assert reader.gettimeout() == 0.7
 
 
 class TestInProcess:
@@ -440,6 +467,42 @@ class TestTcp:
         # Clients that send whole frames are served as before.
         bit, _ = client_retrieve([s.endpoint for s in servers], scheme, 3, seed=3)
         assert bit == x[3]
+
+    def test_trickling_server_times_out_the_client(self):
+        # A CONFIG sent one byte per 0.1 s: each recv beats the client's
+        # 0.5 s timeout, but the whole frame does not.
+        scheme = build_cgks(8)
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(2.0)
+        stop = threading.Event()
+
+        def trickle():
+            try:
+                conn, _ = listener.accept()
+            except OSError:
+                return
+            with conn:
+                for byte in encode_frame(MSG_CONFIG, bytes(40)):
+                    if stop.wait(0.1):
+                        return
+                    try:
+                        conn.sendall(bytes([byte]))
+                    except OSError:
+                        return
+
+        thread = threading.Thread(target=trickle, daemon=True)
+        thread.start()
+        try:
+            host, port = endpoint = listener.getsockname()[:2]
+            start = time.monotonic()
+            with pytest.raises(Timeout, match=f"server {host}:{port} timed out"):
+                client_retrieve([endpoint] * scheme.k, scheme, 0, seed=0, timeout=0.5)
+            assert time.monotonic() - start < 1.5
+        finally:
+            stop.set()
+            thread.join(timeout=5)
+            listener.close()
+        assert not thread.is_alive()
 
     def test_query_longer_than_codec_closes_connection(self):
         # The server's bound is max(QUERY width, digest length): this query
