@@ -46,8 +46,6 @@ from .errors import (
 LevelPoint = tuple[int, ...]
 Answer = tuple  # D ring elements
 DEFAULT_ROW_CAP = 10**6
-BITS_TO_ASCII = bytes.maketrans(b"\x00\x01", b"01")
-ASCII_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 # Witnesses making Miller-Rabin deterministic for every n < 3.3 * 10^24,
@@ -150,9 +148,8 @@ class Codec:
     odd node out is carried up unchanged.  The carried node is always the
     last, so every low node is full and each level has one base.  That is
     O(log count) list-wide passes instead of count steps on a growing
-    integer.  Bits (radix 2) skip the tree: the integer is one binary
-    string, most significant bit first, read by ``int(..., 2)`` and written
-    by ``format``.
+    integer.  Bits (radix 2) skip the tree: ``pack_bits`` and
+    ``unpack_bits`` map them to and from the integer.
     """
 
     def __init__(self, radix: int, count: int):
@@ -191,8 +188,7 @@ class Codec:
     def encode(self, values: Sequence[int]) -> bytes:
         self.validate(values)
         if self.radix == 2:
-            number = int(bytes(values).translate(BITS_TO_ASCII)[::-1], 2)
-            return number.to_bytes(self.nbytes, "little")
+            return pack_bits(bytes(values)).to_bytes(self.nbytes, "little")
         nums = values
         for pairs, base in self._levels:
             merged = [lo + hi * base for lo, hi in zip(nums[0::2], nums[1::2])]
@@ -216,8 +212,7 @@ class Codec:
         """The value tuple whose integer is ``number``, which must lie in
         [0, size): the inverse of encode before its bytes."""
         if self.radix == 2:
-            bits = format(number, f"0{self.count}b")[::-1].encode()
-            return tuple(bits.translate(ASCII_TO_BITS))
+            return tuple(unpack_bits(number, self.count))
         # One level's nodes, last first: divmod yields (high, low), so each
         # split pair lands in place and the carried node stays in front.
         # No tuple of unknown length is built: CPython parks each such tuple
@@ -364,6 +359,27 @@ def bit_string(x: Sequence[int]) -> bytes:
     if len(bits) != len(x) or bits.translate(None, b"\x00\x01"):
         raise ParamError("database entries must be bits")
     return bits
+
+
+_BITS_TO_ASCII = bytes.maketrans(b"\x00\x01", b"01")
+_ASCII_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def pack_bits(bits: bytes) -> int:
+    """The integer whose bit j is bits[j], for bytes holding one 0 or 1 per
+    entry; empty bytes give 0.  This and ``unpack_bits`` are the one
+    statement of the bit order, for codecs, database files and layouts."""
+    # int() reads the most significant digit first, so the digits go in
+    # reversed.
+    return int(bits.translate(_BITS_TO_ASCII)[::-1] or b"0", 2)
+
+
+def unpack_bits(value: int, n: int) -> bytes:
+    """The inverse of ``pack_bits`` for 0 <= value < 2^n: n bytes, byte j
+    holding bit j of value."""
+    if n == 0:
+        return b""
+    return format(value, f"0{n}b")[::-1].encode().translate(_ASCII_TO_BITS)
 
 
 @dataclass(frozen=True, slots=True)

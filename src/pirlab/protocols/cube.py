@@ -10,17 +10,22 @@ box bit and the i1/i2/i3 perturbation bits from both answers and XOR-ing
 recovers x_i; the total payload is exactly 12h + 2 raw bits.
 
 A server answers from h slabs of h^2 bits, laid out once by ``prepare``:
-bit a*h + b of slab w is x at cell (a, b, w), and cells past n are 0.
-Then T = XOR of the slabs w in W holds, in row a, the parities over
-(a, b, W).  The box parity and all 3h perturbations come from T, V and
-the slabs in about 4h operations on h^2-bit integers (the preprocessing
-of Beimel, Ishai & Malkin, CRYPTO 2000, on the cube scheme of Chor,
-Goldreich, Kushilevitz & Sudan, JACM 1998).
+slab a holds the cells (a, ., .), the contiguous index range
+[a*h^2, (a+1)*h^2), packed by ``engine.pack_bits`` so that bit b*h + w of
+slab a is x at cell (a, b, w); cells past n are 0.  Then T = XOR of the
+slabs a in U holds, in row b, the parities over (U, b, w), and
+F = XOR of the rows b in V holds, at bit w, the parities over (U, V, w).
+The box parity is parity(F & W).  Perturbing U at c flips
+parity(slab c & VW), where VW is W in every row b of V; perturbing V at c
+flips parity(row c of T & W); perturbing W at c flips bit c of F.  That is
+about 4h operations on h^2-bit integers (the preprocessing of Beimel,
+Ishai & Malkin, CRYPTO 2000, on the cube scheme of Chor, Goldreich,
+Kushilevitz & Sudan, JACM 1998).
 """
 
 from __future__ import annotations
 
-from ..engine import BITS_TO_ASCII, Codec, PrimeField, Scheme
+from ..engine import Codec, PrimeField, Scheme, pack_bits
 from ..errors import ParamError
 
 
@@ -79,36 +84,31 @@ def build_cgks(n: int) -> Scheme:
     shifts = range(0, h * h, h)
 
     def prepare(bits):
-        cells = bits.translate(BITS_TO_ASCII)
-        # Slab w is every h-th cell from w, read from its last cell below n
-        # down to w, as int() reads the most significant bit first; cells
-        # past n are missing high bits, so 0.  h <= n, so every slab has a
-        # cell.
-        last = len(cells) - 1
+        # Slices past n are short or empty, so their missing cells are 0.
         return tuple(
-            int(cells[last - (last - w) % h :: -h], 2) for w in range(h)
+            pack_bits(bits[s : s + h * h]) for s in range(0, h**3, h * h)
         )
 
     def answer_kernel(slabs, z):
         mask_u, mask_v, mask_w = z
         t = 0
         for c in range(h):
-            if mask_w >> c & 1:
+            if mask_u >> c & 1:
                 t ^= slabs[c]
         rows = [t >> s & row_mask for s in shifts]
-        # f holds, at bit b, the parity over (U, b, W); uv is V in every
-        # row of U.
-        f = uv = 0
-        for a in range(h):
-            if mask_u >> a & 1:
-                f ^= rows[a]
-                uv |= mask_v << shifts[a]
-        box = (f & mask_v).bit_count() & 1
+        # f holds, at bit w, the parity over (U, V, w); vw is W in every
+        # row of V.
+        f = vw = 0
+        for b in range(h):
+            if mask_v >> b & 1:
+                f ^= rows[b]
+                vw |= mask_w << shifts[b]
+        box = (f & mask_w).bit_count() & 1
         return (
             box,
-            *[box ^ (r & mask_v).bit_count() & 1 for r in rows],
+            *[box ^ (slab & vw).bit_count() & 1 for slab in slabs],
+            *[box ^ (r & mask_w).bit_count() & 1 for r in rows],
             *[box ^ f >> c & 1 for c in range(h)],
-            *[box ^ (slab & uv).bit_count() & 1 for slab in slabs],
         )
 
     levels = Codec(zeta, 3)

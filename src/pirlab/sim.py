@@ -26,14 +26,17 @@ DEFAULT_TIMEOUT of the moment it starts waiting for it, or the server
 closes the connection, so a client that trickles bytes cannot hold a
 handler thread; a client holds each reply to its own ``timeout`` the same
 way.  Servers are stateless per request and serve concurrent
-connections against an immutable database.
+connections against an immutable database, at most MAX_CONNECTIONS at
+once: a server closes a connection past the cap as it accepts it.
 
 A client retrieval is one round in one thread: ``client_retrieve`` opens
 its k connections, and every QUERY is on the wire before it reads any
 ANSWER, so the k servers work at the same time.
 
-Database files are raw bit-packed little-endian vectors with an 8-byte
-little-endian length header.
+Database files are an 8-byte little-endian length header n, then the n
+bits as one little-endian integer of ceil(n / 8) bytes whose bit j is x_j.
+``engine.pack_bits`` and ``engine.unpack_bits`` define that bit order; the
+padding bits above n must be 0.
 """
 
 from __future__ import annotations
@@ -51,16 +54,16 @@ from math import log2
 from typing import Sequence
 
 from .engine import (
-    ASCII_TO_BITS,
-    BITS_TO_ASCII,
     Prepared,
     Scheme,
     answer,
     bit_string,
     comm_cost,
+    pack_bits,
     prepare,
     query_gen,
     reconstruct,
+    unpack_bits,
 )
 from .errors import (
     InconsistentAnswer,
@@ -87,6 +90,8 @@ ERR_DIGEST = 3
 ERR_INTERNAL = 4
 
 DEFAULT_TIMEOUT = 5.0
+# The most connections, so handler threads, one server holds at once.
+MAX_CONNECTIONS = 64
 # How often serve_forever checks for shutdown, so the most stop() waits.
 POLL_INTERVAL = 0.05
 
@@ -308,7 +313,10 @@ class _Handler(socketserver.BaseRequestHandler):
 
 
 class PirServer(socketserver.ThreadingTCPServer):
-    """A long-running server daemon for one node; stateless per request."""
+    """A long-running server daemon for one node; stateless per request.
+
+    It holds at most ``MAX_CONNECTIONS`` connections at once, one handler
+    thread each, and closes any connection past that as it accepts it."""
 
     allow_reuse_address = True
     daemon_threads = True
@@ -318,6 +326,17 @@ class PirServer(socketserver.ThreadingTCPServer):
         self.node = node
         self.digest = param_digest(node.scheme)
         self._thread: threading.Thread | None = None
+        self._slots = threading.BoundedSemaphore(MAX_CONNECTIONS)
+
+    def verify_request(self, request, client_address):
+        # A connection past the cap is closed at accept.
+        return self._slots.acquire(blocking=False)
+
+    def process_request_thread(self, request, client_address):
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            self._slots.release()
 
     @property
     def endpoint(self) -> tuple[str, int]:
@@ -452,11 +471,10 @@ def client_retrieve(
 
 
 def save_database(path, x: Sequence[int]) -> None:
-    """8-byte LE length header, then bit-packed little-endian data.
-
-    The bits go through one integer: bit j of the data is x[j]."""
+    """8-byte LE length header, then the bits packed by ``pack_bits``,
+    little-endian: bit j of the data is x[j]."""
     n = len(x)
-    value = int(b"0" + bit_string(x).translate(BITS_TO_ASCII)[::-1], 2)
+    value = pack_bits(bit_string(x))
     with open(path, "wb") as fh:
         fh.write(struct.pack("<Q", n) + value.to_bytes((n + 7) // 8, "little"))
 
@@ -472,12 +490,10 @@ def load_database(path) -> bytes:
     body = data[8:]
     if len(body) != (n + 7) // 8:
         raise ParamError(f"{path}: expected {(n + 7) // 8} data bytes, got {len(body)}")
-    if n % 8 and body[-1] >> (n % 8):
+    value = int.from_bytes(body, "little")
+    if value >> n:
         raise ParamError(f"{path}: padding bits beyond n = {n} are set")
-    if n == 0:
-        return b""
-    bits = format(int.from_bytes(body, "little"), f"0{n}b")[::-1].encode()
-    return bits.translate(ASCII_TO_BITS)
+    return unpack_bits(value, n)
 
 
 def _toy_bits(r, k):

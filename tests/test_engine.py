@@ -19,10 +19,12 @@ from pirlab.engine import (
     answer,
     comm_cost,
     oa_strength_check,
+    pack_bits,
     query_gen,
     reconstruct,
     scheme_oa_index,
     span_check,
+    unpack_bits,
 )
 from pirlab.errors import (
     CapExceeded,
@@ -152,7 +154,7 @@ class TestCodec:
             assert codec.encode(values) == number.to_bytes(codec.nbytes, "little")
 
     def test_bits_encode_as_the_sum_of_their_powers_of_two(self):
-        # Radix 2 packs through one binary string, not the product tree.
+        # Radix 2 packs through pack_bits, not the product tree.
         rng = random.Random(2)
         for count in range(1, 801):
             codec = Codec(2, count)
@@ -213,6 +215,28 @@ class TestCodec:
                     data = scheme.encode_answer(a)
                     assert len(data) == scheme.answer_codec.nbytes, scheme.name
                     assert scheme.decode_answer(data) == a, scheme.name
+
+
+def bit_vectors():
+    """All zeros, all ones and a random vector at every n in 0..130 and at
+    20 random n up to 4096."""
+    rng = random.Random(7)
+    for n in [*range(131), *(rng.randrange(131, 4097) for _ in range(20))]:
+        yield bytes(n)
+        yield b"\x01" * n
+        yield bytes(rng.randrange(2) for _ in range(n))
+
+
+class TestPackBits:
+    def test_pack_is_the_sum_of_bits_times_powers_of_two(self):
+        for bits in bit_vectors():
+            assert pack_bits(bits) == sum(b << j for j, b in enumerate(bits))
+
+    def test_unpack_inverts_pack(self):
+        for bits in bit_vectors():
+            value = sum(b << j for j, b in enumerate(bits))
+            assert unpack_bits(value, len(bits)) == bits
+            assert pack_bits(unpack_bits(value, len(bits))) == value
 
 
 class TestOaStrengthCheck:

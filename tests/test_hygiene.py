@@ -1,7 +1,7 @@
 """Source hygiene: every name a module imports is used in that module,
 every function and class of the library is used by the library, the demos
-or the benchmark, and importing the CLI loads no heavy module it does not
-need.
+or the benchmark, importing the CLI loads no heavy module it does not
+need, and only the engine states the bit order of a packed integer.
 
 An import nobody uses keeps a deleted or renamed API looking alive, so the
 scan covers the library, the tests and the demos.  Names listed in
@@ -11,6 +11,7 @@ imports are directives, not names.
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -123,12 +124,14 @@ def test_dead_code_scanner():
 
 
 # Called from outside src/, demos/ and perfbench/: socketserver calls the
-# handler's hook, and only the tests run the suites on these two negative
-# controls (broken_demo is also served by name).
+# handler's and the server's hooks, and only the tests run the suites on
+# these two negative controls (broken_demo is also served by name).
 CALLED_FROM_OUTSIDE = [
     "src/pirlab/protocols/toy.py: broken_span_demo",
     "src/pirlab/protocols/toy.py: broken_privacy_demo",
     "src/pirlab/sim.py: _Handler.handle",
+    "src/pirlab/sim.py: PirServer.verify_request",
+    "src/pirlab/sim.py: PirServer.process_request_thread",
 ]
 
 
@@ -142,6 +145,18 @@ def test_no_dead_definitions():
     users = {**sources("demos"), **sources("perfbench")}
     found = unreferenced_definitions(sources("src"), users)
     assert sorted(found) == sorted(CALLED_FROM_OUTSIDE)
+
+
+def test_only_the_engine_knows_the_bit_order():
+    # pack_bits and unpack_bits state which bit of a packed integer is x_j;
+    # a module that translates bits to digits itself states it again.
+    pattern = re.compile(r"maketrans|BITS_TO_ASCII|ASCII_TO_BITS")
+    offenders = [
+        str(path.relative_to(ROOT))
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        if path.name != "engine.py" and pattern.search(path.read_text())
+    ]
+    assert offenders == []
 
 
 # The protocols the benchmark workloads serve, with a desk-size config and

@@ -11,7 +11,6 @@ import pytest
 
 from pirlab.algebra import interpolation_matrix, interpolation_vector
 from pirlab.engine import (
-    BITS_TO_ASCII,
     alpha_sum,
     answer,
     comm_cost,
@@ -118,15 +117,19 @@ class TestCgksKernel:
                     call()
 
     @pytest.mark.parametrize("n", [1, 7, 8, 27, 100, 1000, 8192])
-    def test_slabs_equal_the_reversed_strided_slices(self, n):
-        # prepare reads each slab with one negative-stride slice; slab w
-        # holds the cells w, w + h, ... below n, with cell w in bit 0.
+    def test_slab_a_holds_the_cells_from_a_h_squared(self, n):
+        # Bit j of slab a is x[a*h^2 + j] below n, and 0 past it.
         scheme = build_cgks(n)
         h = scheme.report["h"]
         for x in kernel_databases(n, random.Random(n)):
-            cells = bytes(x).translate(BITS_TO_ASCII)
-            slabs = tuple(int(cells[w::h][::-1], 2) for w in range(h))
-            assert prepare(scheme, x).data == slabs
+            slabs = prepare(scheme, x).data
+            assert len(slabs) == h
+            for a, slab in enumerate(slabs):
+                expected = 0
+                for j in range(h * h):
+                    if a * h * h + j < n and x[a * h * h + j]:
+                        expected |= 1 << j
+                assert slab == expected
 
     def test_prepare_needs_a_kernel(self):
         with pytest.raises(ParamError, match="needs an answer kernel"):

@@ -468,6 +468,49 @@ class TestTcp:
         bit, _ = client_retrieve([s.endpoint for s in servers], scheme, 3, seed=3)
         assert bit == x[3]
 
+    def test_connections_past_the_cap_are_closed_at_accept(self, monkeypatch):
+        monkeypatch.setattr(sim, "MAX_CONNECTIONS", 4)
+        scheme = build_cgks(8)
+        x = (1, 0, 1, 1, 0, 0, 1, 0)
+        servers = [
+            PirServer(ServerNode(server_id=j + 1, scheme=scheme, database=x)).start()
+            for j in range(scheme.k)
+        ]
+        endpoint = servers[0].endpoint
+        hello = param_digest(scheme).encode()
+        queries, _ = query_gen(scheme, 3, seed=3)
+        held = []
+        try:
+            for _ in range(4):
+                held.append(socket.create_connection(endpoint, timeout=2))
+                write_frame(held[-1], MSG_HELLO, hello)
+                assert read_frame(held[-1])[0] == MSG_CONFIG
+            for _ in range(2):
+                with socket.create_connection(endpoint, timeout=2) as extra:
+                    assert extra.recv(1) == b""
+            for sock in held:
+                write_frame(sock, MSG_QUERY, scheme.level_codec.encode(queries[0]))
+                assert read_frame(sock)[0] == MSG_ANSWER
+                sock.close()
+            # Closed connections give their slots back.
+            deadline = time.monotonic() + 2
+            while True:
+                try:
+                    bit, _ = client_retrieve(
+                        [s.endpoint for s in servers], scheme, 3, seed=3
+                    )
+                    break
+                except TransportError:
+                    if time.monotonic() > deadline:
+                        raise
+                    time.sleep(0.05)
+            assert bit == x[3]
+        finally:
+            for sock in held:
+                sock.close()
+            for s in servers:
+                s.stop()
+
     def test_trickling_server_times_out_the_client(self):
         # A CONFIG sent one byte per 0.1 s: each recv beats the client's
         # 0.5 s timeout, but the whole frame does not.
@@ -678,6 +721,17 @@ class TestDatabaseFile:
         x = (1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1)
         save_database(path, x)
         assert load_database(path) == bytes(x)
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9])
+    def test_roundtrip_at_byte_edges(self, tmp_path, n):
+        path = tmp_path / "db.bin"
+        rng = random.Random(n)
+        for x in ((0,) * n, (1,) * n, tuple(rng.randrange(2) for _ in range(n))):
+            save_database(path, x)
+            value = sum(bit << j for j, bit in enumerate(x))
+            body = value.to_bytes((n + 7) // 8, "little")
+            assert path.read_bytes() == struct.pack("<Q", n) + body
+            assert load_database(path) == bytes(x)
 
     def test_header_is_8_byte_length(self, tmp_path):
         path = tmp_path / "db.bin"
