@@ -3,8 +3,10 @@
 Subcommands: ``params`` (parameter and cost report), ``verify`` (exhaustive
 suites), ``serve`` (run one server daemon), ``get`` (networked retrieval),
 ``bench`` (cost table across database sizes), ``makedb`` (write a database
-file).  A ``key = value`` config file can supply any flag; explicit flags
-win, and each subcommand skips the keys of the others.  All randomness
+file).  A ``key = value`` config file can supply any flag: the key is the
+flag's long name, and the value parses as the typed flag would (a switch
+takes true, false, 1 or 0).  Explicit flags win, and each subcommand skips
+the keys of the others.  All randomness
 flows from a single --seed, so a fixed invocation prints byte-identical
 reports.  The exception is ``get``: without --seed it draws the query
 randomness of every retrieval from the operating system
@@ -32,6 +34,7 @@ from .errors import (
 )
 from .protocols.registry import PROTOCOL_NAMES, build_named
 from .sim import (
+    DEFAULT_TIMEOUT,
     PirServer,
     ServerNode,
     bench,
@@ -51,14 +54,8 @@ _PARAM_KEYS = ("n", "t", "k", "p", "m", "h", "sparse_k")
 _SUITES = ("all", "correctness", "privacy", "span", "oa", "comm")
 # Every flag parses to None when it is not typed, so the config file can
 # fill it; these defaults apply after the config file.
-_DEFAULTS = {"suite": "all", "host": "127.0.0.1", "timeout": 5.0, "trials": 3,
-             "timing": False}
-
-
-def _suite(value: str) -> str:
-    if value not in _SUITES:
-        raise ValueError(f"expected one of {', '.join(_SUITES)}")
-    return value
+_DEFAULTS = {"suite": "all", "host": "127.0.0.1", "timeout": DEFAULT_TIMEOUT,
+             "trials": 3, "timing": False}
 
 
 def _switch(value: str) -> bool:
@@ -67,95 +64,105 @@ def _switch(value: str) -> bool:
     return value.lower() in ("true", "1")
 
 
-# How a config value is parsed, by key: one entry for each flag of every
-# subcommand.  A subcommand skips the keys of the others.
-_CONFIG_TYPES = {
-    **dict.fromkeys(
-        _PARAM_KEYS + ("r", "seed", "id", "port", "trials", "index"), int
-    ),
-    **dict.fromkeys(("out", "db", "host", "servers", "n_values", "bits"), str),
-    "timeout": float,
-    "suite": _suite,
-    "timing": _switch,
-}
-
-
-def _add_protocol_args(sub, skip=(), kr=False):
+def _add_protocol_args(add, skip=(), kr=False):
     """The protocol name and its parameter flags.  Only ``params`` passes
     kr: it alone reads the good-modulus table ``kr`` and its --r."""
     names, keys = PROTOCOL_NAMES, _PARAM_KEYS
     if kr:
         names, keys = names + ("kr",), keys + ("r",)
-    sub.add_argument("protocol", choices=names)
+    add("protocol", choices=names)
     for key in keys:
         if key not in skip:
-            sub.add_argument(f"--{key.replace('_', '-')}", type=int, default=None)
+            add(f"--{key.replace('_', '-')}", type=int, default=None)
 
 
-def _add_shared_args(parser, top_level: bool):
+def _add_shared_args(add, top_level: bool):
     # The shared flags are accepted before or after the subcommand; the
     # SUPPRESS default keeps a subparser from clobbering a top-level value.
     default = None if top_level else argparse.SUPPRESS
-    parser.add_argument("--config", default=default, help="key = value defaults file")
-    parser.add_argument("--seed", type=int, default=default, help="64-bit master seed")
-    parser.add_argument("--out", default=default, help="also write the report here")
+    add("--config", default=default, help="key = value defaults file")
+    add("--seed", type=int, default=default, help="64-bit master seed")
+    add("--out", default=default, help="also write the report here")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict]]:
+    """The parser, and each subcommand's flags by config key: the long
+    name, ``-`` read as ``_``, of the action ``add_argument`` returned."""
     parser = argparse.ArgumentParser(
         prog="pirlab",
         description="multi-server private information retrieval laboratory",
     )
-    _add_shared_args(parser, top_level=True)
+    _add_shared_args(parser.add_argument, top_level=True)
     sub = parser.add_subparsers(dest="command", required=True)
+    flags: dict[str, dict] = {}
 
-    p_params = sub.add_parser("params", help="print a parameter/cost report")
-    _add_protocol_args(p_params, kr=True)
-    _add_shared_args(p_params, top_level=False)
+    def subcommand(name, summary):
+        # Its add_argument, recording each flag; every flag has one name.
+        sub_parser = sub.add_parser(name, help=summary)
+        recorded = flags[name] = {}
 
-    p_verify = sub.add_parser("verify", help="run exhaustive verification suites")
-    _add_protocol_args(p_verify)
-    p_verify.add_argument("--suite", choices=_SUITES, help="default: all")
-    _add_shared_args(p_verify, top_level=False)
+        def add(*names, **kwargs):
+            action = sub_parser.add_argument(*names, **kwargs)
+            if action.option_strings:
+                recorded[action.option_strings[0][2:].replace("-", "_")] = action
 
-    p_serve = sub.add_parser("serve", help="run one server daemon")
-    _add_protocol_args(p_serve)
-    p_serve.add_argument("--id", type=int, default=None, help="server index (1-based)")
-    p_serve.add_argument("--db", default=None, help="database file path")
-    p_serve.add_argument("--port", type=int, default=None, help="0 picks a free port")
-    p_serve.add_argument("--host", default=None, help="default: 127.0.0.1")
-    _add_shared_args(p_serve, top_level=False)
+        return add
 
-    p_get = sub.add_parser("get", help="retrieve one bit from running servers")
-    _add_protocol_args(p_get)
-    p_get.add_argument("--index", type=int, default=None, help="retrieval index (1-based)")
-    p_get.add_argument("--servers", default=None, help="comma-separated host:port list")
-    p_get.add_argument("--timeout", type=float, default=None,
-                       help="seconds per connect and read; default: 5")
-    _add_shared_args(p_get, top_level=False)
+    add = subcommand("params", "print a parameter/cost report")
+    _add_protocol_args(add, kr=True)
+    _add_shared_args(add, top_level=False)
 
-    p_bench = sub.add_parser("bench", help="cost table across database sizes")
-    _add_protocol_args(p_bench, skip=("n",))
-    p_bench.add_argument("--n", dest="n_values", default=None,
-                         help="comma-separated database sizes")
-    p_bench.add_argument("--trials", type=int, default=None, help="default: 3")
-    p_bench.add_argument(
-        "--timing", action="store_true", default=None,
-        help="include (non-deterministic) time columns",
-    )
-    _add_shared_args(p_bench, top_level=False)
+    add = subcommand("verify", "run exhaustive verification suites")
+    _add_protocol_args(add)
+    add("--suite", choices=_SUITES, help="default: all")
+    _add_shared_args(add, top_level=False)
 
-    p_makedb = sub.add_parser("makedb", help="write a database file")
-    p_makedb.add_argument("--n", type=int, required=True)
-    p_makedb.add_argument("--db", required=True, help="output path")
-    p_makedb.add_argument("--bits", default=None, help="explicit 0/1 string")
-    _add_shared_args(p_makedb, top_level=False)
-    return parser
+    add = subcommand("serve", "run one server daemon")
+    _add_protocol_args(add)
+    add("--id", type=int, default=None, help="server index (1-based)")
+    add("--db", default=None, help="database file path")
+    add("--port", type=int, default=None, help="0 picks a free port")
+    add("--host", default=None, help="default: 127.0.0.1")
+    _add_shared_args(add, top_level=False)
+
+    add = subcommand("get", "retrieve one bit from running servers")
+    _add_protocol_args(add)
+    add("--index", type=int, default=None, help="retrieval index (1-based)")
+    add("--servers", default=None, help="comma-separated host:port list")
+    add("--timeout", type=float, default=None,
+        help=f"seconds per connect and read; default: {DEFAULT_TIMEOUT:g}")
+    _add_shared_args(add, top_level=False)
+
+    add = subcommand("bench", "cost table across database sizes")
+    _add_protocol_args(add, skip=("n",))
+    add("--n", dest="n_values", default=None, help="comma-separated database sizes")
+    add("--trials", type=int, default=None, help="default: 3")
+    add("--timing", action="store_true", default=None,
+        help="include (non-deterministic) time columns")
+    _add_shared_args(add, top_level=False)
+
+    add = subcommand("makedb", "write a database file")
+    add("--n", type=int, default=None)
+    add("--db", default=None, help="output path")
+    add("--bits", default=None, help="explicit 0/1 string")
+    _add_shared_args(add, top_level=False)
+    return parser, flags
 
 
-def _apply_config(args: argparse.Namespace) -> None:
+def _config_value(action: argparse.Action, text: str):
+    """A config value parsed as its flag would parse it when typed."""
+    if action.nargs == 0:  # a store_true switch
+        return _switch(text)
+    value = text if action.type is None else action.type(text)
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"expected one of {', '.join(action.choices)}")
+    return value
+
+
+def _apply_config(args: argparse.Namespace, flags: dict[str, dict]) -> None:
     """Fill every flag left untyped from --config, then from ``_DEFAULTS``."""
     if args.config:
+        own = flags[args.command]
         with open(args.config) as fh:
             for line_no, line in enumerate(fh, 1):
                 line = line.split("#", 1)[0].strip()
@@ -166,13 +173,14 @@ def _apply_config(args: argparse.Namespace) -> None:
                     raise ParamError(f"{where}: expected 'key = value'")
                 key, value = (part.strip() for part in line.split("=", 1))
                 key = key.replace("-", "_")
-                if not hasattr(args, key):
-                    if key not in _CONFIG_TYPES:
+                action = own.get(key)
+                if action is None:
+                    if not any(key in other for other in flags.values()):
                         raise ParamError(f"{where}: unknown key {key!r}")
                     continue  # a flag of another subcommand
-                if getattr(args, key) is None:
+                if getattr(args, action.dest) is None:
                     try:
-                        setattr(args, key, _CONFIG_TYPES.get(key, str)(value))
+                        setattr(args, action.dest, _config_value(action, value))
                     except ValueError as exc:
                         raise ParamError(f"{where}: bad {key} {value!r}: {exc}") from None
     for key, value in _DEFAULTS.items():
@@ -380,6 +388,8 @@ def _cmd_bench(args, report: _Report) -> int:
 
 
 def _cmd_makedb(args, report: _Report) -> int:
+    if args.n is None or args.db is None:
+        raise ParamError("makedb requires --n and --db")
     if args.n < 1:
         raise ParamError(f"--n must be >= 1, got {args.n}")
     if args.bits is not None:
@@ -405,12 +415,12 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, flags = _build_parser()
     args = parser.parse_args(argv)
     report = _Report(args.out)
     try:
         try:
-            _apply_config(args)
+            _apply_config(args, flags)
             return _COMMANDS[args.command](args, report)
         finally:
             report.close()

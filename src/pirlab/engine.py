@@ -45,7 +45,8 @@ from .errors import (
 
 LevelPoint = tuple[int, ...]
 Answer = tuple  # D ring elements
-DEFAULT_ROW_CAP = 10**6
+# The most rows, or level points, that any exhaustive check enumerates.
+ROW_CAP = 10**6
 
 
 # Witnesses making Miller-Rabin deterministic for every n < 3.3 * 10^24,
@@ -148,8 +149,7 @@ class Codec:
     odd node out is carried up unchanged.  The carried node is always the
     last, so every low node is full and each level has one base.  That is
     O(log count) list-wide passes instead of count steps on a growing
-    integer.  Bits (radix 2) skip the tree: ``pack_bits`` and
-    ``unpack_bits`` map them to and from the integer.
+    integer.
     """
 
     def __init__(self, radix: int, count: int):
@@ -187,8 +187,6 @@ class Codec:
 
     def encode(self, values: Sequence[int]) -> bytes:
         self.validate(values)
-        if self.radix == 2:
-            return pack_bits(bytes(values)).to_bytes(self.nbytes, "little")
         nums = values
         for pairs, base in self._levels:
             merged = [lo + hi * base for lo, hi in zip(nums[0::2], nums[1::2])]
@@ -211,8 +209,6 @@ class Codec:
     def unrank(self, number: int) -> tuple[int, ...]:
         """The value tuple whose integer is ``number``, which must lie in
         [0, size): the inverse of encode before its bytes."""
-        if self.radix == 2:
-            return tuple(unpack_bits(number, self.count))
         # One level's nodes, last first: divmod yields (high, low), so each
         # split pair lands in place and the carried node stays in front.
         # No tuple of unknown length is built: CPython parks each such tuple
@@ -226,11 +222,12 @@ class Codec:
             )
         return tuple(reversed(nums))
 
-    def enumerate_values(self, cap: int = DEFAULT_ROW_CAP):
-        """All value tuples of this codec, in lexicographic order."""
-        if self.size > cap:
+    def enumerate_values(self):
+        """All value tuples of this codec, in lexicographic order; refused
+        past ``ROW_CAP``, before any is built."""
+        if self.size > ROW_CAP:
             raise CapExceeded(
-                f"codec space of {self.size_text} values exceeds cap {cap}"
+                f"codec space of {self.size_text} values exceeds cap {ROW_CAP}"
             )
         return itertools.product(range(self.radix), repeat=self.count)
 
@@ -304,8 +301,8 @@ class Scheme:
         """N, the number of rows of each query array."""
         return self.randomness.size
 
-    def enumerate_randomness(self, cap: int = DEFAULT_ROW_CAP):
-        return self.randomness.enumerate_values(cap)
+    def enumerate_randomness(self):
+        return self.randomness.enumerate_values()
 
     def sample_randomness(self, rng: random.Random) -> tuple[int, ...]:
         # One unbiased randrange over [0, N); unrank is a bijection onto the
@@ -368,7 +365,7 @@ _ASCII_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
 def pack_bits(bits: bytes) -> int:
     """The integer whose bit j is bits[j], for bytes holding one 0 or 1 per
     entry; empty bytes give 0.  This and ``unpack_bits`` are the one
-    statement of the bit order, for codecs, database files and layouts."""
+    statement of the bit order, for database files and layouts."""
     # int() reads the most significant digit first, so the digits go in
     # reversed.
     return int(bits.translate(_BITS_TO_ASCII)[::-1] or b"0", 2)
@@ -532,23 +529,18 @@ def span_check(scheme: Scheme, i: int, ell: tuple[int, ...]) -> None:
             )
 
 
-def oa_strength_check(
-    rows: Sequence[Sequence],
-    levels: Sequence,
-    t: int,
-    cap: int = DEFAULT_ROW_CAP,
-) -> int:
+def oa_strength_check(rows: Sequence[Sequence], levels: Sequence, t: int) -> int:
     """Return the index lambda of an orthogonal array of strength t.
 
     Every t-column subarray must contain every t-tuple of levels exactly
     N / s^t times; raises OAFailure naming the offending column set and
-    tuple otherwise.
+    tuple otherwise.  The rows are the caller's, already in memory, so no
+    cap applies here: ``scheme_oa_index`` enumerates a scheme's under
+    ``ROW_CAP``.
     """
     n_rows = len(rows)
     if n_rows == 0:
         raise ParamError("array must have at least one row")
-    if n_rows > cap:
-        raise CapExceeded(f"{n_rows} rows exceed the materialization cap {cap}")
     n_cols = len(rows[0])
     if not 1 <= t <= n_cols:
         raise ParamError(f"strength {t} out of range [1, {n_cols}]")
@@ -581,8 +573,8 @@ def oa_strength_check(
     return lam
 
 
-def scheme_oa_index(scheme: Scheme, i: int, cap: int = DEFAULT_ROW_CAP) -> int:
+def scheme_oa_index(scheme: Scheme, i: int) -> int:
     """Materialize Q^(i) and check it is an OA at the scheme's strength."""
-    rows = [scheme.row(i, ell) for ell in scheme.enumerate_randomness(cap)]
-    levels = [tuple(v) for v in scheme.level_codec.enumerate_values(cap)]
-    return oa_strength_check(rows, levels, scheme.t, cap)
+    rows = [scheme.row(i, ell) for ell in scheme.enumerate_randomness()]
+    levels = [tuple(v) for v in scheme.level_codec.enumerate_values()]
+    return oa_strength_check(rows, levels, scheme.t)

@@ -19,7 +19,6 @@ import itertools
 from dataclasses import dataclass, field
 
 from .engine import (
-    DEFAULT_ROW_CAP,
     Scheme,
     answer,
     comm_cost,
@@ -34,7 +33,8 @@ from .errors import (
     Mismatch,
 )
 
-DEFAULT_CORRECTNESS_BUDGET = 2**8 * 8 * 10**5
+# The most (database, index, row) triples the correctness suite checks.
+CORRECTNESS_BUDGET = 2**8 * 8 * 10**5
 
 
 def all_databases(n: int):
@@ -100,31 +100,28 @@ class PrivacyReport:
         return lines
 
 
-def exhaustive_correctness(
-    scheme: Scheme,
-    databases=None,
-    budget: int = DEFAULT_CORRECTNESS_BUDGET,
-) -> CorrectnessReport:
-    """Full round trip for every (x, i, ell); ell is forced, not sampled."""
+def exhaustive_correctness(scheme: Scheme, databases=None) -> CorrectnessReport:
+    """Full round trip for every (x, i, ell); ell is forced, not sampled.
+    Refused past ``CORRECTNESS_BUDGET`` triples, before any is checked."""
     n = scheme.n
     big_n = scheme.num_rows
     rows = scheme.randomness.size_text
     if databases is None:
-        if 2**n * n * big_n > budget:
+        if 2**n * n * big_n > CORRECTNESS_BUDGET:
             raise BudgetExceeded(
                 f"2^{n} databases x {n} indices x {rows} rows exceeds "
-                f"budget {budget}; pass an explicit database list"
+                f"budget {CORRECTNESS_BUDGET}; pass an explicit database list"
             )
         databases = list(all_databases(n))
     else:
         # One database past what the budget allows is enough to exceed it,
         # so a long iterable is never built in full.
-        limit = budget // (n * big_n) + 1
+        limit = CORRECTNESS_BUDGET // (n * big_n) + 1
         databases = [tuple(x) for x in itertools.islice(databases, limit)]
-        if len(databases) * n * big_n > budget:
+        if len(databases) * n * big_n > CORRECTNESS_BUDGET:
             raise BudgetExceeded(
                 f"{len(databases)} or more databases x {n} indices x {rows} "
-                f"rows exceeds budget {budget}"
+                f"rows exceeds budget {CORRECTNESS_BUDGET}"
             )
 
     report = CorrectnessReport(protocol=scheme.name)
@@ -161,7 +158,7 @@ def exhaustive_correctness(
     return report
 
 
-def exhaustive_privacy(scheme: Scheme, cap: int = DEFAULT_ROW_CAP) -> PrivacyReport:
+def exhaustive_privacy(scheme: Scheme) -> PrivacyReport:
     """Exact multiset equality of projected queries across all index pairs.
 
     This is the privacy definition itself: for every coalition of t
@@ -171,7 +168,7 @@ def exhaustive_privacy(scheme: Scheme, cap: int = DEFAULT_ROW_CAP) -> PrivacyRep
     ``oa_family_check`` verifies.
     """
     t = scheme.t
-    ells = list(scheme.enumerate_randomness(cap))
+    ells = list(scheme.enumerate_randomness())
     coalitions = list(itertools.combinations(range(scheme.k), t))
     # Index 0's projected multiset is each coalition's reference; a
     # coalition keeps only the first index whose multiset differs.
@@ -203,19 +200,19 @@ def exhaustive_privacy(scheme: Scheme, cap: int = DEFAULT_ROW_CAP) -> PrivacyRep
     return report
 
 
-def span_check_all(scheme: Scheme, cap: int = DEFAULT_ROW_CAP) -> int:
+def span_check_all(scheme: Scheme) -> int:
     """span_check over the full (i, ell) grid; returns the number checked."""
     count = 0
     for i in range(scheme.n):
-        for ell in scheme.enumerate_randomness(cap):
+        for ell in scheme.enumerate_randomness():
             span_check(scheme, i, ell)
             count += 1
     return count
 
 
-def oa_family_check(scheme: Scheme, cap: int = DEFAULT_ROW_CAP) -> dict[int, int]:
+def oa_family_check(scheme: Scheme) -> dict[int, int]:
     """Every query array of the family must be an OA at the scheme's t."""
-    return {i: scheme_oa_index(scheme, i, cap) for i in range(scheme.n)}
+    return {i: scheme_oa_index(scheme, i) for i in range(scheme.n)}
 
 
 @dataclass

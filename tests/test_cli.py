@@ -255,6 +255,62 @@ class TestConfigFile:
         assert code == 0
         assert "span toy" in out and "privacy" not in out
 
+    def test_makedb_from_config_alone(self, capsys, tmp_path):
+        path = tmp_path / "db.bin"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 8\nbits = 10110010\n")
+        code, _, err = run_cli(capsys, "--config", str(cfg), "makedb")
+        assert code == 2
+        assert "makedb requires --n and --db" in err and not path.exists()
+        cfg.write_text(f"n = 8\ndb = {path}\nbits = 10110010\n")
+        code, out, _ = run_cli(capsys, "--config", str(cfg), "makedb")
+        assert code == 0
+        assert out == f"wrote 8 bits to {path}\n"
+        from pirlab.sim import load_database
+
+        assert load_database(path) == bytes((1, 0, 1, 1, 0, 0, 1, 0))
+
+    def test_bench_grid_from_config(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 8,64\ntrials = 1\n")
+        code, from_config, _ = run_cli(capsys, "--config", str(cfg), "bench", "cgks")
+        assert code == 0
+        _, typed, _ = run_cli(capsys, "bench", "cgks", "--n", "8,64", "--trials", "1")
+        assert from_config == typed and len(typed.splitlines()) == 3
+
+    @pytest.mark.parametrize("value, timed", [("true", True), ("0", False)])
+    def test_switch_from_config(self, capsys, tmp_path, value, timed):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"timing = {value}\n")
+        code, out, _ = run_cli(
+            capsys, "--config", str(cfg), "bench", "cgks", "--n", "8", "--trials", "1"
+        )
+        assert code == 0
+        assert ("server_time_s" in out.splitlines()[0]) == timed
+
+    @pytest.mark.parametrize("line, argv, message", [
+        ("suite = most", ["verify", "toy"],
+         "bad suite 'most': expected one of all, correctness, privacy"),
+        ("timing = yes", ["bench", "cgks", "--n", "8"],
+         "bad timing 'yes': expected true, false, 1 or 0"),
+        ("port = 7o01", ["serve", "cgks", "--n", "8"], "bad port '7o01': invalid"),
+    ])
+    def test_value_its_flag_refuses_is_usage_error(self, capsys, tmp_path, line, argv,
+                                                   message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        code, out, err = run_cli(capsys, "--config", str(cfg), *argv)
+        assert code == 2 and out == ""
+        assert f"{cfg}:1: {message}" in err
+
+    @pytest.mark.parametrize("key", ["protocol", "command", "n_values"])
+    def test_key_that_is_no_flag_rejected(self, capsys, tmp_path, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = toy\n")
+        code, _, err = run_cli(capsys, "--config", str(cfg), "params", "cgks", "--n", "8")
+        assert code == 2
+        assert f"unknown key {key!r}" in err
+
 
 class TestNetworkCommands:
     def test_get_round_trip(self, capsys, tmp_path):

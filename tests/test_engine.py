@@ -154,7 +154,7 @@ class TestCodec:
             assert codec.encode(values) == number.to_bytes(codec.nbytes, "little")
 
     def test_bits_encode_as_the_sum_of_their_powers_of_two(self):
-        # Radix 2 packs through pack_bits, not the product tree.
+        # Radix 2 goes through the product tree, as every radix does.
         rng = random.Random(2)
         for count in range(1, 801):
             codec = Codec(2, count)
@@ -255,10 +255,6 @@ class TestOaStrengthCheck:
         rows = [(0, 0), (0, 1), (1, 0), (0, 1)]
         with pytest.raises(OAFailure, match="appears"):
             oa_strength_check(rows, (0, 1), t=1)
-
-    def test_cap(self):
-        with pytest.raises(CapExceeded):
-            oa_strength_check(OA_8_4, (0, 1), t=1, cap=4)
 
     def test_entry_outside_levels(self):
         with pytest.raises(ParamError):

@@ -5,6 +5,7 @@ import dataclasses
 
 import pytest
 
+from pirlab import engine, verify
 from pirlab.engine import answer, comm_cost
 from pirlab.errors import (
     BudgetExceeded,
@@ -109,9 +110,14 @@ class TestPrivacySemantics:
         assert relabeled.passed == base.passed
         assert oa_family_check(shuffled) == oa_family_check(scheme)
 
-    def test_cap(self):
-        with pytest.raises(CapExceeded):
-            exhaustive_privacy(build_cgks(8), cap=10)
+    def test_cap(self, monkeypatch):
+        # The cap is read when the suite runs: 64 rows pass at 64 and are
+        # refused at 63.
+        monkeypatch.setattr(engine, "ROW_CAP", 64)
+        assert exhaustive_privacy(build_cgks(8)).passed
+        monkeypatch.setattr(engine, "ROW_CAP", 63)
+        with pytest.raises(CapExceeded, match="exceeds cap 63"):
+            exhaustive_privacy(build_cgks(8))
 
     def test_leak_at_one_server_from_a_later_index(self):
         # Server 2 gets a fixed query for i >= 2 only: the verdict is per
@@ -146,10 +152,15 @@ class TestCorrectnessSuite:
         with pytest.raises(BudgetExceeded):
             exhaustive_correctness(build_cgks(27))
 
-    def test_budget_guard_explicit_databases(self):
+    def test_budget_guard_explicit_databases(self, monkeypatch):
+        # The budget is read when the suite runs: one database of the toy
+        # is 2 indices x 9 rows = 18 triples.
         scheme = toy_instance()
-        with pytest.raises(BudgetExceeded):
-            exhaustive_correctness(scheme, databases=[(0, 0)], budget=1)
+        monkeypatch.setattr(verify, "CORRECTNESS_BUDGET", 18)
+        assert exhaustive_correctness(scheme, databases=[(0, 0)]).passed
+        monkeypatch.setattr(verify, "CORRECTNESS_BUDGET", 17)
+        with pytest.raises(BudgetExceeded, match="exceeds budget 17"):
+            exhaustive_correctness(scheme, databases=[(0, 0)])
 
     def test_structured_databases(self):
         dbs = list(structured_databases(3))
