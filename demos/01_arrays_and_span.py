@@ -9,9 +9,10 @@ vector.  That single identity is what makes one bit recoverable while each
 individual query stays index-independent.
 """
 
-from pirlab.engine import answer, comm_cost, oa_strength_check, query_gen, reconstruct, span_check
+from pirlab.engine import answer, comm_cost, query_gen, reconstruct
 from pirlab.protocols.toy import toy_instance
 from pirlab.protocols.toy import TOY_ARRAYS
+from pirlab.verify import oa_strength_check, span_check
 
 # A classic strength-3 example: 8 rows, 4 binary columns.
 rows = [

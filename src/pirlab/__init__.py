@@ -6,22 +6,7 @@ The package is organized around a single generic engine
 unit-vector span structure into a working retrieval protocol.  Eight
 concrete constructions live under :mod:`pirlab.protocols`; their
 combinatorial ingredients (matching vectors, decoding polynomials, parity
-sets) come from :mod:`pirlab.mv`; :mod:`pirlab.verify` holds the exhaustive
-correctness/privacy/accounting suites and :mod:`pirlab.sim` the in-process
-and TCP execution environments.
+sets) come from :mod:`pirlab.mv`; :mod:`pirlab.verify` holds every check of
+a scheme and :mod:`pirlab.sim` the in-process and TCP execution
+environments.  Import each name from its module.
 """
-
-from .engine import Aux, Codec, CommCost, Scheme, answer, comm_cost, oa_strength_check, query_gen, reconstruct, span_check
-
-__all__ = [
-    "Aux",
-    "Codec",
-    "CommCost",
-    "Scheme",
-    "answer",
-    "comm_cost",
-    "oa_strength_check",
-    "query_gen",
-    "reconstruct",
-    "span_check",
-]

@@ -34,6 +34,7 @@ from .errors import (
 )
 from .protocols.registry import PROTOCOL_NAMES, build_named
 from .sim import (
+    DEFAULT_HOST,
     DEFAULT_TIMEOUT,
     PirServer,
     ServerNode,
@@ -54,7 +55,7 @@ _PARAM_KEYS = ("n", "t", "k", "p", "m", "h", "sparse_k")
 _SUITES = ("all", "correctness", "privacy", "span", "oa", "comm")
 # Every flag parses to None when it is not typed, so the config file can
 # fill it; these defaults apply after the config file.
-_DEFAULTS = {"suite": "all", "host": "127.0.0.1", "timeout": DEFAULT_TIMEOUT,
+_DEFAULTS = {"suite": "all", "host": DEFAULT_HOST, "timeout": DEFAULT_TIMEOUT,
              "trials": 3, "timing": False}
 
 
@@ -114,7 +115,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict]]:
 
     add = subcommand("verify", "run exhaustive verification suites")
     _add_protocol_args(add)
-    add("--suite", choices=_SUITES, help="default: all")
+    add("--suite", choices=_SUITES, help=f"default: {_DEFAULTS['suite']}")
     _add_shared_args(add, top_level=False)
 
     add = subcommand("serve", "run one server daemon")
@@ -122,7 +123,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict]]:
     add("--id", type=int, default=None, help="server index (1-based)")
     add("--db", default=None, help="database file path")
     add("--port", type=int, default=None, help="0 picks a free port")
-    add("--host", default=None, help="default: 127.0.0.1")
+    add("--host", default=None, help=f"default: {_DEFAULTS['host']}")
     _add_shared_args(add, top_level=False)
 
     add = subcommand("get", "retrieve one bit from running servers")
@@ -130,13 +131,13 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict]]:
     add("--index", type=int, default=None, help="retrieval index (1-based)")
     add("--servers", default=None, help="comma-separated host:port list")
     add("--timeout", type=float, default=None,
-        help=f"seconds per connect and read; default: {DEFAULT_TIMEOUT:g}")
+        help=f"seconds per connect and read; default: {_DEFAULTS['timeout']:g}")
     _add_shared_args(add, top_level=False)
 
     add = subcommand("bench", "cost table across database sizes")
     _add_protocol_args(add, skip=("n",))
     add("--n", dest="n_values", default=None, help="comma-separated database sizes")
-    add("--trials", type=int, default=None, help="default: 3")
+    add("--trials", type=int, default=None, help=f"default: {_DEFAULTS['trials']}")
     add("--timing", action="store_true", default=None,
         help="include (non-deterministic) time columns")
     _add_shared_args(add, top_level=False)
@@ -335,7 +336,7 @@ def _parse_endpoints(text: str) -> list[tuple[str, int]]:
             raise ParamError(
                 f"bad endpoint {item!r}; expected host:port with port in [1, 65535]"
             )
-        endpoints.append((host or "127.0.0.1", int(port)))
+        endpoints.append((host or DEFAULT_HOST, int(port)))
     return endpoints
 
 

@@ -9,8 +9,8 @@ callback returning (lambda, omega) with
     alpha(row(i, ell)) . lambda = omega * e_n^(i).
 
 The engine then provides the querying / answering / reconstructing
-algorithms, exact communication accounting, and the structural checks
-(orthogonal-array strength, unit-vector span) that protocols must pass.
+algorithms, the codecs and exact communication accounting; the checks that
+a scheme is valid live in :mod:`pirlab.verify`, which no server loads.
 
 Answers live in R^D for a base ring R and a per-protocol dimension D; the
 client pairs the k lambda blocks with the k answers in one ``ring.dot``
@@ -28,7 +28,6 @@ import itertools
 import math
 import operator
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
@@ -38,9 +37,7 @@ from .errors import (
     InconsistentAnswer,
     MalformedQuery,
     NonUnit,
-    OAFailure,
     ParamError,
-    SpanFailure,
 )
 
 LevelPoint = tuple[int, ...]
@@ -507,74 +504,3 @@ def comm_cost(scheme: Scheme) -> CommCost:
         answer_bytes=scheme.answer_codec.nbytes,
     )
 
-
-def span_check(scheme: Scheme, i: int, ell: tuple[int, ...]) -> None:
-    """Verify alpha(row(i, ell)) . lambda = omega * e_n^(i) with omega != 0.
-
-    Materializes all n alpha rows at the given queries; raises SpanFailure
-    with the offending tau on the first mismatch.
-    """
-    queries = scheme.row(i, ell)
-    lam, omega = scheme.recon(i, ell)
-    ring = scheme.ring
-    if omega == ring.zero:
-        raise SpanFailure(f"{scheme.name}: omega is zero at (i={i}, ell={ell})")
-    for tau in range(scheme.n):
-        acc = combine(ring, lam, [scheme.alpha(tau, q) for q in queries])
-        expected = omega if tau == i else ring.zero
-        if acc != expected:
-            raise SpanFailure(
-                f"{scheme.name}: row tau={tau} pairs to {acc!r}, "
-                f"expected {expected!r} at (i={i}, ell={ell})"
-            )
-
-
-def oa_strength_check(rows: Sequence[Sequence], levels: Sequence, t: int) -> int:
-    """Return the index lambda of an orthogonal array of strength t.
-
-    Every t-column subarray must contain every t-tuple of levels exactly
-    N / s^t times; raises OAFailure naming the offending column set and
-    tuple otherwise.  The rows are the caller's, already in memory, so no
-    cap applies here: ``scheme_oa_index`` enumerates a scheme's under
-    ``ROW_CAP``.
-    """
-    n_rows = len(rows)
-    if n_rows == 0:
-        raise ParamError("array must have at least one row")
-    n_cols = len(rows[0])
-    if not 1 <= t <= n_cols:
-        raise ParamError(f"strength {t} out of range [1, {n_cols}]")
-    s = len(levels)
-    level_set = set(levels)
-    for r, row_vals in enumerate(rows):
-        for v in row_vals:
-            if v not in level_set:
-                raise ParamError(f"row {r} contains {v!r} outside the level set")
-    if n_rows % s**t != 0:
-        raise OAFailure(
-            f"{n_rows} rows cannot cover {s}^{t} tuples an equal number of times"
-        )
-    lam = n_rows // s**t
-    for cols in itertools.combinations(range(n_cols), t):
-        counts = Counter(tuple(row[c] for c in cols) for row in rows)
-        if len(counts) != s**t:
-            missing = next(
-                tup
-                for tup in itertools.product(sorted(level_set, key=repr), repeat=t)
-                if tup not in counts
-            )
-            raise OAFailure(f"columns {cols}: tuple {missing!r} never appears")
-        for tup, count in counts.items():
-            if count != lam:
-                raise OAFailure(
-                    f"columns {cols}: tuple {tup!r} appears {count} times, "
-                    f"expected {lam}"
-                )
-    return lam
-
-
-def scheme_oa_index(scheme: Scheme, i: int) -> int:
-    """Materialize Q^(i) and check it is an OA at the scheme's strength."""
-    rows = [scheme.row(i, ell) for ell in scheme.enumerate_randomness()]
-    levels = [tuple(v) for v in scheme.level_codec.enumerate_values()]
-    return oa_strength_check(rows, levels, scheme.t)

@@ -268,7 +268,9 @@ def search_matching_family(
         spend(owed + nodes_before(len(vectors)) - nodes_before(start))
         return False
 
-    if not extend(0, 0, (1 << m**h) - 1, (1 << m**h) - 1):
+    found = extend(0, 0, (1 << m**h) - 1, (1 << m**h) - 1)
+    del extend  # it calls itself by name: a cycle that would hold ``vectors``
+    if not found:
         raise Exhausted(
             f"no size-{n_target} family found in Z_{m}^{h} "
             f"({visited} nodes visited)"

@@ -90,6 +90,8 @@ ERR_DIGEST = 3
 ERR_INTERNAL = 4
 
 DEFAULT_TIMEOUT = 5.0
+# Where a server listens, and a client's host for an endpoint without one.
+DEFAULT_HOST = "127.0.0.1"
 # The most connections, so handler threads, one server holds at once.
 MAX_CONNECTIONS = 64
 # How often serve_forever checks for shutdown, so the most stop() waits.
@@ -103,12 +105,15 @@ def encode_frame(msg_type: int, payload: bytes) -> bytes:
 
 
 def _recv_exact(
-    sock: socket.socket, length: int, deadline: float | None
+    sock: socket.socket, length: int, deadline: float | None, first: bool = False
 ) -> bytes:
+    # With ``first`` these bytes start a frame, so the first recv keeps the
+    # socket's timeout, which ends with the deadline.  Every other recv
+    # waits only what is left of the deadline.
     chunks = []
     got = 0
     while got < length:
-        if deadline is not None:
+        if deadline is not None and (got or not first):
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise TimeoutError("frame not complete by its deadline")
@@ -132,16 +137,16 @@ def read_frame(
     timeout = sock.gettimeout()
     deadline = time.monotonic() + timeout if timeout else None
     try:
-        header = _recv_exact(sock, FRAME_HEADER_LEN, deadline)
+        header = _recv_exact(sock, FRAME_HEADER_LEN, deadline, first=True)
         if header[:4] != MAGIC:
             raise TransportError(f"bad magic {header[:4]!r}")
         msg_type = header[4]
         (length,) = struct.unpack("<I", header[5:9])
         if length > max_payload:
             raise TransportError(f"declared length {length} exceeds {max_payload}")
-        payload = _recv_exact(sock, length, deadline) if length else b""
+        payload = _recv_exact(sock, length, deadline)
     finally:
-        if deadline is not None:
+        if deadline is not None and sock.gettimeout() != timeout:
             sock.settimeout(timeout)
     return msg_type, payload
 
@@ -321,7 +326,7 @@ class PirServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
 
-    def __init__(self, node: ServerNode, host: str = "127.0.0.1", port: int = 0):
+    def __init__(self, node: ServerNode, host: str = DEFAULT_HOST, port: int = 0):
         super().__init__((host, port), _Handler)
         self.node = node
         self.digest = param_digest(node.scheme)

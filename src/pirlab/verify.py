@@ -1,5 +1,8 @@
-"""Exhaustive, oracle-grade verification suites.
+"""Every check of a scheme, exhaustive and oracle-grade.
 
+A valid scheme is a family of orthogonal arrays with span capability:
+``span_check_all`` runs ``span_check`` over every (i, ell), and
+``oa_family_check`` runs ``oa_strength_check`` on every index's array.
 Correctness runs the full query/answer/reconstruct round trip for every
 (database, index, randomness) triple, forcing the randomness
 deterministically instead of sampling.  The answers come from
@@ -16,21 +19,18 @@ repeated runs produce byte-identical output.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
+from typing import Sequence
 
-from .engine import (
-    Scheme,
-    answer,
-    comm_cost,
-    decide,
-    prepare,
-    scheme_oa_index,
-    span_check,
-)
+from .engine import Scheme, answer, combine, comm_cost, decide, prepare
 from .errors import (
     BudgetExceeded,
     InconsistentAnswer,
     Mismatch,
+    OAFailure,
+    ParamError,
+    SpanFailure,
 )
 
 # The most (database, index, row) triples the correctness suite checks.
@@ -200,6 +200,27 @@ def exhaustive_privacy(scheme: Scheme) -> PrivacyReport:
     return report
 
 
+def span_check(scheme: Scheme, i: int, ell: tuple[int, ...]) -> None:
+    """Verify alpha(row(i, ell)) . lambda = omega * e_n^(i) with omega != 0.
+
+    Materializes all n alpha rows at the given queries; raises SpanFailure
+    with the offending tau on the first mismatch.
+    """
+    queries = scheme.row(i, ell)
+    lam, omega = scheme.recon(i, ell)
+    ring = scheme.ring
+    if omega == ring.zero:
+        raise SpanFailure(f"{scheme.name}: omega is zero at (i={i}, ell={ell})")
+    for tau in range(scheme.n):
+        acc = combine(ring, lam, [scheme.alpha(tau, q) for q in queries])
+        expected = omega if tau == i else ring.zero
+        if acc != expected:
+            raise SpanFailure(
+                f"{scheme.name}: row tau={tau} pairs to {acc!r}, "
+                f"expected {expected!r} at (i={i}, ell={ell})"
+            )
+
+
 def span_check_all(scheme: Scheme) -> int:
     """span_check over the full (i, ell) grid; returns the number checked."""
     count = 0
@@ -208,6 +229,57 @@ def span_check_all(scheme: Scheme) -> int:
             span_check(scheme, i, ell)
             count += 1
     return count
+
+
+def oa_strength_check(rows: Sequence[Sequence], levels: Sequence, t: int) -> int:
+    """Return the index lambda of an orthogonal array of strength t.
+
+    Every t-column subarray must contain every t-tuple of levels exactly
+    N / s^t times; raises OAFailure naming the offending column set and
+    tuple otherwise.  The rows are the caller's, already in memory, so no
+    cap applies here: ``scheme_oa_index`` enumerates a scheme's under
+    ``engine.ROW_CAP``.
+    """
+    n_rows = len(rows)
+    if n_rows == 0:
+        raise ParamError("array must have at least one row")
+    n_cols = len(rows[0])
+    if not 1 <= t <= n_cols:
+        raise ParamError(f"strength {t} out of range [1, {n_cols}]")
+    s = len(levels)
+    level_set = set(levels)
+    for r, row_vals in enumerate(rows):
+        for v in row_vals:
+            if v not in level_set:
+                raise ParamError(f"row {r} contains {v!r} outside the level set")
+    if n_rows % s**t != 0:
+        raise OAFailure(
+            f"{n_rows} rows cannot cover {s}^{t} tuples an equal number of times"
+        )
+    lam = n_rows // s**t
+    for cols in itertools.combinations(range(n_cols), t):
+        counts = Counter(tuple(row[c] for c in cols) for row in rows)
+        if len(counts) != s**t:
+            missing = next(
+                tup
+                for tup in itertools.product(sorted(level_set, key=repr), repeat=t)
+                if tup not in counts
+            )
+            raise OAFailure(f"columns {cols}: tuple {missing!r} never appears")
+        for tup, count in counts.items():
+            if count != lam:
+                raise OAFailure(
+                    f"columns {cols}: tuple {tup!r} appears {count} times, "
+                    f"expected {lam}"
+                )
+    return lam
+
+
+def scheme_oa_index(scheme: Scheme, i: int) -> int:
+    """Materialize Q^(i) and check it is an OA at the scheme's strength."""
+    rows = [scheme.row(i, ell) for ell in scheme.enumerate_randomness()]
+    levels = [tuple(v) for v in scheme.level_codec.enumerate_values()]
+    return oa_strength_check(rows, levels, scheme.t)
 
 
 def oa_family_check(scheme: Scheme) -> dict[int, int]:

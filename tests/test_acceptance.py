@@ -25,9 +25,7 @@ from pirlab.engine import (
     answer,
     comm_cost,
     is_prime,
-    oa_strength_check,
     reconstruct,
-    span_check,
 )
 from pirlab.errors import InconsistentAnswer, OAFailure
 from pirlab.mv import (
@@ -55,6 +53,8 @@ from pirlab.verify import (
     exhaustive_correctness,
     exhaustive_privacy,
     oa_family_check,
+    oa_strength_check,
+    span_check,
     span_check_all,
     structured_databases,
 )

@@ -255,6 +255,19 @@ class TestConfigFile:
         assert code == 0
         assert "span toy" in out and "privacy" not in out
 
+    def test_every_default_is_named_in_its_help(self):
+        # A switch defaults to off; every other flag with a default says it.
+        _, flags = cli._build_parser()
+        named = []
+        for command, actions in flags.items():
+            for key, action in actions.items():
+                if key in cli._DEFAULTS and action.nargs != 0:
+                    value = cli._DEFAULTS[key]
+                    text = f"{value:g}" if isinstance(value, float) else str(value)
+                    assert f"default: {text}" in action.help, (command, key)
+                    named.append(key)
+        assert sorted(named) == ["host", "suite", "timeout", "trials"]
+
     def test_makedb_from_config_alone(self, capsys, tmp_path):
         path = tmp_path / "db.bin"
         cfg = tmp_path / "run.cfg"

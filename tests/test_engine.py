@@ -18,12 +18,9 @@ from pirlab.engine import (
     CommCost,
     answer,
     comm_cost,
-    oa_strength_check,
     pack_bits,
     query_gen,
     reconstruct,
-    scheme_oa_index,
-    span_check,
     unpack_bits,
 )
 from pirlab.errors import (
@@ -40,6 +37,7 @@ from pirlab.protocols.toy import broken_span_demo, toy_instance
 from pirlab.protocols.registry import build_named, desk_schemes
 from pirlab.protocols.toy import TOY_ARRAYS
 from pirlab.sim import run_inprocess
+from pirlab.verify import oa_strength_check, scheme_oa_index, span_check
 
 # The classic 8-row strength-3 binary array (rows = even-weight extensions).
 OA_8_4 = [

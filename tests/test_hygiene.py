@@ -1,7 +1,8 @@
 """Source hygiene: every name a module imports is used in that module,
 every function and class of the library is used by the library, the demos
 or the benchmark, importing the CLI loads no heavy module it does not
-need, and only the engine states the bit order of a packed integer.
+need, only the engine states the bit order of a packed integer, and only
+the verifier raises a span or orthogonal-array failure.
 
 An import nobody uses keeps a deleted or renamed API looking alive, so the
 scan covers the library, the tests and the demos.  Names listed in
@@ -155,6 +156,19 @@ def test_only_the_engine_knows_the_bit_order():
         str(path.relative_to(ROOT))
         for path in sorted((ROOT / "src").rglob("*.py"))
         if path.name != "engine.py" and pattern.search(path.read_text())
+    ]
+    assert offenders == []
+
+
+def test_only_the_verifier_raises_check_failures():
+    # Span capability and orthogonal-array strength are the two properties
+    # that make a scheme valid; their checks live with the suites that run
+    # them, so no other module raises their failures.
+    pattern = re.compile(r"raise\s+(SpanFailure|OAFailure)\b")
+    offenders = [
+        str(path.relative_to(ROOT))
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        if path.name != "verify.py" and pattern.search(path.read_text())
     ]
     assert offenders == []
 

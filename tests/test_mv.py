@@ -2,6 +2,7 @@
 parity sets, and the server-count table."""
 
 import functools
+import gc
 import itertools
 
 import pytest
@@ -82,6 +83,21 @@ class TestMatchingFamilySearch:
         assert str(info.value) == (
             "no size-40 family found in Z_6^3 (5000007 nodes visited)"
         )
+
+    def test_search_leaves_no_reference_cycle(self):
+        # The m^h candidate list must go when the search returns, found or
+        # exhausted, not when the cyclic collector next runs.
+        search_matching_family(6, 3, canonical_set(6), 3)
+        gc.collect()
+        gc.disable()
+        try:
+            search_matching_family(6, 3, canonical_set(6), 3)
+            assert gc.collect() == 0
+            with pytest.raises(Exhausted):
+                search_matching_family(3, 2, (1,), 4)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("h", [0, -1])
     def test_rejects_nonpositive_h(self, h):

@@ -378,7 +378,8 @@ class TestHermiteScheme:
         # deterministic sample instead (t = 1 is exhausted elsewhere).
         import random
 
-        from pirlab.engine import Aux, span_check
+        from pirlab.engine import Aux
+        from pirlab.verify import span_check
 
         scheme = build_wy_hermite(2, 2, 3, 7)
         assert scheme.report["d"] == 2
@@ -394,7 +395,7 @@ class TestHermiteScheme:
 
     def test_desk_span_sample(self):
         scheme = build_wy_hermite(4, 1, 2, 7)
-        from pirlab.engine import span_check
+        from pirlab.verify import span_check
 
         for ell in list(scheme.enumerate_randomness())[:50]:
             for i in range(4):

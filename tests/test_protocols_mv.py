@@ -13,7 +13,7 @@ from pirlab.algebra import (
     crt_combine,
     interpolation_vector,
 )
-from pirlab.engine import comm_cost, span_check
+from pirlab.engine import comm_cost
 from pirlab.errors import ParamError
 from pirlab.mv import MatchingFamily, canonical_set, search_matching_family
 from pirlab.protocols.mersenne import build_raghavendra, build_yekhanin
@@ -24,6 +24,7 @@ from pirlab.verify import (
     exhaustive_correctness,
     exhaustive_privacy,
     oa_family_check,
+    span_check,
     span_check_all,
 )
 

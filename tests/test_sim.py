@@ -136,6 +136,32 @@ class TestFraming:
             assert read_frame(reader) == read_frame(reader) == (MSG_QUERY, b"abc")
             assert reader.gettimeout() == 0.7
 
+    def test_first_recv_keeps_the_socket_timeout(self):
+        # The socket's own timeout already ends at the frame's deadline, so
+        # a frame that one recv reads whole sets no timeout at all.
+        class Counting:
+            def __init__(self, sock):
+                self.sock, self.settimeouts = sock, 0
+
+            def __getattr__(self, attr):
+                return getattr(self.sock, attr)
+
+            def settimeout(self, value):
+                self.settimeouts += 1
+                self.sock.settimeout(value)
+
+        writer, reader = socket.socketpair()
+        with writer, reader:
+            reader.settimeout(0.7)
+            counting = Counting(reader)
+            writer.sendall(encode_frame(MSG_QUERY, b""))
+            assert read_frame(counting) == (MSG_QUERY, b"")
+            assert counting.settimeouts == 0
+            writer.sendall(encode_frame(MSG_QUERY, b"abc"))
+            assert read_frame(counting) == (MSG_QUERY, b"abc")
+            assert counting.settimeouts == 2  # the payload's recv, then back
+            assert reader.gettimeout() == 0.7
+
 
 class TestInProcess:
     def test_round_trip_and_sizes(self):
