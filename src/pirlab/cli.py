@@ -295,9 +295,13 @@ def _cmd_verify(args, report: _Report) -> int:
         elif suite == "comm":
             x = (0,) * scheme.n
             _, transcript = run_inprocess(scheme, x, 0, args.seed or 0, check=False)
-            audit = comm_audit(scheme, transcript)
-            report.emit(*audit.to_lines())
-            ok &= audit.passed
+            try:
+                audit = comm_audit(scheme, transcript)
+                report.emit(*audit.to_lines())
+                ok &= audit.passed
+            except CheckFailure as exc:
+                report.emit(f"comm {scheme.name}: FAIL ({exc})")
+                ok = False
     report.emit(f"verdict: {'PASS' if ok else 'FAIL'}")
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 

@@ -63,6 +63,10 @@ class SpanFailure(CheckFailure):
     """Reconstruction coefficients do not span the required unit vector."""
 
 
+class Mismatch(CheckFailure):
+    """Measured transcript sizes disagree with the predicted codec widths."""
+
+
 class CapExceeded(PirError):
     """A materialization cap would be exceeded; refuse rather than sample."""
 
@@ -73,10 +77,6 @@ class BudgetExceeded(PirError):
 
 class Exhausted(PirError):
     """A search ran out of candidates (or budget) below its target."""
-
-
-class Mismatch(PirError):
-    """Measured transcript sizes disagree with the predicted codec widths."""
 
 
 class TransportError(PirError):

@@ -6,8 +6,9 @@ decoding polynomials (the product construction and a sparse search), and
 the parity-constrained set pair of the Mersenne-prime indicator protocol.
 
 It also holds what the five schemes share: ``dot_mod``, the inner product
-<u, z> mod m; ``shift_row``, the query array; and ``exponent_scheme``, the
-whole of Efremenko's scheme over F_p and of Raghavendra's over F_(2^r).
+<u, z> mod m; ``shift_scheme``, the one builder of all five, which owns
+their query array; and ``exponent_scheme``, the whole of Efremenko's
+scheme over F_p and of Raghavendra's over F_(2^r).
 Raghavendra's builder lives with the Mersenne schemes, so this module is
 where the two meet without one construction module loading the other.
 
@@ -124,9 +125,25 @@ def validate_family(family: MatchingFamily, m: int, allowed_targets: Sequence[in
         raise ParamError("invalid matching family: " + "; ".join(problems))
 
 
-def shift_row(family: MatchingFamily, offsets: Sequence[int], m: int):
-    """The matching-vector query array: server j receives ell + d_j * v_i
-    mod m for the uniform shift ell and the j-th offset d_j."""
+def shift_scheme(
+    name: str,
+    ring,
+    family: MatchingFamily,
+    m: int,
+    offsets: Sequence[int],
+    answer_dim: int,
+    alpha,
+    recon,
+    report: dict,
+) -> Scheme:
+    """A matching-vector scheme: for index i and a uniform shift ell in
+    Z_m^h, server j of k = len(offsets) receives ell + d_j * v_i mod m.
+
+    The one builder of the five: the level set Z_m^h is both the query
+    codec and the randomness, t = 1 and n = family.n.  ``m`` is the query
+    modulus, which need not be ``family.m``: gks queries over Z_m with a
+    family in Z_(m*p)^h.
+    """
 
     def row(i, ell):
         v = family.v[i]
@@ -134,7 +151,21 @@ def shift_row(family: MatchingFamily, offsets: Sequence[int], m: int):
             tuple((w + d * vc) % m for w, vc in zip(ell, v)) for d in offsets
         )
 
-    return row
+    levels = Codec(m, family.h)
+    return Scheme(
+        name=name,
+        n=family.n,
+        k=len(offsets),
+        t=1,
+        ring=ring,
+        answer_dim=answer_dim,
+        level_codec=levels,
+        randomness=levels,
+        row=row,
+        alpha=alpha,
+        recon=recon,
+        report=report,
+    )
 
 
 def exponent_scheme(
@@ -156,7 +187,7 @@ def exponent_scheme(
     Efremenko's scheme takes ring = F_p; Raghavendra's takes F_(2^r) with
     m = 2^r - 1 and P = 1 + theta + theta^gamma.
     """
-    m, h = family.m, family.h
+    m = family.m
 
     def alpha(tau, z):
         return (gpow[dot_mod(family.u[tau], z, m)],)
@@ -165,21 +196,7 @@ def exponent_scheme(
         c = gpow[-dot_mod(family.u[i], ell, m) % m]
         return tuple((ring.mul(c, rho),) for rho in coeffs), ring.one
 
-    levels = Codec(m, h)
-    return Scheme(
-        name=name,
-        n=family.n,
-        k=len(offsets),
-        t=1,
-        ring=ring,
-        answer_dim=1,
-        level_codec=levels,
-        randomness=levels,
-        row=shift_row(family, offsets, m),
-        alpha=alpha,
-        recon=recon,
-        report=report,
-    )
+    return shift_scheme(name, ring, family, m, offsets, 1, alpha, recon, report)
 
 
 def search_matching_family(

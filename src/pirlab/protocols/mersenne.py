@@ -16,7 +16,7 @@ by ``mv.exponent_scheme``.
 from __future__ import annotations
 
 from ..algebra import SparsePoly
-from ..engine import Codec, PrimeField, Scheme
+from ..engine import PrimeField, Scheme
 from ..errors import DecodingPolyInvalid, ParamError
 from ..mv import (
     MatchingFamily,
@@ -24,7 +24,7 @@ from ..mv import (
     dot_mod,
     exponent_scheme,
     mersenne_field,
-    shift_row,
+    shift_scheme,
     two_subgroup,
     validate_family,
 )
@@ -40,10 +40,9 @@ def build_yekhanin(p: int, family: MatchingFamily, nice: NiceSets) -> Scheme:
         raise ParamError(f"nice sets built for gamma={nice.gamma}, field gives {gamma}")
     if not nice.s0:
         raise ParamError("S0 must be nonempty")
-    h, n = family.h, family.n
+    h = family.h
     offsets = (0, 1, gamma)
     s0_set = frozenset(nice.s0)
-    field2 = PrimeField(2)
     u_sums = [sum(u) % p for u in family.u]
 
     def alpha(tau, z):
@@ -62,19 +61,8 @@ def build_yekhanin(p: int, family: MatchingFamily, nice: NiceSets) -> Scheme:
         selector = tuple(1 if j == rho else 0 for j in range(p))
         return (selector,) * 3, 1
 
-    levels = Codec(p, h)
-    return Scheme(
-        name="yekhanin",
-        n=n,
-        k=3,
-        t=1,
-        ring=field2,
-        answer_dim=p,
-        level_codec=levels,
-        randomness=levels,
-        row=shift_row(family, offsets, p),
-        alpha=alpha,
-        recon=recon,
+    return shift_scheme(
+        "yekhanin", PrimeField(2), family, p, offsets, p, alpha, recon,
         report={
             "p": p,
             "r": r,

@@ -33,7 +33,7 @@ from ..algebra import (
     interpolation_vector,
     squarefree_factors,
 )
-from ..engine import Codec, PrimeField, Scheme, is_prime
+from ..engine import PrimeField, Scheme, is_prime
 from ..errors import NoMuNu, ParamError
 from ..mv import (
     DecodingPoly,
@@ -41,7 +41,7 @@ from ..mv import (
     canonical_set,
     dot_mod,
     exponent_scheme,
-    shift_row,
+    shift_scheme,
     validate_family,
 )
 
@@ -146,7 +146,7 @@ def build_dvir_gopi(m: int, family: MatchingFamily) -> Scheme:
     offsets = tuple(range(k))  # evaluation exponents d_j = j - 1
     nu, mu = solve_group_ring_recovery(m)
     ring = CyclicGroupRing(m)
-    h, n = family.h, family.n
+    h = family.h
 
     def alpha(tau, z):
         u = family.u[tau]
@@ -165,19 +165,8 @@ def build_dvir_gopi(m: int, family: MatchingFamily) -> Scheme:
         omega = ring.shift(nu, dot_mod(family.u[i], ell, m))
         return tuple(blocks), omega
 
-    levels = Codec(m, h)
-    return Scheme(
-        name="dvir-gopi",
-        n=n,
-        k=k,
-        t=1,
-        ring=ring,
-        answer_dim=h + 1,
-        level_codec=levels,
-        randomness=levels,
-        row=shift_row(family, offsets, m),
-        alpha=alpha,
-        recon=recon,
+    return shift_scheme(
+        "dvir-gopi", ring, family, m, offsets, h + 1, alpha, recon,
         report={
             "m": m,
             "h": h,
@@ -225,7 +214,7 @@ def build_gks(m: int, p: int, family: MatchingFamily) -> Scheme:
     interpolation_vector(p, points, support_m, multiplicity=1)
     mu = interpolation_vector(p, points, support_mp, multiplicity=2)
 
-    h, n = family.h, family.n
+    h = family.h
     inv_points = [field.inv(b) for b in points]
 
     def alpha(tau, z):
@@ -255,19 +244,8 @@ def build_gks(m: int, p: int, family: MatchingFamily) -> Scheme:
             )
         return tuple(blocks), 1
 
-    levels = Codec(m, h)
-    return Scheme(
-        name="gks",
-        n=n,
-        k=k,
-        t=1,
-        ring=field,
-        answer_dim=h + 1,
-        level_codec=levels,
-        randomness=levels,
-        row=shift_row(family, range(k), m),
-        alpha=alpha,
-        recon=recon,
+    return shift_scheme(
+        "gks", field, family, m, range(k), h + 1, alpha, recon,
         report={
             "m": m,
             "p": p,

@@ -17,7 +17,8 @@ sum_j v_j * r^j, so it carries the message's raw bit count rounded up to
 whole bytes once.
 A HELLO carries the client's parameter digest; the server answers with a
 CONFIG echoing the protocol id and its own digest, which lets mismatched
-deployments fail fast without shipping full parameters.  A wrong digest, or
+deployments fail fast without shipping full parameters: the client accepts
+only the CONFIG "<protocol> <digest>" of its own scheme.  A wrong digest, or
 a QUERY before a matching HELLO, gets ERROR code 3 with the server's digest.
 A query the codec rejects gets code 2; any other failure while answering
 gets code 4 with just the exception's type name, and the server closes the
@@ -411,13 +412,15 @@ def client_retrieve(
     loopback.  Then the k CONFIGs are read, the k QUERYs sent and the k
     ANSWERs read, in server order, so the servers answer at the same time.
     No QUERY goes before its CONFIG: a mismatched server may close on the
-    longer frame and lose its digest error.  ``timeout`` bounds each connect
-    and each whole frame read; it must be finite and positive.  Every
-    socket error ends in a Timeout or TransportError naming the server, and
-    so does an ANSWER payload that the answer codec rejects.  Answers that combine to neither
-    0 nor omega end in a TransportError naming all k servers, as no one can
-    be blamed.  Seed None draws fresh randomness for every retrieval.  The
-    links must be private: whoever reads all k sees more than t servers do.
+    longer frame and lose its digest error.  A CONFIG other than this
+    scheme's name and digest ends in a ParamDigestMismatch naming the
+    server.  ``timeout`` bounds each connect and each whole frame read; it
+    must be finite and positive.  Every socket error ends in a Timeout or
+    TransportError naming the server, and so does an ANSWER payload that
+    the answer codec rejects.  Answers that combine to neither 0 nor omega
+    end in a TransportError naming all k servers, as no one can be blamed.
+    Seed None draws fresh randomness for every retrieval.  The links must
+    be private: whoever reads all k sees more than t servers do.
     """
     if not (math.isfinite(timeout) and timeout > 0):
         raise ParamError(f"timeout must be finite and > 0, got {timeout!r}")
@@ -445,8 +448,14 @@ def client_retrieve(
                 server=j + 1, query_payload_bytes=len(query_bytes[j]),
                 answer_payload_bytes=0, query_framed_bytes=sent,
             ))
-        for sock, endpoint, entry in zip(socks, endpoints, transcript.entries):
-            config = _read_reply(sock, endpoint, digest, MSG_CONFIG)
+        expected = f"{scheme.name} {digest}"
+        for (host, port), sock, entry in zip(endpoints, socks, transcript.entries):
+            config = _read_reply(sock, (host, port), digest, MSG_CONFIG)
+            if config != expected.encode():
+                raise ParamDigestMismatch(
+                    f"server {host}:{port} sent CONFIG "
+                    f"{config.decode(errors='replace')!r}, client has {expected!r}"
+                )
             entry.answer_framed_bytes = FRAME_HEADER_LEN + len(config)
         for sock, endpoint, q_bytes, entry in zip(
             socks, endpoints, query_bytes, transcript.entries

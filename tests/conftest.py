@@ -11,7 +11,9 @@ from pirlab.mv import (
     two_subgroup,
     yekhanin_nice_sets,
 )
-from pirlab.sim import MSG_ANSWER, MSG_CONFIG, read_frame, write_frame
+from pirlab.errors import TransportError
+from pirlab.protocols.cube import build_cgks
+from pirlab.sim import MSG_ANSWER, MSG_CONFIG, param_digest, read_frame, write_frame
 
 
 @pytest.fixture(scope="session")
@@ -63,10 +65,12 @@ def resetting_listener():
 @pytest.fixture
 def malformed_answer_listener():
     """The endpoint of a listener that takes two connections, replies to
-    each HELLO with a CONFIG and to each QUERY with a 5-byte ANSWER, four
-    bytes wider than a cgks n=8 answer."""
+    each HELLO with the CONFIG of cgks n=8 and to each QUERY with a 5-byte
+    ANSWER, four bytes wider than a cgks n=8 answer.  A client that closes
+    after the CONFIG ends the stub quietly."""
     listener = socket.create_server(("127.0.0.1", 0))
     listener.settimeout(2.0)
+    config = f"cgks {param_digest(build_cgks(8))}".encode()
 
     def answer_too_wide():
         try:
@@ -78,11 +82,11 @@ def malformed_answer_listener():
                 for conn in conns:
                     conn.settimeout(2.0)
                     read_frame(conn)
-                    write_frame(conn, MSG_CONFIG, b"")
+                    write_frame(conn, MSG_CONFIG, config)
                 for conn in conns:
                     read_frame(conn)
                     write_frame(conn, MSG_ANSWER, bytes(5))
-            except OSError:
+            except (OSError, TransportError):
                 return
 
     thread = threading.Thread(target=answer_too_wide, daemon=True)

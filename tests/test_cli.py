@@ -1,6 +1,7 @@
 """CLI behaviour: reports, exit codes, config files, determinism, and the
 networked get path."""
 
+import hashlib
 import os
 import re
 import select
@@ -118,6 +119,35 @@ class TestParams:
         assert "k = 2" in out
         assert err.startswith("error: ") and str(out_path) in err
 
+    # sha256 of ``params`` stdout.  The param digests in test_sim.py sort the
+    # report keys; these pin the order and formatting that ``params`` prints.
+    # The m = 511 pin takes n = 2, h = 1: the default Z_511^3 exceeds the
+    # enumeration cap, and the budgeted search finds no 3-index family in
+    # Z_511^2.
+    @pytest.mark.parametrize("argv, sha", [
+        ("toy", "3f27518d4f53f76c034eeebca25bc3aaac4eda2729d20a976cc818d932bde210"),
+        ("cgks --n 8", "0f4b9c59075bceb37fff2504f0afdb897179c38a1cc3152a8fd981100edfa4f9"),
+        ("lagrange --n 3 --t 1 --k 3 --p 5",
+         "7cf57a3ce6061b65f7d740cdf5ee99c1433de490d25e0eba828e02a661f33be8"),
+        ("hermite --n 4 --t 1 --k 2 --p 7",
+         "5c58ffba7257073a1273595271b5d48a9e029b987bf6c9816eaaeb2f5d142e0d"),
+        ("yekhanin", "6b88ba0a08de7f439fee8447ac3c2cc697d2d121c2f22bd3655ca27b36d76e16"),
+        ("raghavendra",
+         "4a50aa17dbb4cb2a8c59d23bf7baf7d6bebdcb89a4a21495ea9ff19f30e8f57a"),
+        ("efremenko --m 6 --p 7",
+         "65885dfb71a307fad1905a293c7124383b6e247cd60e39c2b61f4d8d46d597aa"),
+        ("efremenko --m 511 --p 3067 --sparse-k 3 --n 2 --h 1",
+         "64a784335369c39f991b7a5aeeede74167ff4905400c415372a7f51af6bc06a7"),
+        ("dvir-gopi --m 6",
+         "081d412aafaa57f386384886a1f90eaf3750e7ad288d76ab763febf8cca63451"),
+        ("gks --m 2 --p 3",
+         "9174905ec80f744ada809f817d3572c994cacc31975b6f5ba9cbad96019b6af1"),
+    ])
+    def test_pinned_output(self, capsys, argv, sha):
+        code, out, _ = run_cli(capsys, "params", *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha
+
 
 class TestVerify:
     def test_lagrange_all_suites_pass(self, capsys):
@@ -133,6 +163,21 @@ class TestVerify:
         assert code == 1
         assert "verdict: FAIL" in out
         assert "counterexample" in out
+
+    def test_comm_mismatch_is_a_fail_line(self, capsys, monkeypatch):
+        real = cli.run_inprocess
+
+        def doctored(*args, **kwargs):
+            bit, transcript = real(*args, **kwargs)
+            transcript.entries[0].answer_payload_bytes += 1
+            return bit, transcript
+
+        monkeypatch.setattr(cli, "run_inprocess", doctored)
+        code, out, err = run_cli(capsys, "verify", "toy")
+        assert code == 1
+        assert "comm toy: FAIL (server 1: answer payload 2 bytes != 1)" in out
+        assert out.endswith("verdict: FAIL\n")
+        assert err == ""
 
     def test_cgks_n1(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "cgks", "--n", "1")

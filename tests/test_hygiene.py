@@ -1,8 +1,9 @@
 """Source hygiene: every name a module imports is used in that module,
 every function and class of the library is used by the library, the demos
 or the benchmark, importing the CLI loads no heavy module it does not
-need, only the engine states the bit order of a packed integer, and only
-the verifier raises a span or orthogonal-array failure.
+need, only the engine states the bit order of a packed integer, only
+``mv.shift_scheme`` builds a matching-vector scheme, and only the verifier
+raises a span or orthogonal-array failure.
 
 An import nobody uses keeps a deleted or renamed API looking alive, so the
 scan covers the library, the tests and the demos.  Names listed in
@@ -156,6 +157,19 @@ def test_only_the_engine_knows_the_bit_order():
         str(path.relative_to(ROOT))
         for path in sorted((ROOT / "src").rglob("*.py"))
         if path.name != "engine.py" and pattern.search(path.read_text())
+    ]
+    assert offenders == []
+
+
+def test_only_mv_builds_a_matching_vector_scheme():
+    # mv.shift_scheme states the shift query array, its codec, t = 1 and
+    # n once for all five matching-vector schemes; a construction module
+    # that builds a Scheme or a Codec itself states them again.
+    pattern = re.compile(r"\b(Scheme|Codec)\(")
+    offenders = [
+        name
+        for name in ("mersenne.py", "ring.py")
+        if pattern.search((ROOT / "src" / "pirlab" / "protocols" / name).read_text())
     ]
     assert offenders == []
 

@@ -659,6 +659,18 @@ class TestTcp:
             listener.close()
         assert not thread.is_alive()
 
+    def test_config_for_another_deployment_is_a_digest_mismatch(
+        self, malformed_answer_listener
+    ):
+        # The stub's CONFIG names cgks n=8: the same protocol under another
+        # digest, so no QUERY may follow it.
+        scheme = build_cgks(27)
+        host, port = malformed_answer_listener
+        with pytest.raises(ParamDigestMismatch, match=f"server {host}:{port} sent CONFIG"):
+            client_retrieve(
+                [malformed_answer_listener] * 2, scheme, 0, seed=0, timeout=2.0
+            )
+
     def test_server_reset_is_a_transport_error_naming_it(self, resetting_listener):
         scheme = build_cgks(8)
         port = resetting_listener[1]
