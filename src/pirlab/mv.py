@@ -220,7 +220,10 @@ def search_matching_family(
     if h < 1:
         raise ParamError("h must be >= 1")
     if m**h > VECTOR_CAP:
-        raise ParamError(f"m^h = {m**h} exceeds the enumeration cap {VECTOR_CAP}")
+        raise ParamError(
+            f"Z_{m}^{h} has {m**h} vectors, over the enumeration cap "
+            f"{VECTOR_CAP}; choose a smaller h"
+        )
     if n_target < 1:
         raise ParamError("n_target must be >= 1")
     target = set(x % m for x in target_set)

@@ -26,7 +26,6 @@ Kushilevitz & Sudan, JACM 1998).
 from __future__ import annotations
 
 from ..engine import Codec, PrimeField, Scheme, pack_bits
-from ..errors import ParamError
 
 
 def side_length(n: int) -> int:
@@ -37,8 +36,6 @@ def side_length(n: int) -> int:
 
 
 def build_cgks(n: int) -> Scheme:
-    if n < 1:
-        raise ParamError("n must be >= 1")
     h = side_length(n)
     zeta = 2**h
     field = PrimeField(2)

@@ -156,9 +156,20 @@ def hermite_weights(k: int, p: int) -> list[int]:
     return weights
 
 
-def _curve_row(d: int, tables: list[list[int]], t: int, k: int, p: int):
-    """row(i, ell): q(theta) = u_i + R * (theta, ..., theta^t) at theta =
-    1..k, where u_i is the 0/1 vector with ones at the support of index i."""
+def curve_scheme(
+    name: str, field: PrimeField, n: int, t: int, k: int, d: int, h: int,
+    tables: list[list[int]], answer_dim: int, alpha, recon, report: dict,
+    answer_kernel=None,
+) -> Scheme:
+    """A curve scheme: for index i and ell in F_p^(h*t), server j of k
+    receives q(j) = u_i + R * (j, ..., j^t), where u_i is the 0/1 vector
+    with ones at the support of index i.
+
+    The one builder of the two: F_p^h is the query codec and, when t = 1,
+    the randomness; the report opens with p, h, d and the level set ahead
+    of the builder's own keys.
+    """
+    p = field.p
 
     def row(i, ell):
         support = colex_unrank(i, d, tables)
@@ -170,7 +181,22 @@ def _curve_row(d: int, tables: list[list[int]], t: int, k: int, p: int):
             points.append(tuple([v % p for v in point]))
         return tuple(points)
 
-    return row
+    levels = Codec(p, h)
+    return Scheme(
+        name=name,
+        n=n,
+        k=k,
+        t=t,
+        ring=field,
+        answer_dim=answer_dim,
+        level_codec=levels,
+        randomness=levels if t == 1 else Codec(p, h * t),
+        row=row,
+        alpha=alpha,
+        recon=recon,
+        answer_kernel=answer_kernel,
+        report={"p": p, "h": h, "d": d, "levels": f"F_{p}^{h}", **report},
+    )
 
 
 def build_lagrange(n: int, t: int, k: int, p: int, h: int | None = None) -> Scheme:
@@ -198,28 +224,10 @@ def build_lagrange(n: int, t: int, k: int, p: int, h: int | None = None) -> Sche
     def answer_kernel(x, z):
         return (_block_sum(x, z, d, tables) % p,)
 
-    levels = Codec(p, h)
-    return Scheme(
-        name="lagrange",
-        n=n,
-        k=k,
-        t=t,
-        ring=field,
-        answer_dim=1,
-        level_codec=levels,
-        randomness=levels if t == 1 else Codec(p, h * t),
-        row=_curve_row(d, tables, t, k, p),
-        alpha=alpha,
-        recon=recon,
+    report = {"answers": f"F_{p}", "lambda": tuple(lam)}
+    return curve_scheme(
+        "lagrange", field, n, t, k, d, h, tables, 1, alpha, recon, report,
         answer_kernel=answer_kernel,
-        report={
-            "p": p,
-            "h": h,
-            "d": d,
-            "levels": f"F_{p}^{h}",
-            "answers": f"F_{p}",
-            "lambda": tuple(lam),
-        },
     )
 
 
@@ -257,25 +265,7 @@ def build_wy_hermite(n: int, t: int, k: int, p: int, h: int | None = None) -> Sc
             blocks.append((mu[2 * j - 2], *[m_der * v % p for v in tangent]))
         return tuple(blocks), 1
 
-    levels = Codec(p, h)
-    return Scheme(
-        name="hermite",
-        n=n,
-        k=k,
-        t=t,
-        ring=field,
-        answer_dim=h + 1,
-        level_codec=levels,
-        randomness=levels if t == 1 else Codec(p, h * t),
-        row=_curve_row(d, tables, t, k, p),
-        alpha=alpha,
-        recon=recon,
-        report={
-            "p": p,
-            "h": h,
-            "d": d,
-            "levels": f"F_{p}^{h}",
-            "answers": f"F_{p}^{h + 1} (value plus gradient)",
-            "mu": tuple(mu),
-        },
+    report = {"answers": f"F_{p}^{h + 1} (value plus gradient)", "mu": tuple(mu)}
+    return curve_scheme(
+        "hermite", field, n, t, k, d, h, tables, h + 1, alpha, recon, report
     )

@@ -142,11 +142,26 @@ class TestParams:
          "081d412aafaa57f386384886a1f90eaf3750e7ad288d76ab763febf8cca63451"),
         ("gks --m 2 --p 3",
          "9174905ec80f744ada809f817d3572c994cacc31975b6f5ba9cbad96019b6af1"),
+        ("lagrange --n 20 --t 2 --k 5 --p 7",
+         "897a25d4d13e47873730d1aa7d3614213b7a50ba20e5db75f3694fc518af08be"),
+        ("hermite --n 10 --t 2 --k 4 --p 11",
+         "6477bc515c7b9cb9850a3961d608702095768e276076dd3a2e0e31a1bb3a315a"),
     ])
     def test_pinned_output(self, capsys, argv, sha):
         code, out, _ = run_cli(capsys, "params", *argv.split())
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == sha
+
+    def test_default_h_over_the_enumeration_cap_names_h(self, capsys):
+        # The registry's default h = 3 puts Z_511^3 over the cap; the error
+        # says which space and how to shrink it.
+        code, out, err = run_cli(
+            capsys, "params", "efremenko", "--m", "511", "--p", "3067",
+            "--sparse-k", "3",
+        )
+        assert code == 2
+        assert out == ""
+        assert "511^3" in err and "smaller h" in err
 
 
 class TestVerify:

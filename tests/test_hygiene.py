@@ -1,8 +1,9 @@
 """Source hygiene: every name a module imports is used in that module,
 every function and class of the library is used by the library, the demos
 or the benchmark, importing the CLI loads no heavy module it does not
-need, only the engine states the bit order of a packed integer, only
-``mv.shift_scheme`` builds a matching-vector scheme, and only the verifier
+need, only the engine states the bit order of a packed integer, each
+family of query arrays builds its schemes in one place (cube.py, toy.py,
+``curve.curve_scheme`` and ``mv.shift_scheme``), and only the verifier
 raises a span or orthogonal-array failure.
 
 An import nobody uses keeps a deleted or renamed API looking alive, so the
@@ -161,17 +162,35 @@ def test_only_the_engine_knows_the_bit_order():
     assert offenders == []
 
 
-def test_only_mv_builds_a_matching_vector_scheme():
-    # mv.shift_scheme states the shift query array, its codec, t = 1 and
-    # n once for all five matching-vector schemes; a construction module
-    # that builds a Scheme or a Codec itself states them again.
-    pattern = re.compile(r"\b(Scheme|Codec)\(")
+# One module per family of query arrays builds its Schemes: cube.py the
+# cgks cube, toy.py the explicit arrays, curve.curve_scheme the lagrange and
+# hermite curves, and mv.shift_scheme the five matching-vector shifts.
+SCHEME_BUILDERS = [
+    "protocols/cube.py", "protocols/toy.py", "protocols/curve.py", "mv.py"
+]
+
+
+def test_one_scheme_builder_per_array_family():
+    # A construction that builds a Scheme or a Codec itself restates its
+    # family's query array, codecs and parameters.  The engine builds
+    # answer codecs.
+    package = ROOT / "src" / "pirlab"
+    sources = {
+        path.relative_to(package).as_posix(): path.read_text()
+        for path in sorted(package.rglob("*.py"))
+    }
     offenders = [
         name
-        for name in ("mersenne.py", "ring.py")
-        if pattern.search((ROOT / "src" / "pirlab" / "protocols" / name).read_text())
+        for name, text in sources.items()
+        if name not in ["engine.py", *SCHEME_BUILDERS]
+        and re.search(r"\b(Scheme|Codec)\(", text)
     ]
     assert offenders == []
+    calls = {
+        name: len(re.findall(r"\bScheme\(", sources[name]))
+        for name in SCHEME_BUILDERS
+    }
+    assert calls == dict.fromkeys(SCHEME_BUILDERS, 1)
 
 
 def test_only_the_verifier_raises_check_failures():

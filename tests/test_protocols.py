@@ -38,6 +38,11 @@ class TestCgks:
         scheme = build_cgks(n)
         assert comm_cost(scheme).raw_bits == 12 * h + 2
 
+    def test_rejects_empty_database(self):
+        # The check is Scheme's own; the builder does not restate it.
+        with pytest.raises(ParamError, match="^n must be >= 1$"):
+            build_cgks(0)
+
     def test_n1_exhaustive(self):
         scheme = build_cgks(1)
         assert exhaustive_correctness(scheme).passed

@@ -284,7 +284,8 @@ class TestNode:
 # second pin covers the queries: a refactor of ``row`` must keep every row.
 # The third covers the answers on the wire, the bytes of ``encode_answer``.
 # raghavendra and yekhanin at p = 31 pin F_(2^5), the first binary field
-# whose modulus the search picks rather than a constant.
+# whose modulus the search picks rather than a constant.  The curve schemes at
+# t = 2 pin the randomness F_p^(2h) and the two-column R of their rows.
 PINNED_DIGESTS = [
     ("toy", {}, "fa0a9550fc7004d0", "254ee99461dbd7fe", "a0454a24dd4bc418"),
     ("cgks", {"n": 8}, "4b5adb15b95ebaec", "68c35e479db6389f",
@@ -321,6 +322,10 @@ PINNED_DIGESTS = [
      "3ad4bb4acff3eede"),
     ("yekhanin", {"p": 31}, "7715e50481dd343c", "b92ae49dc4597a8d",
      "81cb25eb30092ad4"),
+    ("lagrange", {"n": 20, "t": 2, "k": 5, "p": 7},
+     "20abae67cac1b957", "918f41a7411a05eb", "9ed4497702d1b260"),
+    ("hermite", {"n": 10, "t": 2, "k": 4, "p": 11},
+     "4d3b44e28c4f031c", "08a9f2007a8e3580", "12f7fd78fbd286a3"),
 ]
 
 
