@@ -42,7 +42,7 @@ from .errors import (
 
 LevelPoint = tuple[int, ...]
 Answer = tuple  # D ring elements
-# The most rows, or level points, that any exhaustive check enumerates.
+# The most rows, level points or Z_m^h vectors that any enumeration lists.
 ROW_CAP = 10**6
 
 

@@ -33,7 +33,7 @@ from .algebra import (
     squarefree_factors,
     try_solve_mod_prime,
 )
-from .engine import Codec, PrimeField, Scheme, is_prime
+from .engine import ROW_CAP, Codec, PrimeField, Scheme, is_prime
 from .errors import (
     DecodingPolyInvalid,
     Exhausted,
@@ -41,7 +41,6 @@ from .errors import (
     ParamError,
 )
 
-VECTOR_CAP = 10**6
 DEFAULT_SEARCH_BUDGET = 5_000_000
 
 
@@ -219,10 +218,10 @@ def search_matching_family(
     """
     if h < 1:
         raise ParamError("h must be >= 1")
-    if m**h > VECTOR_CAP:
+    if m**h > ROW_CAP:
         raise ParamError(
             f"Z_{m}^{h} has {m**h} vectors, over the enumeration cap "
-            f"{VECTOR_CAP}; choose a smaller h"
+            f"{ROW_CAP}; choose a smaller h"
         )
     if n_target < 1:
         raise ParamError("n_target must be >= 1")

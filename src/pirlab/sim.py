@@ -322,12 +322,15 @@ class PirServer(socketserver.ThreadingTCPServer):
     """A long-running server daemon for one node; stateless per request.
 
     It holds at most ``MAX_CONNECTIONS`` connections at once, one handler
-    thread each, and closes any connection past that as it accepts it."""
+    thread each, and closes any connection past that as it accepts it.
+    Port 0 picks a free port; one outside [0, 65535] is a ParamError."""
 
     allow_reuse_address = True
     daemon_threads = True
 
     def __init__(self, node: ServerNode, host: str = DEFAULT_HOST, port: int = 0):
+        if not 0 <= port <= 65535:
+            raise ParamError(f"port must be in [0, 65535], got {port}")
         super().__init__((host, port), _Handler)
         self.node = node
         self.digest = param_digest(node.scheme)
@@ -420,7 +423,11 @@ def client_retrieve(
     the answer codec rejects.  Answers that combine to neither 0 nor omega
     end in a TransportError naming all k servers, as no one can be blamed.
     Seed None draws fresh randomness for every retrieval.  The links must
-    be private: whoever reads all k sees more than t servers do.
+    be private: whoever reads all k sees more than t servers do, and so
+    the k endpoints must be k distinct servers, each port in [1, 65535]:
+    ParamError otherwise, before any query or connection.  Hosts are
+    compared as written, so ``localhost`` and ``127.0.0.1`` naming one
+    server is not caught.
     """
     if not (math.isfinite(timeout) and timeout > 0):
         raise ParamError(f"timeout must be finite and > 0, got {timeout!r}")
@@ -428,6 +435,12 @@ def client_retrieve(
         raise ParamError(
             f"protocol needs exactly {scheme.k} endpoints, got {len(endpoints)}"
         )
+    for j, (host, port) in enumerate(endpoints):
+        if not 1 <= port <= 65535:
+            raise ParamError(f"endpoint {host}:{port}: port must be in [1, 65535]")
+        if (host, port) in map(tuple, endpoints[:j]):
+            raise ParamError(f"endpoint {host}:{port} is named twice; "
+                             "the k endpoints must be k distinct servers")
     queries, aux = query_gen(scheme, i, seed)
     digest = param_digest(scheme)
     query_bytes = [scheme.level_codec.encode(q) for q in queries]

@@ -10,7 +10,7 @@ deterministically instead of sampling.  The answers come from
 compares the projected query multisets of every index pair for every
 size-t server coalition - an exact multiset identity, never a statistical
 test.  The communication audit compares measured transcript bytes against
-the codec widths.
+the codec widths.  ``run_suites`` runs them as ``pirlab verify`` does.
 
 Reports are plain data with a deterministic line-oriented serialization;
 repeated runs produce byte-identical output.
@@ -26,6 +26,7 @@ from typing import Sequence
 from .engine import Scheme, answer, combine, comm_cost, decide, prepare
 from .errors import (
     BudgetExceeded,
+    CheckFailure,
     InconsistentAnswer,
     Mismatch,
     OAFailure,
@@ -35,6 +36,8 @@ from .errors import (
 
 # The most (database, index, row) triples the correctness suite checks.
 CORRECTNESS_BUDGET = 2**8 * 8 * 10**5
+# The suites ``run_suites`` knows, in the order ``pirlab verify`` runs them.
+SUITES = ("correctness", "privacy", "span", "oa", "comm")
 
 
 def all_databases(n: int):
@@ -102,7 +105,8 @@ class PrivacyReport:
 
 def exhaustive_correctness(scheme: Scheme, databases=None) -> CorrectnessReport:
     """Full round trip for every (x, i, ell); ell is forced, not sampled.
-    Refused past ``CORRECTNESS_BUDGET`` triples, before any is checked."""
+    Refused past ``CORRECTNESS_BUDGET`` triples, before any is checked, and
+    over an empty database list, which would pass having checked nothing."""
     n = scheme.n
     big_n = scheme.num_rows
     rows = scheme.randomness.size_text
@@ -123,6 +127,8 @@ def exhaustive_correctness(scheme: Scheme, databases=None) -> CorrectnessReport:
                 f"{len(databases)} or more databases x {n} indices x {rows} "
                 f"rows exceeds budget {CORRECTNESS_BUDGET}"
             )
+        if not databases:
+            raise ParamError("the correctness suite needs at least one database")
 
     report = CorrectnessReport(protocol=scheme.name)
     report.databases_tested = len(databases)
@@ -333,3 +339,47 @@ def comm_audit(scheme: Scheme, transcript) -> CommAudit:
                 f"{entry.answer_payload_bytes} bytes != {cost.answer_bytes}"
             )
     return audit
+
+
+def _run_suite(scheme: Scheme, suite: str, seed: int) -> tuple[bool, list[str]]:
+    if suite == "correctness":
+        try:
+            report = exhaustive_correctness(scheme)
+        except BudgetExceeded:
+            databases = structured_databases(scheme.n)
+            report = exhaustive_correctness(scheme, databases=databases)
+    elif suite == "privacy":
+        report = exhaustive_privacy(scheme)
+    elif suite == "span":
+        count = span_check_all(scheme)
+        return True, [f"span {scheme.name}: PASS ({count} (i, ell) pairs)"]
+    elif suite == "oa":
+        lams = sorted(set(oa_family_check(scheme).values()))
+        return True, [f"oa {scheme.name}: PASS (lambda = {lams})"]
+    else:
+        from .sim import run_inprocess
+
+        _, transcript = run_inprocess(scheme, (0,) * scheme.n, 0, seed, check=False)
+        report = comm_audit(scheme, transcript)
+    return report.passed, report.to_lines()
+
+
+def run_suites(
+    scheme: Scheme, suites: Sequence[str], seed: int
+) -> tuple[bool, list[str]]:
+    """Run the named suites in order: whether all passed, and the lines
+    ``pirlab verify`` prints before its verdict.  A CheckFailure ends its
+    suite in the line ``<suite> <name>: FAIL (<exc>)``; a name not in
+    ``SUITES`` is a ParamError, raised before any suite runs."""
+    unknown = [suite for suite in suites if suite not in SUITES]
+    if unknown:
+        raise ParamError(f"unknown suite {unknown[0]!r}; expected one of {SUITES}")
+    ok, lines = True, []
+    for suite in suites:
+        try:
+            passed, suite_lines = _run_suite(scheme, suite, seed)
+        except CheckFailure as exc:
+            passed, suite_lines = False, [f"{suite} {scheme.name}: FAIL ({exc})"]
+        ok &= passed
+        lines += suite_lines
+    return ok, lines

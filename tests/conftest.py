@@ -37,14 +37,25 @@ def poly_6_7():
 
 
 @pytest.fixture
-def resetting_listener():
-    """The endpoint of a listener that reads each of two connections' HELLO
-    and then resets it (SO_LINGER 0 makes close send RST, not FIN)."""
-    listener = socket.create_server(("127.0.0.1", 0))
-    listener.settimeout(2.0)
+def listener_pair():
+    """Two loopback listeners, closed after the test: a client's k = 2
+    endpoints must be two distinct servers."""
+    listeners = [socket.create_server(("127.0.0.1", 0)) for _ in range(2)]
+    for listener in listeners:
+        listener.settimeout(2.0)
+    yield listeners
+    for listener in listeners:
+        listener.close()
+
+
+@pytest.fixture
+def resetting_listeners(listener_pair):
+    """The endpoints of two listeners that each read one connection's HELLO
+    and then reset it (SO_LINGER 0 makes close send RST, not FIN)."""
+    listeners = listener_pair
 
     def reset_after_hello():
-        for _ in range(2):
+        for listener in listeners:
             try:
                 conn, _ = listener.accept()
                 with conn:
@@ -56,25 +67,23 @@ def resetting_listener():
 
     thread = threading.Thread(target=reset_after_hello, daemon=True)
     thread.start()
-    yield listener.getsockname()[:2]
+    yield [listener.getsockname()[:2] for listener in listeners]
     thread.join(timeout=5)
-    listener.close()
     assert not thread.is_alive()
 
 
 @pytest.fixture
-def malformed_answer_listener():
-    """The endpoint of a listener that takes two connections, replies to
-    each HELLO with the CONFIG of cgks n=8 and to each QUERY with a 5-byte
-    ANSWER, four bytes wider than a cgks n=8 answer.  A client that closes
-    after the CONFIG ends the stub quietly."""
-    listener = socket.create_server(("127.0.0.1", 0))
-    listener.settimeout(2.0)
+def malformed_answer_listeners(listener_pair):
+    """The endpoints of two listeners that take one connection each, reply
+    to each HELLO with the CONFIG of cgks n=8 and to each QUERY with a
+    5-byte ANSWER, four bytes wider than a cgks n=8 answer.  A client that
+    closes after the CONFIG ends the stub quietly."""
+    listeners = listener_pair
     config = f"cgks {param_digest(build_cgks(8))}".encode()
 
     def answer_too_wide():
         try:
-            conns = [listener.accept()[0] for _ in range(2)]
+            conns = [listener.accept()[0] for listener in listeners]
         except OSError:
             return
         with conns[0], conns[1]:
@@ -91,7 +100,6 @@ def malformed_answer_listener():
 
     thread = threading.Thread(target=answer_too_wide, daemon=True)
     thread.start()
-    yield listener.getsockname()[:2]
+    yield [listener.getsockname()[:2] for listener in listeners]
     thread.join(timeout=5)
-    listener.close()
     assert not thread.is_alive()

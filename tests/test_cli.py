@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from pirlab import cli
+from pirlab import cli, sim, verify
 from pirlab.cli import main
 from pirlab.protocols.cube import build_cgks
 from pirlab.protocols.registry import build_named
@@ -28,6 +28,10 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def servers_flag(endpoints) -> str:
+    return ",".join(f"{host}:{port}" for host, port in endpoints)
 
 
 class TestParams:
@@ -180,14 +184,14 @@ class TestVerify:
         assert "counterexample" in out
 
     def test_comm_mismatch_is_a_fail_line(self, capsys, monkeypatch):
-        real = cli.run_inprocess
+        real = sim.run_inprocess
 
         def doctored(*args, **kwargs):
             bit, transcript = real(*args, **kwargs)
             transcript.entries[0].answer_payload_bytes += 1
             return bit, transcript
 
-        monkeypatch.setattr(cli, "run_inprocess", doctored)
+        monkeypatch.setattr(sim, "run_inprocess", doctored)
         code, out, err = run_cli(capsys, "verify", "toy")
         assert code == 1
         assert "comm toy: FAIL (server 1: answer payload 2 bytes != 1)" in out
@@ -232,6 +236,48 @@ class TestVerify:
         assert code == 2
         assert re.search(r"\b13\^92 (values|rows) exceeds", err)
         assert len(err) < 120
+
+    # sha256 of ``verify`` stdout + stderr, and the exit code.  cgks-n15
+    # takes the structured-database fallback; lagrange-n4096 is over the
+    # budget even so.
+    @pytest.mark.parametrize("argv, code, sha", [
+        ("toy", 0, "bbb42cd58eaba340bd8ffa51c6b1175aa8cb3d40b6f9e2dfcf39ec7df69d00f9"),
+        ("cgks --n 8", 0,
+         "79252ee63fb1ebb45d435b9ed999fa97b57f810c3f10fb050e6a832f5691e30b"),
+        ("lagrange --n 3 --t 1 --k 3 --p 5", 0,
+         "34f51484aeed5accd70fc89fe7032cfb52f1e4f7833c7cf244c5b06eb79090ff"),
+        ("yekhanin", 0,
+         "0c775cb0a396f3a26e8dd366fb56d2455d10bacd784c627ae848e23f2a4a9368"),
+        ("raghavendra", 0,
+         "2023d3a2cc0a36bf63667b967fbcde8132990206d23dee57e8c010ea6fe0c685"),
+        ("efremenko --m 6 --p 7", 0,
+         "c10d5c4daad36c8b126551284b5f9f6a8b981d21491f8de06263f2a2e2b7ad38"),
+        ("dvir-gopi --m 6", 0,
+         "351508233cf0b2456369939405224ef96fca582fc3dd43d1a631ca2a1fa73961"),
+        ("gks --m 2 --p 3", 0,
+         "457b63b2f7d389a48b4aed2aee70ed57f9e667da6b4501ea82db4e2d43ad804e"),
+        ("broken-demo", 1,
+         "72b58858551b8c8d00d8883c8e70bfaad870f21bc9c024d0dd4fde9b800a58d3"),
+        ("cgks --n 15 --suite correctness", 0,
+         "c9c92231154f642ed33073fda6e948c610cd07368ca958ecc70f44876bf25e2f"),
+        ("lagrange --n 4096 --t 1 --k 3 --p 13", 2,
+         "d7252d660eda3bf176e240429ff8f9768e18c7f57bce15fc76bab9f8bffbef2e"),
+        ("lagrange --n 3 --t 2 --k 3 --p 5 --suite privacy", 0,
+         "891b12b966d1324cc51cf92d7cd7331cb373ce3c14b396f3bb153d00455e4253"),
+        ("toy --suite comm --seed 5", 0,
+         "a8b07259edff5e107ebc7d1a1d8b8c3cf17dc1c20a221f7312836fde697912d0"),
+    ], ids=[
+        "toy", "cgks", "lagrange", "yekhanin", "raghavendra", "efremenko",
+        "dvir-gopi", "gks", "broken-demo", "cgks-n15-correctness",
+        "lagrange-n4096-over-budget", "lagrange-t2-privacy", "toy-comm-seed5",
+    ])
+    def test_pinned_output(self, capsys, argv, code, sha):
+        got, out, err = run_cli(capsys, "verify", *argv.split())
+        assert got == code
+        assert hashlib.sha256((out + err).encode()).hexdigest() == sha
+
+    def test_suite_choices_are_the_verifier_suites(self):
+        assert cli._SUITES == ("all", *verify.SUITES)
 
     def test_missing_params_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "lagrange")
@@ -585,36 +631,38 @@ class TestNetworkCommands:
                 proc.stdout.close()
 
     def test_get_dead_servers_transport_error(self, capsys):
-        probe = socket.socket()
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-        probe.close()
+        probes = [socket.socket(), socket.socket()]
+        for probe in probes:
+            probe.bind(("127.0.0.1", 0))
+        ports = [probe.getsockname()[1] for probe in probes]
+        for probe in probes:
+            probe.close()
         code, _, err = run_cli(
             capsys,
             "get", "cgks", "--n", "8", "--index", "1",
-            "--servers", f":{port},:{port}", "--timeout", "1",
+            "--servers", f":{ports[0]},:{ports[1]}", "--timeout", "1",
         )
         assert code == 3
         assert "unreachable" in err
 
-    def test_get_server_reset_transport_error(self, capsys, resetting_listener):
-        host, port = resetting_listener
+    def test_get_server_reset_transport_error(self, capsys, resetting_listeners):
+        host, port = resetting_listeners[0]
         code, _, err = run_cli(
             capsys,
             "get", "cgks", "--n", "8", "--index", "1",
-            "--servers", f"{host}:{port},{host}:{port}", "--timeout", "2",
+            "--servers", servers_flag(resetting_listeners), "--timeout", "2",
         )
         assert code == 3
         assert err.startswith(f"transport error: server {host}:{port}")
 
     def test_get_malformed_answer_transport_error(
-        self, capsys, malformed_answer_listener
+        self, capsys, malformed_answer_listeners
     ):
-        host, port = malformed_answer_listener
+        host, port = malformed_answer_listeners[0]
         code, _, err = run_cli(
             capsys,
             "get", "cgks", "--n", "8", "--index", "1",
-            "--servers", f"{host}:{port},{host}:{port}", "--timeout", "2",
+            "--servers", servers_flag(malformed_answer_listeners), "--timeout", "2",
         )
         assert code == 3
         assert err.startswith(f"transport error: server {host}:{port}")

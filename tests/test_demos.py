@@ -1,10 +1,9 @@
 """The demos still run against the current API.
 
 Every name a demo imports from pirlab must resolve, checked with an ``ast``
-scan of all seven demos.  The demos that finish in under a second (01, 04,
-05, 06 and 07) are also run as subprocesses and must exit 0.  02 (cube
-protocol, about 3 s) and 03 (curve protocols, about 5 s) only get the import
-check, to keep the test suite's wall time from growing.
+scan of all seven demos, and every demo is run as a subprocess and must
+exit 0.  Each finishes in about a second or less; 03 (curve protocols) is
+the slowest.
 """
 
 import ast
@@ -18,7 +17,6 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
-FAST_DEMOS = ("01", "04", "05", "06", "07")
 
 
 def pirlab_imports(source: str) -> list[tuple[str, str]]:
@@ -49,9 +47,7 @@ def test_demo_imports_resolve(path):
     assert missing == []
 
 
-@pytest.mark.parametrize(
-    "path", [p for p in DEMOS if p.name[:2] in FAST_DEMOS], ids=lambda p: p.stem
-)
+@pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.stem)
 def test_fast_demo_runs(path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -394,6 +394,13 @@ def test_answers_pinned(name, config, param_pin, row_pin, answer_pin):
     assert answers.hexdigest()[:16] == answer_pin
 
 
+def assert_no_connection(listeners):
+    for listener in listeners:
+        listener.setblocking(False)
+        with pytest.raises(BlockingIOError):
+            listener.accept()
+
+
 @pytest.fixture()
 def cgks_servers():
     scheme = build_cgks(8)
@@ -542,12 +549,12 @@ class TestTcp:
             for s in servers:
                 s.stop()
 
-    def test_trickling_server_times_out_the_client(self):
+    def test_trickling_server_times_out_the_client(self, listener_pair):
         # A CONFIG sent one byte per 0.1 s: each recv beats the client's
         # 0.5 s timeout, but the whole frame does not.
         scheme = build_cgks(8)
-        listener = socket.create_server(("127.0.0.1", 0))
-        listener.settimeout(2.0)
+        # The second listener takes its connection in its backlog, unread.
+        listener, idle = listener_pair
         stop = threading.Event()
 
         def trickle():
@@ -568,14 +575,14 @@ class TestTcp:
         thread.start()
         try:
             host, port = endpoint = listener.getsockname()[:2]
+            endpoints = [endpoint, idle.getsockname()[:2]]
             start = time.monotonic()
             with pytest.raises(Timeout, match=f"server {host}:{port} timed out"):
-                client_retrieve([endpoint] * scheme.k, scheme, 0, seed=0, timeout=0.5)
+                client_retrieve(endpoints, scheme, 0, seed=0, timeout=0.5)
             assert time.monotonic() - start < 1.5
         finally:
             stop.set()
             thread.join(timeout=5)
-            listener.close()
         assert not thread.is_alive()
 
     def test_query_longer_than_codec_closes_connection(self):
@@ -637,14 +644,13 @@ class TestTcp:
         with pytest.raises(ParamDigestMismatch):
             client_retrieve(endpoints, other, 0, seed=0)
 
-    def test_undecodable_digest_reply_is_a_digest_mismatch(self):
+    def test_undecodable_digest_reply_is_a_digest_mismatch(self, listener_pair):
         scheme = build_cgks(8)
-        listener = socket.create_server(("127.0.0.1", 0))
-        listener.settimeout(2.0)
+        listeners = listener_pair
 
         def hostile():
             # Answer each HELLO with a digest error whose digest is not UTF-8.
-            for _ in range(scheme.k):
+            for listener in listeners:
                 try:
                     conn, _ = listener.accept()
                     with conn:
@@ -656,41 +662,40 @@ class TestTcp:
         thread = threading.Thread(target=hostile, daemon=True)
         thread.start()
         try:
-            endpoint = listener.getsockname()[:2]
+            endpoints = [listener.getsockname()[:2] for listener in listeners]
             with pytest.raises(ParamDigestMismatch):
-                client_retrieve([endpoint] * scheme.k, scheme, 0, seed=0, timeout=2.0)
+                client_retrieve(endpoints, scheme, 0, seed=0, timeout=2.0)
         finally:
             thread.join(timeout=5)
-            listener.close()
         assert not thread.is_alive()
 
     def test_config_for_another_deployment_is_a_digest_mismatch(
-        self, malformed_answer_listener
+        self, malformed_answer_listeners
     ):
         # The stub's CONFIG names cgks n=8: the same protocol under another
         # digest, so no QUERY may follow it.
         scheme = build_cgks(27)
-        host, port = malformed_answer_listener
+        host, port = malformed_answer_listeners[0]
         with pytest.raises(ParamDigestMismatch, match=f"server {host}:{port} sent CONFIG"):
             client_retrieve(
-                [malformed_answer_listener] * 2, scheme, 0, seed=0, timeout=2.0
+                malformed_answer_listeners, scheme, 0, seed=0, timeout=2.0
             )
 
-    def test_server_reset_is_a_transport_error_naming_it(self, resetting_listener):
+    def test_server_reset_is_a_transport_error_naming_it(self, resetting_listeners):
         scheme = build_cgks(8)
-        port = resetting_listener[1]
+        port = resetting_listeners[0][1]
         with pytest.raises(TransportError, match=f"server 127.0.0.1:{port}") as info:
-            client_retrieve([resetting_listener] * 2, scheme, 0, seed=0, timeout=2.0)
+            client_retrieve(resetting_listeners, scheme, 0, seed=0, timeout=2.0)
         assert not isinstance(info.value, Timeout)
 
     def test_malformed_answer_is_a_transport_error_naming_it(
-        self, malformed_answer_listener
+        self, malformed_answer_listeners
     ):
         scheme = build_cgks(8)
-        host, port = malformed_answer_listener
+        host, port = malformed_answer_listeners[0]
         with pytest.raises(TransportError, match=f"server {host}:{port}") as info:
             client_retrieve(
-                [malformed_answer_listener] * 2, scheme, 0, seed=0, timeout=2.0
+                malformed_answer_listeners, scheme, 0, seed=0, timeout=2.0
             )
         assert "expected 1 bytes, got 5" in str(info.value)
         assert not isinstance(info.value, Timeout)
@@ -734,6 +739,31 @@ class TestTcp:
         scheme, _, servers = cgks_servers
         with pytest.raises(ParamError):
             client_retrieve([servers[0].endpoint], scheme, 0, seed=0)
+
+    def test_endpoint_named_twice_connects_to_nothing(self, listener_pair, monkeypatch):
+        # One server sent both cgks queries reads i off their XOR.
+        scheme = build_cgks(8)
+        endpoint = listener_pair[0].getsockname()[:2]
+        monkeypatch.setattr(sim, "query_gen", None)  # no query is drawn
+        with pytest.raises(ParamError, match="named twice"):
+            client_retrieve([endpoint, endpoint], scheme, 0, seed=0, timeout=1.0)
+        assert_no_connection(listener_pair)
+
+    @pytest.mark.parametrize("wrapped", [True, False], ids=["port+65536", "0"])
+    def test_port_out_of_range_connects_to_nothing(self, listener_pair, wrapped):
+        # Port p + 65536 would otherwise reach the listener at port p.
+        scheme = build_cgks(8)
+        (host, port), other = (l.getsockname()[:2] for l in listener_pair)
+        endpoints = [other, (host, port + 65536 if wrapped else 0)]
+        with pytest.raises(ParamError, match=r"\[1, 65535\]"):
+            client_retrieve(endpoints, scheme, 0, seed=0, timeout=1.0)
+        assert_no_connection(listener_pair)
+
+    @pytest.mark.parametrize("port", [70000, -1])
+    def test_server_port_out_of_range_is_a_param_error(self, port):
+        node = ServerNode(1, build_cgks(8), (0,) * 8)
+        with pytest.raises(ParamError, match=r"\[0, 65535\]"):
+            PirServer(node, port=port)
 
     def test_stop_without_start_returns_and_frees_the_port(self):
         server = PirServer(ServerNode(1, build_cgks(8), (0,) * 8))

@@ -12,6 +12,7 @@ from pirlab.errors import (
     CapExceeded,
     Mismatch,
     OAFailure,
+    ParamError,
 )
 from pirlab.protocols.cube import build_cgks
 from pirlab.protocols.curve import build_lagrange
@@ -28,6 +29,7 @@ from pirlab.verify import (
     exhaustive_correctness,
     exhaustive_privacy,
     oa_family_check,
+    run_suites,
     span_check_all,
     structured_databases,
 )
@@ -162,6 +164,11 @@ class TestCorrectnessSuite:
         with pytest.raises(BudgetExceeded, match="exceeds budget 17"):
             exhaustive_correctness(scheme, databases=[(0, 0)])
 
+    def test_empty_database_list_is_a_param_error(self):
+        # It would otherwise pass, having checked nothing.
+        with pytest.raises(ParamError, match="at least one database"):
+            exhaustive_correctness(build_cgks(8), databases=[])
+
     def test_structured_databases(self):
         dbs = list(structured_databases(3))
         assert (0, 0, 0) in dbs and (1, 1, 1) in dbs
@@ -191,6 +198,27 @@ class TestStructuralChecks:
         scheme = toy_instance()
         for q in [(0, 0), (2, 1)]:
             check_answer_linearity(scheme, (1, 1), q)
+
+
+class TestRunSuites:
+    def test_check_failures_become_fail_lines_and_the_suites_go_on(self):
+        ok, lines = run_suites(broken_demo(), ("span", "oa", "comm"), 0)
+        assert not ok
+        assert lines[0].startswith("span broken-demo: FAIL (")
+        assert lines[1].startswith("oa broken-demo: FAIL (")
+        assert lines[2].startswith("comm broken-demo: PASS")
+        assert len(lines) == 3
+
+    def test_unknown_suite_is_a_param_error_before_any_suite_runs(self, monkeypatch):
+        monkeypatch.setattr(verify, "exhaustive_correctness", None)
+        with pytest.raises(ParamError, match="unknown suite 'speed'"):
+            run_suites(toy_instance(), ("correctness", "speed"), 0)
+
+    def test_lines_follow_the_order_asked(self):
+        ok, lines = run_suites(toy_instance(), ("oa", "span"), 0)
+        assert ok
+        assert lines == ["oa toy: PASS (lambda = [1])",
+                         "span toy: PASS (18 (i, ell) pairs)"]
 
 
 @pytest.fixture(scope="module")
