@@ -26,7 +26,7 @@ import sys
 
 from .engine import comm_cost
 from .errors import ParamError, PirError, TransportError
-from .protocols.registry import PROTOCOL_NAMES, build_named
+from .protocols.registry import PARAM_KEYS, PROTOCOL_NAMES, build_named
 from .sim import (
     DEFAULT_HOST,
     DEFAULT_TIMEOUT,
@@ -44,7 +44,6 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_TRANSPORT = 3
 
-_PARAM_KEYS = ("n", "t", "k", "p", "m", "h", "sparse_k")
 # "all", then verify.SUITES, restated: a server must not load the verifier.
 _SUITES = ("all", "correctness", "privacy", "span", "oa", "comm")
 # Every flag parses to None when it is not typed, so the config file can
@@ -62,7 +61,7 @@ def _switch(value: str) -> bool:
 def _add_protocol_args(add, skip=(), kr=False):
     """The protocol name and its parameter flags.  Only ``params`` passes
     kr: it alone reads the good-modulus table ``kr`` and its --r."""
-    names, keys = PROTOCOL_NAMES, _PARAM_KEYS
+    names, keys = PROTOCOL_NAMES, PARAM_KEYS
     if kr:
         names, keys = names + ("kr",), keys + ("r",)
     add("protocol", choices=names)
@@ -184,7 +183,7 @@ def _apply_config(args: argparse.Namespace, flags: dict[str, dict]) -> None:
 
 
 def _protocol_config(args) -> dict:
-    return {k: getattr(args, k) for k in _PARAM_KEYS if getattr(args, k, None) is not None}
+    return {k: v for k in (*PARAM_KEYS, "r") if (v := getattr(args, k, None)) is not None}
 
 
 class _Report:
@@ -226,14 +225,17 @@ def _scheme_report(scheme, report: _Report):
 
 
 def _cmd_params(args, report: _Report) -> int:
+    config = _protocol_config(args)
     if args.protocol == "kr":
         from .mv import k_r_table
 
-        if args.r is None:
+        if config.pop("r", None) is None:
             raise ParamError("params kr requires --r")
+        if config:
+            raise ParamError(f"kr does not take parameter(s) {', '.join(config)}")
         report.kv({"r": args.r, "k_r": k_r_table(args.r)})
         return EXIT_OK
-    scheme = build_named(args.protocol, _protocol_config(args))
+    scheme = build_named(args.protocol, config)
     _scheme_report(scheme, report)
     return EXIT_OK
 

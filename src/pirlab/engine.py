@@ -177,6 +177,14 @@ class Codec:
             raise MalformedQuery(
                 f"expected {self.count} values, got {len(values)}"
             )
+        # One C-level pass: a sum of ints (bools included) is an int, and
+        # any float, str or other value makes it something else or fails.
+        try:
+            integral = type(sum(values)) is int
+        except TypeError:
+            integral = False
+        if not integral:
+            raise MalformedQuery("every value must be an integer")
         low, high = min(values), max(values)
         if low < 0 or high >= self.radix:
             v = low if low < 0 else high

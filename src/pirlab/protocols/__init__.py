@@ -11,7 +11,8 @@ module that defines it:
 * :mod:`.ring`: ``build_efremenko``, ``build_dvir_gopi``, ``build_gks``;
 * :mod:`.toy`: ``toy_instance`` and the negative controls
   ``broken_demo``, ``broken_span_demo``, ``broken_privacy_demo``;
-* :mod:`.registry`: ``build_named``, ``desk_schemes``, ``PROTOCOL_NAMES``.
+* :mod:`.registry`: ``PROTOCOLS`` (each protocol's parameters) and
+  ``build_named``, ``desk_schemes``, ``PROTOCOL_NAMES``, which read it.
 
 This package imports none of them: ``build_named`` imports only the
 builder module of the protocol it constructs, so a server process loads

@@ -5,152 +5,141 @@ polynomials, parity sets) with deterministic budgets and injects them into
 the protocol builders, so a server and a client constructing the same named
 configuration always agree on every derived object.
 
+``PROTOCOLS`` states each protocol's parameters once: the keys it
+requires, those it may take with their defaults, and its desk
+configuration.  ``build_named`` checks a config against its row, so a key
+the protocol does not take is an error; ``PROTOCOL_NAMES``, ``PARAM_KEYS``
+(the CLI's flags) and ``desk_schemes`` read the table too.
+
 ``build_named`` imports the builder module of the requested protocol inside
 that protocol's branch, so a process that serves one scheme never loads
-the other constructions.  :mod:`pirlab.mv` (and the :mod:`pirlab.algebra`
-it needs) loads only for the five matching-vector schemes: cgks, lagrange
-and hermite processes never compile it.  The four ingredient searches that
-perfbench's set-up tracing wraps by name on this module are module-level
-functions here that import :mod:`pirlab.mv` when first called, and
-``build_named`` calls them through those names, so a wrapper set on this
-module sees every search.
+the other constructions, and cgks, lagrange and hermite processes never
+load :mod:`pirlab.mv` or :mod:`pirlab.algebra`.  perfbench's set-up
+tracing wraps the four ingredient searches by name on this module, so
+``build_named`` calls them through module-level wrappers that import
+:mod:`pirlab.mv` when first called.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from ..engine import Scheme
 from ..errors import ParamError
 
-PROTOCOL_NAMES = (
-    "toy",
-    "cgks",
-    "lagrange",
-    "hermite",
-    "yekhanin",
-    "raghavendra",
-    "efremenko",
-    "dvir-gopi",
-    "gks",
-    "broken-demo",
-)
+
+class Protocol(NamedTuple):
+    """A row of ``PROTOCOLS``; a None ``desk`` leaves it out of the desk."""
+
+    required: tuple[str, ...] = ()
+    optional: dict = {}  # key -> default
+    desk: dict | None = {}
 
 
-def search_matching_family(*args, **kwargs):
-    from ..mv import search_matching_family
-
-    return search_matching_family(*args, **kwargs)
-
-
-def sparse_decoding_poly_search(*args, **kwargs):
-    from ..mv import sparse_decoding_poly_search
-
-    return sparse_decoding_poly_search(*args, **kwargs)
-
-
-def trivial_decoding_poly(*args, **kwargs):
-    from ..mv import trivial_decoding_poly
-
-    return trivial_decoding_poly(*args, **kwargs)
-
-
-def yekhanin_nice_sets(*args, **kwargs):
-    from ..mv import yekhanin_nice_sets
-
-    return yekhanin_nice_sets(*args, **kwargs)
+# The matching-vector schemes default to 3 indices in dimension 3.
+_MV = {"n": 3, "h": 3}
+_CURVE = ("n", "t", "k", "p")
+PROTOCOLS = {
+    "toy": Protocol(),
+    "cgks": Protocol(("n",), desk={"n": 8}),
+    "lagrange": Protocol(_CURVE, {"h": None}, {"n": 3, "t": 1, "k": 3, "p": 5}),
+    "hermite": Protocol(_CURVE, {"h": None}, {"n": 4, "t": 1, "k": 2, "p": 7}),
+    "yekhanin": Protocol((), {"p": 7, **_MV}),
+    "raghavendra": Protocol((), {"p": 7, **_MV}),
+    "efremenko": Protocol(("m", "p"), {**_MV, "sparse_k": None}, {"m": 6, "p": 7}),
+    "dvir-gopi": Protocol(("m",), _MV, {"m": 6}),
+    "gks": Protocol(("m", "p"), _MV, {"m": 2, "p": 3}),
+    "broken-demo": Protocol(desk=None),
+}
+PROTOCOL_NAMES = tuple(PROTOCOLS)
+# Every key of every row, in order of first appearance: the CLI's flags.
+PARAM_KEYS = tuple(dict.fromkeys(
+    key for row in PROTOCOLS.values() for key in (*row.required, *row.optional)
+))
 
 
-def _require(config: dict, *keys: str) -> list:
-    missing = [k for k in keys if config.get(k) is None]
-    if missing:
+def _lazy_mv(name: str):
+    """:mod:`pirlab.mv`'s function ``name``, imported at its first call."""
+
+    def call(*args, **kwargs):
+        from .. import mv
+
+        return getattr(mv, name)(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+search_matching_family = _lazy_mv("search_matching_family")
+sparse_decoding_poly_search = _lazy_mv("sparse_decoding_poly_search")
+trivial_decoding_poly = _lazy_mv("trivial_decoding_poly")
+yekhanin_nice_sets = _lazy_mv("yekhanin_nice_sets")
+
+
+def _checked(name: str, config: dict | None) -> dict:
+    """``config`` checked against the row of ``name``, with the row's
+    defaults filled in.  A None value counts as absent."""
+    row = PROTOCOLS.get(name)
+    if row is None:
+        raise ParamError(f"unknown protocol {name!r}")
+    given = {k: v for k, v in (config or {}).items() if v is not None}
+    if missing := [k for k in row.required if k not in given]:
         raise ParamError(f"missing parameter(s): {', '.join(missing)}")
-    return [config[k] for k in keys]
-
-
-def _canonical_family(m: int, n: int, h: int):
-    from ..mv import canonical_set
-
-    return search_matching_family(m, h, canonical_set(m), n)
+    takes = (*row.required, *row.optional)
+    if unread := [k for k in given if k not in takes]:
+        raise ParamError(f"{name} does not take parameter(s) {', '.join(unread)}; "
+                         f"it takes: {', '.join(takes) or 'none'}")
+    return {**row.optional, **given}
 
 
 def build_named(name: str, config: dict | None = None) -> Scheme:
-    """Construct the named scheme from a flat parameter dict.
+    """Construct the named scheme from a flat dict of its ``PROTOCOLS``
+    row's keys; the search budgets are fixed.  Raises ParamError for an
+    unknown name, a missing key, or a key the protocol does not take."""
+    c = _checked(name, config)
+    if name in ("toy", "broken-demo"):
+        from .toy import broken_demo, toy_instance
 
-    Recognized keys: n, t, k, p, m, h, sparse_k, seed-independent search
-    budgets are fixed.  Raises ParamError for unknown names or missing
-    parameters.
-    """
-    config = dict(config or {})
-    if name == "toy":
-        from .toy import toy_instance
-
-        return toy_instance()
-    if name == "broken-demo":
-        from .toy import broken_demo
-
-        return broken_demo()
+        return toy_instance() if name == "toy" else broken_demo()
     if name == "cgks":
         from .cube import build_cgks
 
-        (n,) = _require(config, "n")
-        return build_cgks(n)
-    if name == "lagrange":
-        from .curve import build_lagrange
+        return build_cgks(c["n"])
+    if name in ("lagrange", "hermite"):
+        from .curve import build_lagrange, build_wy_hermite
 
-        n, t, k, p = _require(config, "n", "t", "k", "p")
-        return build_lagrange(n, t, k, p, h=config.get("h"))
-    if name == "hermite":
-        from .curve import build_wy_hermite
-
-        n, t, k, p = _require(config, "n", "t", "k", "p")
-        return build_wy_hermite(n, t, k, p, h=config.get("h"))
-    # The matching-vector schemes default to 3 indices in dimension 3.
-    n = config.get("n", 3)
-    h = config.get("h", 3)
+        build = build_lagrange if name == "lagrange" else build_wy_hermite
+        return build(c["n"], c["t"], c["k"], c["p"], h=c["h"])
     if name in ("yekhanin", "raghavendra"):
         from ..mv import two_subgroup
         from .mersenne import build_raghavendra, build_yekhanin
 
-        p = config.get("p", 7)
+        p = c["p"]
         family = search_matching_family(
-            p, h, two_subgroup(p), n, side_constraint=True
+            p, c["h"], two_subgroup(p), c["n"], side_constraint=True
         )
         if name == "yekhanin":
             return build_yekhanin(p, family, yekhanin_nice_sets(p))
         return build_raghavendra(p, family)
-    if name == "efremenko":
-        from .ring import build_efremenko
+    from ..mv import canonical_set
+    from .ring import build_dvir_gopi, build_efremenko, build_gks
 
-        m, p = _require(config, "m", "p")
-        family = _canonical_family(m, n, h)
-        sparse_k = config.get("sparse_k")
-        if sparse_k is not None:
-            poly = sparse_decoding_poly_search(m, p, k_target=sparse_k)
-        else:
-            poly = trivial_decoding_poly(m, p)
-        return build_efremenko(m, p, family, poly)
+    m = c["m"]
+    modulus = m * c["p"] if name == "gks" else m
+    family = search_matching_family(modulus, c["h"], canonical_set(modulus), c["n"])
     if name == "dvir-gopi":
-        from .ring import build_dvir_gopi
-
-        (m,) = _require(config, "m")
-        return build_dvir_gopi(m, _canonical_family(m, n, h))
+        return build_dvir_gopi(m, family)
     if name == "gks":
-        from .ring import build_gks
-
-        m, p = _require(config, "m", "p")
-        return build_gks(m, p, _canonical_family(m * p, n, h))
-    raise ParamError(f"unknown protocol {name!r}")
+        return build_gks(m, c["p"], family)
+    if c["sparse_k"] is not None:
+        poly = sparse_decoding_poly_search(m, c["p"], k_target=c["sparse_k"])
+    else:
+        poly = trivial_decoding_poly(m, c["p"])
+    return build_efremenko(m, c["p"], family, poly)
 
 
 def desk_schemes() -> list[Scheme]:
-    """The standard small instances used by the verification suites."""
-    return [
-        build_named("toy"),
-        build_named("cgks", {"n": 8}),
-        build_named("lagrange", {"n": 3, "t": 1, "k": 3, "p": 5}),
-        build_named("hermite", {"n": 4, "t": 1, "k": 2, "p": 7}),
-        build_named("yekhanin"),
-        build_named("raghavendra"),
-        build_named("efremenko", {"m": 6, "p": 7}),
-        build_named("dvir-gopi", {"m": 6}),
-        build_named("gks", {"m": 2, "p": 3}),
-    ]
+    """The standard small instances used by the verification suites: each
+    ``PROTOCOLS`` row's desk configuration."""
+    return [build_named(name, row.desk) for name, row in PROTOCOLS.items()
+            if row.desk is not None]

@@ -1,5 +1,5 @@
-"""CLI behaviour: reports, exit codes, config files, determinism, and the
-networked get path."""
+"""CLI behaviour: reports, exit codes, config files, determinism, the
+networked get path, and the registry's protocol table that the CLI reads."""
 
 import hashlib
 import os
@@ -16,7 +16,9 @@ import pytest
 
 from pirlab import cli, sim, verify
 from pirlab.cli import main
+from pirlab.errors import ParamError
 from pirlab.protocols.cube import build_cgks
+from pirlab.protocols import registry
 from pirlab.protocols.registry import build_named
 from pirlab.sim import PirServer, ServerNode, Transcript, param_digest
 
@@ -429,6 +431,90 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "--config", str(cfg), "params", "cgks", "--n", "8")
         assert code == 2
         assert f"unknown key {key!r}" in err
+
+
+class TestProtocolTable:
+    """``registry.PROTOCOLS`` states each protocol's parameters; a key the
+    protocol does not take, typed or from --config, is a usage error."""
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["params", "toy", "--n", "100"], "n"),
+            (["params", "cgks", "--n", "8", "--t", "5"], "t"),
+            (["params", "dvir-gopi", "--m", "6", "--p", "7"], "p"),
+            (["params", "cgks", "--n", "8", "--r", "3"], "r"),
+            (["params", "kr", "--r", "3", "--n", "8"], "n"),
+        ],
+        ids=["toy-n", "cgks-t", "dvir-gopi-p", "cgks-r", "kr-n"],
+    )
+    def test_typed_key_the_protocol_does_not_take(self, capsys, argv, key):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"does not take parameter(s) {key}" in err
+
+    def test_config_key_the_protocol_does_not_take(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("t = 1\n")
+        code, out, err = run_cli(
+            capsys, "--config", str(cfg), "verify", "cgks", "--n", "8"
+        )
+        assert code == 2 and out == ""
+        assert "cgks does not take parameter(s) t" in err
+
+    def test_serve_with_a_key_the_protocol_does_not_take_opens_no_listener(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "db.bin"
+        run_cli(capsys, "makedb", "--n", "8", "--db", str(path))
+        started = []
+        monkeypatch.setattr(cli, "PirServer", lambda *a, **kw: started.append(a))
+        code, out, err = run_cli(
+            capsys, "serve", "cgks", "--n", "8", "--t", "3", "--id", "1",
+            "--db", str(path), "--port", "0",
+        )
+        assert code == 2 and out == "" and started == []
+        assert "does not take parameter(s) t" in err
+
+    def test_none_counts_as_absent(self):
+        assert build_named("cgks", {"n": 8, "t": None}).n == 8
+
+    def test_missing_key_and_unknown_name(self):
+        with pytest.raises(ParamError, match=r"missing parameter\(s\): n, t, k, p"):
+            build_named("lagrange", {"h": 2})
+        with pytest.raises(ParamError, match="unknown protocol 'nonesuch'"):
+            build_named("nonesuch", {"n": 8})
+
+    def test_desk_schemes_are_the_pinned_configurations(self):
+        # Names and parameter digests as the desk's configurations gave them
+        # before the table held them.
+        assert [(s.name, param_digest(s)) for s in registry.desk_schemes()] == [
+            ("toy", "fa0a9550fc7004d0"),
+            ("cgks", "4b5adb15b95ebaec"),
+            ("lagrange", "192ac9c5a312bc28"),
+            ("hermite", "d6bfb7e83a9b68e7"),
+            ("yekhanin", "80725ddb2f6ad7f1"),
+            ("raghavendra", "7432876131a598fa"),
+            ("efremenko", "50f98001b0a4025e"),
+            ("dvir-gopi", "f51a787961735340"),
+            ("gks", "0ca7c7f01b7adf1d"),
+        ]
+
+    def test_cli_flags_are_the_table_keys(self):
+        rows = registry.PROTOCOLS.values()
+        keys = {k for row in rows for k in (*row.required, *row.optional)}
+        assert set(registry.PARAM_KEYS) == keys
+        assert registry.PROTOCOL_NAMES == tuple(registry.PROTOCOLS)
+        _, flags = cli._build_parser()
+        protocol_flags = {
+            "params": (*registry.PARAM_KEYS, "r"),
+            "verify": registry.PARAM_KEYS,
+            "serve": registry.PARAM_KEYS,
+            "get": registry.PARAM_KEYS,
+            "bench": tuple(k for k in registry.PARAM_KEYS if k != "n"),
+        }
+        for command, want in protocol_flags.items():
+            assert tuple(flags[command])[: len(want)] == want, command
 
 
 class TestNetworkCommands:

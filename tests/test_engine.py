@@ -82,6 +82,18 @@ class TestCodec:
         with pytest.raises(MalformedQuery):
             Codec(5, 1).encode((5,))
 
+    @pytest.mark.parametrize(
+        "values", [(1.5,) * 5, ("1",) * 5, (1, 2, 3, 4, 2.0), (1, 2, None, 4, 0)],
+        ids=["floats", "strings", "one-float", "one-none"],
+    )
+    def test_encode_rejects_values_that_are_not_integers(self, values):
+        with pytest.raises(MalformedQuery, match="must be an integer"):
+            Codec(5, 5).encode(values)
+
+    def test_bools_are_integers(self):
+        codec = Codec(2, 3)
+        assert codec.encode((True, False, True)) == codec.encode((1, 0, 1))
+
     @pytest.mark.parametrize("radix, count", [(1, 3), (0, 1), (5, 0)])
     def test_rejects_degenerate_space(self, radix, count):
         with pytest.raises(ParamError):
@@ -380,6 +392,16 @@ class TestAnswer:
     def test_malformed_query(self):
         with pytest.raises(MalformedQuery):
             answer(toy_instance(), (1, 0), (3, 0))
+
+    @pytest.mark.parametrize(
+        "scheme", [build_lagrange(10, 1, 3, 5), build_named("cgks", {"n": 8})],
+        ids=["lagrange", "cgks"],
+    )
+    def test_float_query_is_malformed(self, scheme):
+        # Neither a non-field answer nor a kernel's bare TypeError.
+        query = (1.5,) * scheme.level_codec.count
+        with pytest.raises(MalformedQuery, match="must be an integer"):
+            answer(scheme, (1,) * scheme.n, query)
 
     @pytest.mark.parametrize("entry", [2, -1, 0.5, None])
     @pytest.mark.parametrize("scheme", desk_schemes(), ids=lambda s: s.name)

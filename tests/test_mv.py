@@ -262,6 +262,53 @@ class TestSearchMatchesEagerReference:
         assert 0 < len(calls) <= 18
 
 
+def _mask_owners(masks, size):
+    """For each rank s below ``size``, the one r with bit s of masks[r] set."""
+    owners = [None] * size
+    for r, mask in enumerate(masks):
+        assert mask >> size == 0, f"masks[{r}] has a bit past rank {size - 1}"
+        bits = bin(mask)[:1:-1]  # bits[s] is bit s
+        s = bits.find("1")
+        while s >= 0:
+            assert owners[s] is None, f"rank {s} in masks[{owners[s]}] and [{r}]"
+            owners[s] = r
+            s = bits.find("1", s + 1)
+    return owners
+
+
+def _assert_masks_match_definition(u, m):
+    # Rank s is the lexicographic rank of v_s in Z_m^h.
+    vectors = itertools.product(range(m), repeat=len(u))
+    want = [sum(a * b for a, b in zip(u, v)) % m for v in vectors]
+    masks = pirlab.mv._residue_masks(u, m)
+    assert len(masks) == m
+    assert _mask_owners(masks, m ** len(u)) == want, u
+
+
+class TestResidueMasks:
+    """``_residue_masks`` against its definition: bit s of masks[r] is set
+    iff <u, v_s> = r mod m, and every rank lies in exactly one mask."""
+
+    @pytest.mark.parametrize(
+        "m,h",
+        [(m, h) for m in range(2, 13) for h in (1, 2)]
+        + [(m, 3) for m in range(2, 8)],
+        ids=lambda value: str(value),
+    )
+    def test_every_u(self, m, h):
+        for u in itertools.product(range(m), repeat=h):
+            _assert_masks_match_definition(u, m)
+
+    @pytest.mark.parametrize(
+        "m,u",
+        [(42, (0, 5, 0)), (42, (7, 0, 41)), (255, (0, 0)), (255, (85, 0)),
+         (511, (0,)), (511, (73,))],
+        ids=lambda value: str(value),
+    )
+    def test_u_with_zero_coordinates_in_large_spaces(self, m, u):
+        _assert_masks_match_definition(u, m)
+
+
 class TestDecodingPolys:
     def test_trivial_m6_p7(self, poly_6_7):
         poly = poly_6_7
