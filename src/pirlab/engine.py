@@ -335,6 +335,7 @@ def query_gen(
     scheme: Scheme, i: int, seed: int | None
 ) -> tuple[tuple[LevelPoint, ...], Aux]:
     """The querying algorithm: draw ell uniformly, emit row(i, ell) and aux.
+    ParamError unless i is an int in [0, n).
 
     ell is one rank drawn below ``num_rows``.  Deterministic for an int
     seed, which only verification, benchmarks and tests should pass.  With
@@ -343,6 +344,8 @@ def query_gen(
     randomness space, so servers without a computational bound could
     recompute ell and read off i.
     """
+    if not isinstance(i, int):  # a bool counts, as in bit_string
+        raise ParamError(f"index must be an int, got {i!r}")
     if not 0 <= i < scheme.n:
         raise ParamError(f"index {i} out of range [0, {scheme.n})")
     rng = random.SystemRandom() if seed is None else random.Random(seed)

@@ -5,11 +5,12 @@ polynomials, parity sets) with deterministic budgets and injects them into
 the protocol builders, so a server and a client constructing the same named
 configuration always agree on every derived object.
 
-``PROTOCOLS`` states each protocol's parameters once: the keys it
-requires, those it may take with their defaults, and its desk
-configuration.  ``build_named`` checks a config against its row, so a key
-the protocol does not take is an error; ``PROTOCOL_NAMES``, ``PARAM_KEYS``
-(the CLI's flags) and ``desk_schemes`` read the table too.
+``PROTOCOLS`` states each protocol once: the paper's closed-form cost of
+one retrieval, the keys it requires, those it may take with their
+defaults, and its desk configuration.  ``build_named`` checks a config
+against its row, so a key the protocol does not take is an error;
+``predicted_bits``, ``PROTOCOL_NAMES``, ``PARAM_KEYS`` (the CLI's flags)
+and ``desk_schemes`` read the table too.
 
 ``build_named`` imports the builder module of the requested protocol inside
 that protocol's branch, so a process that serves one scheme never loads
@@ -22,40 +23,70 @@ tracing wraps the four ingredient searches by name on this module, so
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from math import log2
+from typing import Callable, NamedTuple
 
 from ..engine import Scheme
 from ..errors import ParamError
 
 
 class Protocol(NamedTuple):
-    """A row of ``PROTOCOLS``; a None ``desk`` leaves it out of the desk."""
+    """A row of ``PROTOCOLS``: ``bits(report, k)`` is the paper's raw bits
+    for one retrieval, k times the query width plus the answer width.  A
+    None ``desk`` leaves the row out of the desk."""
 
+    bits: Callable[[dict, int], float]
     required: tuple[str, ...] = ()
     optional: dict = {}  # key -> default
     desk: dict | None = {}
+
+
+def _toy_bits(r, k):
+    return k * 3 * log2(3)
 
 
 # The matching-vector schemes default to 3 indices in dimension 3.
 _MV = {"n": 3, "h": 3}
 _CURVE = ("n", "t", "k", "p")
 PROTOCOLS = {
-    "toy": Protocol(),
-    "cgks": Protocol(("n",), desk={"n": 8}),
-    "lagrange": Protocol(_CURVE, {"h": None}, {"n": 3, "t": 1, "k": 3, "p": 5}),
-    "hermite": Protocol(_CURVE, {"h": None}, {"n": 4, "t": 1, "k": 2, "p": 7}),
-    "yekhanin": Protocol((), {"p": 7, **_MV}),
-    "raghavendra": Protocol((), {"p": 7, **_MV}),
-    "efremenko": Protocol(("m", "p"), {**_MV, "sparse_k": None}, {"m": 6, "p": 7}),
-    "dvir-gopi": Protocol(("m",), _MV, {"m": 6}),
-    "gks": Protocol(("m", "p"), _MV, {"m": 2, "p": 3}),
-    "broken-demo": Protocol(desk=None),
+    "toy": Protocol(_toy_bits),
+    # cube.py states the raw bits, 12h + 2, in the report the digest covers.
+    "cgks": Protocol(lambda r, k: r["raw_bits"], ("n",), desk={"n": 8}),
+    "lagrange": Protocol(lambda r, k: k * (r["h"] + 1) * log2(r["p"]),
+                         _CURVE, {"h": None}, {"n": 3, "t": 1, "k": 3, "p": 5}),
+    "hermite": Protocol(lambda r, k: k * (2 * r["h"] + 1) * log2(r["p"]),
+                        _CURVE, {"h": None}, {"n": 4, "t": 1, "k": 2, "p": 7}),
+    "yekhanin": Protocol(lambda r, k: k * (r["h"] * log2(r["p"]) + r["p"]),
+                         (), {"p": 7, **_MV}),
+    "raghavendra": Protocol(lambda r, k: k * (r["h"] * log2(r["p"]) + r["r"]),
+                            (), {"p": 7, **_MV}),
+    "efremenko": Protocol(lambda r, k: k * (r["h"] * log2(r["m"]) + log2(r["p"])),
+                          ("m", "p"), {**_MV, "sparse_k": None}, {"m": 6, "p": 7}),
+    "dvir-gopi": Protocol(
+        lambda r, k: k * (r["h"] + (r["h"] + 1) * r["m"]) * log2(r["m"]),
+        ("m",), _MV, {"m": 6}),
+    "gks": Protocol(
+        lambda r, k: k * (r["h"] * log2(r["m"]) + (r["h"] + 1) * log2(r["p"])),
+        ("m", "p"), _MV, {"m": 2, "p": 3}),
+    "broken-demo": Protocol(_toy_bits, desk=None),
 }
 PROTOCOL_NAMES = tuple(PROTOCOLS)
 # Every key of every row, in order of first appearance: the CLI's flags.
 PARAM_KEYS = tuple(dict.fromkeys(
     key for row in PROTOCOLS.values() for key in (*row.required, *row.optional)
 ))
+
+
+def predicted_bits(scheme: Scheme) -> float:
+    """The paper's closed-form raw bits for one retrieval of ``scheme``.
+
+    It is computed from the report alone, so comparing it with
+    ``comm_cost(scheme).raw_bits`` checks the codec widths against the
+    paper."""
+    row = PROTOCOLS.get(scheme.name)
+    if row is None:
+        raise ParamError(f"no closed-form cost for {scheme.name!r}")
+    return row.bits(scheme.report, scheme.k)
 
 
 def _lazy_mv(name: str):
@@ -78,7 +109,8 @@ yekhanin_nice_sets = _lazy_mv("yekhanin_nice_sets")
 
 def _checked(name: str, config: dict | None) -> dict:
     """``config`` checked against the row of ``name``, with the row's
-    defaults filled in.  A None value counts as absent."""
+    defaults filled in.  A None value counts as absent; any other value
+    must be an int."""
     row = PROTOCOLS.get(name)
     if row is None:
         raise ParamError(f"unknown protocol {name!r}")
@@ -89,13 +121,17 @@ def _checked(name: str, config: dict | None) -> dict:
     if unread := [k for k in given if k not in takes]:
         raise ParamError(f"{name} does not take parameter(s) {', '.join(unread)}; "
                          f"it takes: {', '.join(takes) or 'none'}")
+    # A bool counts as an int; 8.0 would build a scheme with another digest.
+    if not_int := [f"{k}={v!r}" for k, v in given.items() if not isinstance(v, int)]:
+        raise ParamError(f"{name} parameter(s) must be ints: {', '.join(not_int)}")
     return {**row.optional, **given}
 
 
 def build_named(name: str, config: dict | None = None) -> Scheme:
     """Construct the named scheme from a flat dict of its ``PROTOCOLS``
     row's keys; the search budgets are fixed.  Raises ParamError for an
-    unknown name, a missing key, or a key the protocol does not take."""
+    unknown name, a missing key, a key the protocol does not take, or a
+    value that is not an int."""
     c = _checked(name, config)
     if name in ("toy", "broken-demo"):
         from .toy import broken_demo, toy_instance

@@ -523,41 +523,6 @@ def load_database(path) -> bytes:
     return unpack_bits(value, n)
 
 
-def _toy_bits(r, k):
-    return k * 3 * log2(3)
-
-
-# The paper's closed-form communication of one retrieval, in raw bits, from
-# the scheme's report r and k: k times the query width plus the answer width.
-_CLOSED_FORM_BITS = {
-    "toy": _toy_bits,
-    "broken-demo": _toy_bits,
-    "broken-span-demo": _toy_bits,
-    "broken-privacy-demo": _toy_bits,
-    "cgks": lambda r, k: r["raw_bits"],
-    "lagrange": lambda r, k: k * (r["h"] + 1) * log2(r["p"]),
-    "hermite": lambda r, k: k * (2 * r["h"] + 1) * log2(r["p"]),
-    "yekhanin": lambda r, k: k * (r["h"] * log2(r["p"]) + r["p"]),
-    "raghavendra": lambda r, k: k * (r["h"] * log2(r["p"]) + r["r"]),
-    "efremenko": lambda r, k: k * (r["h"] * log2(r["m"]) + log2(r["p"])),
-    "dvir-gopi": lambda r, k: k * (r["h"] + (r["h"] + 1) * r["m"]) * log2(r["m"]),
-    "gks": lambda r, k: k * (r["h"] * log2(r["m"]) + (r["h"] + 1) * log2(r["p"])),
-}
-
-
-def predicted_bits(scheme: Scheme) -> float:
-    """The paper's closed-form raw bits for one retrieval of ``scheme``.
-
-    It is computed from the report alone, so comparing it with
-    ``comm_cost(scheme).raw_bits`` checks the codec widths against the
-    paper."""
-    try:
-        formula = _CLOSED_FORM_BITS[scheme.name]
-    except KeyError:
-        raise ParamError(f"no closed-form cost for {scheme.name!r}") from None
-    return formula(scheme.report, scheme.k)
-
-
 def bench(
     build,
     n_values: Sequence[int],
@@ -571,6 +536,9 @@ def bench(
     are database-independent, so each row also carries the closed-form
     prediction and the k^2/(k-1) * log2(n) lower-bound baseline for context.
     """
+    # Here, not at the top, so that retrieval alone leaves the registry unloaded.
+    from .protocols.registry import predicted_bits
+
     if trials < 1:
         raise ParamError(f"trials must be >= 1, got {trials}")
     rows = []

@@ -20,6 +20,7 @@ from pirlab.errors import ParamError
 from pirlab.protocols.cube import build_cgks
 from pirlab.protocols import registry
 from pirlab.protocols.registry import build_named
+from pirlab.protocols.toy import broken_span_demo
 from pirlab.sim import PirServer, ServerNode, Transcript, param_digest
 
 
@@ -476,6 +477,21 @@ class TestProtocolTable:
         assert code == 2 and out == "" and started == []
         assert "does not take parameter(s) t" in err
 
+    @pytest.mark.parametrize(
+        "name, config, shown",
+        [
+            ("cgks", {"n": 8.0}, "n=8.0"),
+            ("lagrange", {"n": 3.0, "t": 1, "k": 3, "p": 5}, "n=3.0"),
+            ("cgks", {"n": "8"}, "n='8'"),
+        ],
+        ids=["cgks-float", "lagrange-float", "cgks-str"],
+    )
+    def test_value_that_is_not_an_int(self, name, config, shown):
+        # n = 8.0 would build a cgks scheme with a digest other than n = 8's,
+        # so a server and a client read from one JSON config would disagree.
+        with pytest.raises(ParamError, match=re.escape(f"must be ints: {shown}")):
+            build_named(name, config)
+
     def test_none_counts_as_absent(self):
         assert build_named("cgks", {"n": 8, "t": None}).n == 8
 
@@ -499,6 +515,18 @@ class TestProtocolTable:
             ("dvir-gopi", "f51a787961735340"),
             ("gks", "0ca7c7f01b7adf1d"),
         ]
+
+    def test_every_row_states_its_closed_form_cost(self):
+        for name, row in registry.PROTOCOLS.items():
+            assert callable(row.bits), name
+        with pytest.raises(TypeError, match="bits"):
+            registry.Protocol()  # no default
+
+    def test_predicted_bits_needs_a_row(self):
+        # The negative control has no row, so it has no closed form either.
+        scheme = broken_span_demo()
+        with pytest.raises(ParamError, match="no closed-form cost for 'broken-span"):
+            registry.predicted_bits(scheme)
 
     def test_cli_flags_are_the_table_keys(self):
         rows = registry.PROTOCOLS.values()
@@ -785,6 +813,36 @@ class TestBenchCommand:
         assert out1 == out2
         header = out1.splitlines()[0].split("\t")
         assert "predicted_bits" in header and "lower_bound_bits" in header
+
+    # sha256 of ``bench --trials 1`` stdout.  cgks's predicted_bits is the
+    # report's float raw_bits, so it prints as 26.0, not 26.
+    @pytest.mark.parametrize(
+        "argv, sha",
+        [
+            ("cgks --n 8,64,512",
+             "db7de119ca713e7646bf1d30634d106368b9535a9c360bf4b3f2593f93b3862b"),
+            ("lagrange --t 1 --k 3 --p 5 --n 3,20,100",
+             "f85b236dee192fbd556a7b0e9f2c447f75cb8faa31a868dd47445aa9209d609a"),
+            ("hermite --t 1 --k 2 --p 7 --n 4,50",
+             "4871adc63df1d67814680a92cd8e91f9529059621bf1a65ea218a6186e14af2c"),
+            ("yekhanin --n 3,4",
+             "9c4743558b86ed80fc0ed27d8510cedc6abc7585b96a3c6a7c4be115e3ec8607"),
+            ("raghavendra --n 3,4",
+             "2c9f1f73d7cbcb8e8f120b89ce89c24a82c58b367e3006396468741352558226"),
+            ("efremenko --m 6 --p 7 --n 3,4",
+             "a5211d3d537be7c723b888e7e3062999f2e36630234e3e35021bf631e446e15e"),
+            ("dvir-gopi --m 6 --n 3,4",
+             "d2153e4e0071883568303da99b0fc991033aef4493669fb0fea55a2df17c4d10"),
+            ("gks --m 2 --p 3 --n 3",
+             "0328adad2ae5232a1ee70dee0fec1408aedaf65da90dccd7cf018c7ce527f466"),
+        ],
+        ids=["cgks", "lagrange", "hermite", "yekhanin", "raghavendra", "efremenko",
+             "dvir-gopi", "gks"],
+    )
+    def test_pinned_output(self, capsys, argv, sha):
+        code, out, _ = run_cli(capsys, "bench", *argv.split(), "--trials", "1")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == sha
 
     @pytest.mark.parametrize("trials", ["0", "-1"])
     @pytest.mark.parametrize("timing", [(), ("--timing",)])

@@ -314,6 +314,20 @@ class TestQueryGen:
         with pytest.raises(ParamError):
             query_gen(toy_instance(), 2, seed=0)
 
+    @pytest.mark.parametrize(
+        "name, config, i",
+        [("lagrange", {"n": 8, "t": 1, "k": 3, "p": 5}, 2.5), ("cgks", {"n": 8}, 1.0)],
+        ids=["lagrange-2.5", "cgks-1.0"],
+    )
+    def test_index_that_is_not_an_int(self, name, config, i):
+        # 2.5 would draw index 2's queries, and cgks would shift by 1.0.
+        with pytest.raises(ParamError, match=f"index must be an int, got {i}"):
+            query_gen(build_named(name, config), i, seed=1)
+
+    def test_bool_index_counts_as_an_int(self):
+        scheme = toy_instance()
+        assert query_gen(scheme, True, seed=3) == query_gen(scheme, 1, seed=3)
+
     def test_no_seed_draws_from_the_operating_system(self, monkeypatch):
         draws = []
 

@@ -3,8 +3,9 @@ every function and class of the library is used by the library, the demos
 or the benchmark, importing the CLI loads no heavy module it does not
 need, only the engine states the bit order of a packed integer, each
 family of query arrays builds its schemes in one place (cube.py, toy.py,
-``curve.curve_scheme`` and ``mv.shift_scheme``), and only the verifier
-raises a span or orthogonal-array failure.
+``curve.curve_scheme`` and ``mv.shift_scheme``), only the verifier raises
+a span or orthogonal-array failure, and no module outside ``protocols/``
+names a protocol.
 
 An import nobody uses keeps a deleted or renamed API looking alive, so the
 scan covers the library, the tests and the demos.  Names listed in
@@ -21,6 +22,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from pirlab.protocols import registry
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -202,6 +205,20 @@ def test_only_the_verifier_raises_check_failures():
         str(path.relative_to(ROOT))
         for path in sorted((ROOT / "src").rglob("*.py"))
         if path.name != "verify.py" and pattern.search(path.read_text())
+    ]
+    assert offenders == []
+
+
+def test_only_the_protocols_package_names_a_protocol():
+    # Each protocol's parameters and closed-form cost live in its
+    # registry.PROTOCOLS row.  A module outside protocols/ that keys on a
+    # protocol name holds a second copy of a row, kept in step by hand.
+    names = {*registry.PROTOCOLS, "broken-span-demo", "broken-privacy-demo"}
+    offenders = [
+        f"{path.name}:{node.lineno}: {node.value}"
+        for path in sorted((ROOT / "src" / "pirlab").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant) and node.value in names
     ]
     assert offenders == []
 

@@ -174,6 +174,12 @@ class TestInProcess:
             assert transcript.payload_bytes == cost.payload_bytes
             assert transcript.framing_bytes == 0
 
+    def test_index_that_is_not_an_int_is_a_param_error(self):
+        # Unchecked, it ends in a bare TypeError at x[i].
+        scheme = build_lagrange(8, 1, 3, 5)
+        with pytest.raises(ParamError, match="index must be an int, got 1.0"):
+            run_inprocess(scheme, (0, 1) * 4, 1.0, 1)
+
     def test_prepares_once_per_retrieval(self):
         # The k servers answer from one prepared database, and the timed
         # server side leaves the preparation out.
@@ -757,6 +763,13 @@ class TestTcp:
         endpoints = [other, (host, port + 65536 if wrapped else 0)]
         with pytest.raises(ParamError, match=r"\[1, 65535\]"):
             client_retrieve(endpoints, scheme, 0, seed=0, timeout=1.0)
+        assert_no_connection(listener_pair)
+
+    def test_index_that_is_not_an_int_connects_to_nothing(self, listener_pair):
+        scheme = build_cgks(8)
+        endpoints = [l.getsockname()[:2] for l in listener_pair]
+        with pytest.raises(ParamError, match="index must be an int, got 2.5"):
+            client_retrieve(endpoints, scheme, 2.5, seed=0, timeout=1.0)
         assert_no_connection(listener_pair)
 
     @pytest.mark.parametrize("port", [70000, -1])
