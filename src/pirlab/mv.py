@@ -41,7 +41,8 @@ from .errors import (
     ParamError,
 )
 
-DEFAULT_SEARCH_BUDGET = 5_000_000
+# The most nodes (orthogonal pairs) that search_matching_family visits.
+SEARCH_BUDGET = 5_000_000
 
 
 def canonical_set(m: int) -> tuple[int, ...]:
@@ -204,12 +205,11 @@ def search_matching_family(
     target_set: Sequence[int],
     n_target: int,
     side_constraint: bool = False,
-    budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> MatchingFamily:
     """Greedy backtracking search for a size-n_target matching family in
     Z_m^h over the orthogonal pairs (u, v) in lexicographic order.
 
-    Each pair is one node of ``budget``.  Bitmasks over the ranks of Z_m^h
+    Each pair is one node of SEARCH_BUDGET.  Bitmasks over the ranks of Z_m^h
     skip each u that meets a chosen v outside the target set, its nodes
     counted in one step, and give each other u its fitting v in one AND.
     ``side_constraint`` also requires <u_i, 1> != 0, which the Mersenne
@@ -247,8 +247,8 @@ def search_matching_family(
     def spend(pairs: int) -> bool:
         # Visits the next ``pairs`` nodes; fails on the first past the budget.
         nonlocal visited
-        fits = not pairs or visited + pairs <= budget
-        visited = visited + pairs if fits else max(visited, budget) + 1
+        fits = not pairs or visited + pairs <= SEARCH_BUDGET
+        visited = visited + pairs if fits else max(visited, SEARCH_BUDGET) + 1
         return fits
 
     def extend(start: int, owed: int, u_fit: int, v_fit: int) -> bool:
@@ -369,7 +369,6 @@ def sparse_decoding_poly_search(
     m: int,
     p: int,
     k_target: int = 3,
-    budget: int | None = None,
 ) -> DecodingPoly:
     """Search for a decoding polynomial with k_target < 2^r monomials.
 
@@ -381,13 +380,20 @@ def sparse_decoding_poly_search(
     0 and only rescales the root rows of the same system, so this loses
     nothing while shrinking the space by a factor of about m / k.  (Scaling
     the exponent set by a unit of Z_m is NOT a symmetry: it moves the root
-    set off the canonical powers, so no scaling dedup is applied.)
+    set off the canonical powers, so no scaling dedup is applied.)  A
+    space of more than ``ROW_CAP`` sets is a ParamError before any system.
     """
     r = len(squarefree_factors(m))
     if not 1 <= k_target < 2**r:
         raise ParamError(
             f"k_target must be in [1, 2^{r}) = [1, {2**r}); "
             f"the product construction already achieves 2^{r}"
+        )
+    space = math.comb(m - 1, k_target - 1)
+    if space > ROW_CAP:
+        raise ParamError(
+            f"C({m - 1},{k_target - 1}) = {space} exponent sets, over the "
+            f"enumeration cap ROW_CAP = {ROW_CAP}; choose a smaller sparse-k"
         )
     field = PrimeField(p)
     g = find_order_element(field, m)
@@ -406,20 +412,13 @@ def sparse_decoding_poly_search(
         poly.validate()
         return poly
 
-    candidates = (
-        (0,) + rest for rest in itertools.combinations(range(1, m), k_target - 1)
-    )
-    tried = 0
-    for exps in candidates:
-        tried += 1
-        if budget is not None and tried > budget:
-            raise Exhausted(f"sparse search budget {budget} exhausted")
-        poly = try_exponents(exps)
+    for rest in itertools.combinations(range(1, m), k_target - 1):
+        poly = try_exponents((0,) + rest)
         if poly is not None:
             return poly
     raise Exhausted(
         f"no {k_target}-monomial decoding polynomial for m={m} over F_{p} "
-        f"({tried} exponent sets tried)"
+        f"({space} exponent sets tried)"
     )
 
 

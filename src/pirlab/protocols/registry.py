@@ -110,7 +110,7 @@ yekhanin_nice_sets = _lazy_mv("yekhanin_nice_sets")
 def _checked(name: str, config: dict | None) -> dict:
     """``config`` checked against the row of ``name``, with the row's
     defaults filled in.  A None value counts as absent; any other value
-    must be an int."""
+    must be an int and not a bool."""
     row = PROTOCOLS.get(name)
     if row is None:
         raise ParamError(f"unknown protocol {name!r}")
@@ -121,8 +121,9 @@ def _checked(name: str, config: dict | None) -> dict:
     if unread := [k for k in given if k not in takes]:
         raise ParamError(f"{name} does not take parameter(s) {', '.join(unread)}; "
                          f"it takes: {', '.join(takes) or 'none'}")
-    # A bool counts as an int; 8.0 would build a scheme with another digest.
-    if not_int := [f"{k}={v!r}" for k, v in given.items() if not isinstance(v, int)]:
+    # 8.0 or True would build a scheme with another digest than 8 or 1.
+    if not_int := [f"{k}={v!r}" for k, v in given.items()
+                   if isinstance(v, bool) or not isinstance(v, int)]:
         raise ParamError(f"{name} parameter(s) must be ints: {', '.join(not_int)}")
     return {**row.optional, **given}
 
@@ -131,7 +132,7 @@ def build_named(name: str, config: dict | None = None) -> Scheme:
     """Construct the named scheme from a flat dict of its ``PROTOCOLS``
     row's keys; the search budgets are fixed.  Raises ParamError for an
     unknown name, a missing key, a key the protocol does not take, or a
-    value that is not an int."""
+    value that is not an int (a bool included)."""
     c = _checked(name, config)
     if name in ("toy", "broken-demo"):
         from .toy import broken_demo, toy_instance

@@ -243,6 +243,11 @@ def run_inprocess(
     return bit, transcript
 
 
+def _is_int(value) -> bool:
+    """An int and not a bool: True would pass for port or server 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ServerNode:
     """One server's whole world: its id, the scheme, and the database (bits
@@ -255,10 +260,9 @@ class ServerNode:
     prepared: Prepared = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, database):
-        if not 1 <= self.server_id <= self.scheme.k:
-            raise ParamError(
-                f"server id {self.server_id} out of range [1, {self.scheme.k}]"
-            )
+        if not (_is_int(self.server_id) and 1 <= self.server_id <= self.scheme.k):
+            raise ParamError(f"server id must be an int in [1, {self.scheme.k}], "
+                             f"got {self.server_id!r}")
         object.__setattr__(self, "prepared", prepare(self.scheme, database))
 
     def answer_payload(self, query_payload: bytes) -> bytes:
@@ -323,14 +327,15 @@ class PirServer(socketserver.ThreadingTCPServer):
 
     It holds at most ``MAX_CONNECTIONS`` connections at once, one handler
     thread each, and closes any connection past that as it accepts it.
-    Port 0 picks a free port; one outside [0, 65535] is a ParamError."""
+    Port 0 picks a free port; one that is not an int in [0, 65535] is a
+    ParamError."""
 
     allow_reuse_address = True
     daemon_threads = True
 
     def __init__(self, node: ServerNode, host: str = DEFAULT_HOST, port: int = 0):
-        if not 0 <= port <= 65535:
-            raise ParamError(f"port must be in [0, 65535], got {port}")
+        if not (_is_int(port) and 0 <= port <= 65535):
+            raise ParamError(f"port must be an int in [0, 65535], got {port!r}")
         super().__init__((host, port), _Handler)
         self.node = node
         self.digest = param_digest(node.scheme)
@@ -418,26 +423,29 @@ def client_retrieve(
     longer frame and lose its digest error.  A CONFIG other than this
     scheme's name and digest ends in a ParamDigestMismatch naming the
     server.  ``timeout`` bounds each connect and each whole frame read; it
-    must be finite and positive.  Every socket error ends in a Timeout or
-    TransportError naming the server, and so does an ANSWER payload that
-    the answer codec rejects.  Answers that combine to neither 0 nor omega
-    end in a TransportError naming all k servers, as no one can be blamed.
-    Seed None draws fresh randomness for every retrieval.  The links must
-    be private: whoever reads all k sees more than t servers do, and so
-    the k endpoints must be k distinct servers, each port in [1, 65535]:
-    ParamError otherwise, before any query or connection.  Hosts are
-    compared as written, so ``localhost`` and ``127.0.0.1`` naming one
-    server is not caught.
+    must be a finite, positive int or float.  Every socket error ends in a
+    Timeout or TransportError naming the server, and so does an ANSWER
+    payload that the answer codec rejects.  Answers that combine to neither
+    0 nor omega end in a TransportError naming all k servers, as no one can
+    be blamed.  Seed None draws fresh randomness for every retrieval.  The
+    links must be private: whoever reads all k sees more than t servers
+    do, and so the k endpoints must be k distinct servers, each port an int
+    in [1, 65535]: ParamError otherwise, before any query or connection.
+    Hosts are compared as written, so ``localhost`` and ``127.0.0.1``
+    naming one server is not caught.
     """
-    if not (math.isfinite(timeout) and timeout > 0):
-        raise ParamError(f"timeout must be finite and > 0, got {timeout!r}")
+    number = isinstance(timeout, (int, float)) and not isinstance(timeout, bool)
+    if not (number and math.isfinite(timeout) and timeout > 0):
+        raise ParamError(f"timeout must be a finite number > 0, got {timeout!r}")
     if len(endpoints) != scheme.k:
         raise ParamError(
             f"protocol needs exactly {scheme.k} endpoints, got {len(endpoints)}"
         )
     for j, (host, port) in enumerate(endpoints):
-        if not 1 <= port <= 65535:
-            raise ParamError(f"endpoint {host}:{port}: port must be in [1, 65535]")
+        if not (_is_int(port) and 1 <= port <= 65535):
+            raise ParamError(
+                f"endpoint {host}:{port!r}: port must be an int in [1, 65535]"
+            )
         if (host, port) in map(tuple, endpoints[:j]):
             raise ParamError(f"endpoint {host}:{port} is named twice; "
                              "the k endpoints must be k distinct servers")

@@ -16,6 +16,7 @@ import pytest
 
 from pirlab import cli, sim, verify
 from pirlab.cli import main
+from pirlab.engine import ROW_CAP
 from pirlab.errors import ParamError
 from pirlab.protocols.cube import build_cgks
 from pirlab.protocols import registry
@@ -57,6 +58,19 @@ class TestParams:
         )
         assert code == 2
         assert "k_target must be in [1, 2^2)" in err
+
+    def test_efremenko_sparse_space_over_the_cap_exits_2_at_once(self):
+        # C(209, 7) exponent sets: the search is refused before it starts,
+        # where an unbounded one would still be running at the timeout.
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        out = subprocess.run(
+            [sys.executable, "-m", "pirlab.cli", "params", "efremenko",
+             "--m", "210", "--p", "211", "--sparse-k", "8", "--n", "2", "--h", "1"],
+            capture_output=True, text=True, env=env, timeout=10,
+        )
+        assert out.returncode == 2
+        assert "C(209,7) = 3122458801176 exponent sets" in out.stderr
+        assert f"ROW_CAP = {ROW_CAP}" in out.stderr
 
     def test_efremenko_sparse_k_three(self, capsys):
         code, out, _ = run_cli(
@@ -483,12 +497,16 @@ class TestProtocolTable:
             ("cgks", {"n": 8.0}, "n=8.0"),
             ("lagrange", {"n": 3.0, "t": 1, "k": 3, "p": 5}, "n=3.0"),
             ("cgks", {"n": "8"}, "n='8'"),
+            ("cgks", {"n": True}, "n=True"),
+            ("lagrange", {"n": 3, "t": True, "k": 3, "p": 5}, "t=True"),
         ],
-        ids=["cgks-float", "lagrange-float", "cgks-str"],
+        ids=["cgks-float", "lagrange-float", "cgks-str", "cgks-bool",
+             "lagrange-bool"],
     )
     def test_value_that_is_not_an_int(self, name, config, shown):
-        # n = 8.0 would build a cgks scheme with a digest other than n = 8's,
-        # so a server and a client read from one JSON config would disagree.
+        # n = 8.0 or True would build a cgks scheme with a digest other than
+        # n = 8's or 1's, so a server and a client read from one JSON config
+        # would disagree.
         with pytest.raises(ParamError, match=re.escape(f"must be ints: {shown}")):
             build_named(name, config)
 

@@ -179,12 +179,14 @@ def _eager_search(m, h, target_set, n_target, side_constraint, budget):
 
 
 def _search_or_message(m, h, target_set, n_target, side_constraint, budget):
-    try:
-        return search_matching_family(
-            m, h, target_set, n_target, side_constraint, budget=budget
-        )
-    except Exhausted as exc:
-        return str(exc)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pirlab.mv, "SEARCH_BUDGET", budget)
+        try:
+            return search_matching_family(
+                m, h, target_set, n_target, side_constraint
+            )
+        except Exhausted as exc:
+            return str(exc)
 
 
 def _target_sets(m):
@@ -209,13 +211,9 @@ class TestSearchMatchesEagerReference:
             for n_target in (1, 2, 3, 4):
                 for side in (False, True):
                     for budget in (1, 37, 2000):
-                        try:
-                            got = search_matching_family(
-                                m, h, target, n_target, side, budget=budget
-                            )
-                        except Exhausted as exc:
-                            got = str(exc)
-                        want = _eager_search(m, h, target, n_target, side, budget)
+                        args = (m, h, target, n_target, side, budget)
+                        got = _search_or_message(*args)
+                        want = _eager_search(*args)
                         assert got == want, (target, n_target, side, budget)
 
     @pytest.mark.parametrize("m", [2, 3])
@@ -373,9 +371,29 @@ class TestDecodingPolys:
         with pytest.raises(ParamError):
             sparse_decoding_poly_search(6, 7, k_target=4)
 
-    def test_sparse_search_budget(self):
-        with pytest.raises(Exhausted):
-            sparse_decoding_poly_search(511, 3067, k_target=2, budget=5)
+    def test_sparse_search_refuses_past_the_cap(self, monkeypatch):
+        # The C(510, 1) = 510 exponent sets are counted before any field or
+        # system is built, against the cap as it stands at the call.
+        def unreachable(*args):
+            raise AssertionError("built a field before the cap check")
+
+        monkeypatch.setattr(pirlab.mv, "ROW_CAP", 509)
+        monkeypatch.setattr(pirlab.mv, "find_order_element", unreachable)
+        with pytest.raises(ParamError) as info:
+            sparse_decoding_poly_search(511, 3067, k_target=2)
+        assert str(info.value) == (
+            "C(510,1) = 510 exponent sets, over the enumeration cap "
+            "ROW_CAP = 509; choose a smaller sparse-k"
+        )
+
+    def test_sparse_search_exhaustion_counts_the_space(self):
+        # No 3-monomial polynomial at m=15: all C(14, 2) = 91 sets fail.
+        with pytest.raises(Exhausted) as info:
+            sparse_decoding_poly_search(15, 31, k_target=3)
+        assert str(info.value) == (
+            "no 3-monomial decoding polynomial for m=15 over F_31 "
+            "(91 exponent sets tried)"
+        )
 
 
 class TestNiceSets:

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import math
 import random
+import re
 import socket
 import struct
 import sys
@@ -252,6 +253,14 @@ class TestNode:
             ServerNode(server_id=3, scheme=toy_instance(), database=(1, 0))
         with pytest.raises(ParamError):
             ServerNode(server_id=1, scheme=toy_instance(), database=(1, 0, 1))
+
+    @pytest.mark.parametrize("server_id", ["1", 1.0, True])
+    def test_rejects_a_server_id_that_is_not_an_int(self, server_id):
+        # "1" used to end in a bare TypeError, and 1.0 or True built a node.
+        with pytest.raises(ParamError, match=re.escape(
+            f"server id must be an int in [1, 2], got {server_id!r}"
+        )):
+            ServerNode(server_id, build_cgks(8), (0,) * 8)
 
     @pytest.mark.parametrize("entry", [0, 1, False, True])
     def test_accepts_bit_entries(self, entry):
@@ -772,7 +781,33 @@ class TestTcp:
             client_retrieve(endpoints, scheme, 2.5, seed=0, timeout=1.0)
         assert_no_connection(listener_pair)
 
-    @pytest.mark.parametrize("port", [70000, -1])
+    @pytest.mark.parametrize("kind", [str, float, bool])
+    def test_port_that_is_not_an_int_connects_to_nothing(self, listener_pair, kind):
+        # "7001" used to end in a bare TypeError, and 7001.0 or True in a
+        # Timeout that reported a down server instead of a bad argument.
+        scheme = build_cgks(8)
+        (host, port), other = (l.getsockname()[:2] for l in listener_pair)
+        bad = kind(port)
+        with pytest.raises(ParamError, match=re.escape(
+            f"endpoint {host}:{bad!r}: port must be an int in [1, 65535]"
+        )):
+            client_retrieve([other, (host, bad)], scheme, 0, seed=0, timeout=1.0)
+        assert_no_connection(listener_pair)
+
+    @pytest.mark.parametrize("timeout", ["5", True, 0, float("inf")])
+    def test_timeout_that_is_not_a_positive_number_connects_to_nothing(
+        self, listener_pair, timeout
+    ):
+        scheme = build_cgks(8)
+        endpoints = [l.getsockname()[:2] for l in listener_pair]
+        with pytest.raises(ParamError, match=re.escape(
+            f"timeout must be a finite number > 0, got {timeout!r}"
+        )):
+            client_retrieve(endpoints, scheme, 0, seed=0, timeout=timeout)
+        assert_no_connection(listener_pair)
+
+    # "0" used to end in a bare TypeError and False to bind a free port.
+    @pytest.mark.parametrize("port", [70000, -1, "0", 0.0, False])
     def test_server_port_out_of_range_is_a_param_error(self, port):
         node = ServerNode(1, build_cgks(8), (0,) * 8)
         with pytest.raises(ParamError, match=r"\[0, 65535\]"):
