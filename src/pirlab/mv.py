@@ -1,7 +1,8 @@
 """Ingredient factory and shared parts of the matching-vector protocols.
 
 Produces canonical sets, matching-vector families (by a deterministic
-bitmask backtracking search, with an independent invariant checker),
+bitmask backtracking search that builds each vector's two masks once per
+search and lists no vectors, with an independent invariant checker),
 decoding polynomials (the product construction and a sparse search), and
 the parity-constrained set pair of the Mersenne-prime indicator protocol.
 
@@ -77,18 +78,41 @@ def dot_mod(a: Sequence[int], b: Sequence[int], m: int) -> int:
     return sum(x * y for x, y in zip(a, b)) % m
 
 
-def _residue_masks(u: Sequence[int], m: int) -> list[int]:
-    """Bit s of ``masks[r]`` is set iff <u, v> = r mod m for the v of
-    lexicographic rank s in Z_m^h: one shift-and-OR pass per coordinate."""
-    masks, width = [1] + [0] * (m - 1), 1
-    for c in reversed(u):
-        grown = [0] * m
-        for x in range(m):
-            offset = c * x % m
-            for r, mask in enumerate(masks):
-                grown[(r + offset) % m] |= mask << (x * width)
+def _fit_masks(u: Sequence[int], m: int, target) -> tuple[int, int]:
+    """(zero, fit) over the lexicographic ranks s of Z_m^h: bit s of
+    ``zero`` is set iff <u, v_s> = 0 mod m, and bit s of ``fit`` iff
+    <u, v_s> mod m lies in ``target``.
+
+    One mask per reachable residue on the inner coordinates u[1:], then
+    only the two unions on the outer coordinate u[0].  The values x of a
+    coordinate c that share the offset c * x mod m are placed together by
+    one multiplication with their repeat pattern."""
+    masks, width = {0: 1}, 1
+    for c in reversed(u[1:]):
+        grown: dict[int, int] = {}
+        repeat, blocks = _blocks(c, m, width)
+        for offset, shift in blocks:
+            for r, mask in masks.items():
+                key = (r + offset) % m
+                grown[key] = grown.get(key, 0) | mask * repeat << shift
         masks, width = grown, width * m
-    return masks
+    zero = fit = 0
+    repeat, blocks = _blocks(u[0], m, width)
+    for offset, shift in blocks:
+        if mask := masks.get(-offset % m):
+            zero |= mask * repeat << shift
+        if mask := sum(masks.get((t - offset) % m, 0) for t in target):
+            fit |= mask * repeat << shift
+    return zero, fit
+
+
+def _blocks(c: int, m: int, width: int):
+    """(repeat, [(c * x mod m, x * width) for x below the period of c]):
+    x and x + m / gcd(c, m) share an offset, and ``repeat`` has a bit at
+    each multiple of that period times ``width``."""
+    period = m // math.gcd(c, m)
+    repeat = sum(1 << j * period * width for j in range(m // period))
+    return repeat, [(c * x % m, x * width) for x in range(period)]
 
 
 def check_matching_family(family: MatchingFamily) -> list[str]:
@@ -212,9 +236,12 @@ def search_matching_family(
     Each pair is one node of SEARCH_BUDGET.  Bitmasks over the ranks of Z_m^h
     skip each u that meets a chosen v outside the target set, its nodes
     counted in one step, and give each other u its fitting v in one AND.
-    ``side_constraint`` also requires <u_i, 1> != 0, which the Mersenne
-    indicator protocol needs for its shift argument.  Raises Exhausted
-    when the candidates (or the budget) run out below the target.
+    A vector is unranked when the search reaches it, and its two masks
+    (``_fit_masks``) are built at most once per search; no list of the
+    m^h vectors is made.  ``side_constraint`` also requires
+    <u_i, 1> != 0, which the Mersenne indicator protocol needs for its
+    shift argument.  Raises Exhausted when the candidates (or the budget)
+    run out below the target.
     """
     if h < 1:
         raise ParamError("h must be >= 1")
@@ -228,11 +255,25 @@ def search_matching_family(
     target = set(x % m for x in target_set)
     if 0 in target:
         raise ParamError("target set must exclude 0")
-    vectors = list(itertools.product(range(m), repeat=h))
+    size = m**h
     drop_zero = n_target > 1  # a zero u or v meets a second member in 0
-    before = [0]  # before[i]: the nodes whose u precedes vectors[i]
+    before = [0]  # before[i]: the nodes whose u precedes the u of rank i
+    pending = itertools.product(range(m), repeat=h)  # u not yet in ``before``
+    fit_masks: dict[int, tuple[int, int]] = {}  # rank -> its _fit_masks
     chosen: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     visited = 0
+
+    def unrank(rank: int) -> tuple[int, ...]:  # the vector of lexicographic rank
+        digits = []
+        for _ in range(h):
+            rank, digit = divmod(rank, m)
+            digits.append(digit)
+        return tuple(reversed(digits))
+
+    def masks(rank: int) -> tuple[int, int]:  # each vector's masks built once
+        if rank not in fit_masks:
+            fit_masks[rank] = _fit_masks(unrank(rank), m, target)
+        return fit_masks[rank]
 
     def nodes(u) -> int:  # its m^(h-1) * gcd(u, m) orthogonal v, less zero
         if (drop_zero and not any(u)) or (side_constraint and sum(u) % m == 0):
@@ -240,8 +281,8 @@ def search_matching_family(
         return m ** (h - 1) * math.gcd(m, *u) - drop_zero
 
     def nodes_before(i: int) -> int:  # fills ``before`` only as far as asked
-        for u in vectors[len(before) - 1 : i]:
-            before.append(before[-1] + nodes(u))
+        while len(before) <= i:
+            before.append(before[-1] + nodes(next(pending)))
         return before[i]
 
     def spend(pairs: int) -> bool:
@@ -252,21 +293,22 @@ def search_matching_family(
         return fits
 
     def extend(start: int, owed: int, u_fit: int, v_fit: int) -> bool:
-        # Bit i of u_fit (v_fit) is set iff vectors[i] meets each chosen v (u)
-        # in the target set; ``owed`` nodes before vectors[start] are unspent.
+        # Bit i of u_fit (v_fit) is set iff the vector of rank i meets each
+        # chosen v (u) in the target set; ``owed`` nodes before rank
+        # ``start`` are unspent.
         todo = u_fit >> start << start
         while todo:
             ui = (todo & -todo).bit_length() - 1
             todo &= todo - 1
-            if not nodes(vectors[ui]):
+            u = unrank(ui)
+            if not nodes(u):
                 continue
             if not spend(owed + nodes_before(ui) - nodes_before(start)):
                 return False
             start = ui + 1
-            masks = _residue_masks(vectors[ui], m)
-            rest = masks[0] >> drop_zero << drop_zero
+            zero, for_v = masks(ui)
+            rest = zero >> drop_zero << drop_zero
             fits = rest & v_fit
-            for_v = sum(masks[r] for r in target)
             while fits:
                 low = fits & -fits
                 fits ^= low
@@ -274,21 +316,20 @@ def search_matching_family(
                 rest ^= passed
                 if not spend(passed.bit_count()):
                     return False
-                v = vectors[low.bit_length() - 1]
-                chosen.append((vectors[ui], v))
+                vi = low.bit_length() - 1
+                chosen.append((u, unrank(vi)))
                 if len(chosen) == n_target:
                     return True
-                v_masks = _residue_masks(v, m)
-                for_u = sum(v_masks[r] for r in target)
+                _, for_u = masks(vi)
                 if extend(start, rest.bit_count(), u_fit & for_u, v_fit & for_v):
                     return True
                 chosen.pop()
             owed = rest.bit_count()
-        spend(owed + nodes_before(len(vectors)) - nodes_before(start))
+        spend(owed + nodes_before(size) - nodes_before(start))
         return False
 
-    found = extend(0, 0, (1 << m**h) - 1, (1 << m**h) - 1)
-    del extend  # it calls itself by name: a cycle that would hold ``vectors``
+    found = extend(0, 0, (1 << size) - 1, (1 << size) - 1)
+    del extend  # it calls itself by name: a cycle that would hold the masks
     if not found:
         raise Exhausted(
             f"no size-{n_target} family found in Z_{m}^{h} "

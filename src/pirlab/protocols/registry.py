@@ -18,7 +18,9 @@ the other constructions, and cgks, lagrange and hermite processes never
 load :mod:`pirlab.mv` or :mod:`pirlab.algebra`.  perfbench's set-up
 tracing wraps the four ingredient searches by name on this module, so
 ``build_named`` calls them through module-level wrappers that import
-:mod:`pirlab.mv` when first called.
+:mod:`pirlab.mv` when first called.  ``build_named`` searches on every
+call; ``desk_schemes`` searches each distinct matching family once per
+call, and neither keeps a family past its call.
 """
 
 from __future__ import annotations
@@ -133,6 +135,21 @@ def build_named(name: str, config: dict | None = None) -> Scheme:
     row's keys; the search budgets are fixed.  Raises ParamError for an
     unknown name, a missing key, a key the protocol does not take, or a
     value that is not an int (a bool included)."""
+    return _build(name, config, {})
+
+
+def _family(families: dict, m: int, h: int, target: tuple, n: int, side: bool):
+    """The matching family of these search arguments: found in
+    ``families`` or searched for and put there."""
+    key = (m, h, target, n, side)
+    if key not in families:
+        families[key] = search_matching_family(m, h, target, n, side_constraint=side)
+    return families[key]
+
+
+def _build(name: str, config: dict | None, families: dict) -> Scheme:
+    """``build_named`` with the matching families already found in this
+    call's ``families``, keyed by their search arguments."""
     c = _checked(name, config)
     if name in ("toy", "broken-demo"):
         from .toy import broken_demo, toy_instance
@@ -152,9 +169,7 @@ def build_named(name: str, config: dict | None = None) -> Scheme:
         from .mersenne import build_raghavendra, build_yekhanin
 
         p = c["p"]
-        family = search_matching_family(
-            p, c["h"], two_subgroup(p), c["n"], side_constraint=True
-        )
+        family = _family(families, p, c["h"], two_subgroup(p), c["n"], True)
         if name == "yekhanin":
             return build_yekhanin(p, family, yekhanin_nice_sets(p))
         return build_raghavendra(p, family)
@@ -163,7 +178,7 @@ def build_named(name: str, config: dict | None = None) -> Scheme:
 
     m = c["m"]
     modulus = m * c["p"] if name == "gks" else m
-    family = search_matching_family(modulus, c["h"], canonical_set(modulus), c["n"])
+    family = _family(families, modulus, c["h"], canonical_set(modulus), c["n"], False)
     if name == "dvir-gopi":
         return build_dvir_gopi(m, family)
     if name == "gks":
@@ -177,6 +192,9 @@ def build_named(name: str, config: dict | None = None) -> Scheme:
 
 def desk_schemes() -> list[Scheme]:
     """The standard small instances used by the verification suites: each
-    ``PROTOCOLS`` row's desk configuration."""
-    return [build_named(name, row.desk) for name, row in PROTOCOLS.items()
+    ``PROTOCOLS`` row's desk configuration.  The rows that share a matching
+    family (same m, h, target set, n and side constraint) share one search
+    within the call: five desk families, two searches."""
+    families: dict = {}
+    return [_build(name, row.desk, families) for name, row in PROTOCOLS.items()
             if row.desk is not None]

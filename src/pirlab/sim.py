@@ -423,8 +423,10 @@ def client_retrieve(
     longer frame and lose its digest error.  A CONFIG other than this
     scheme's name and digest ends in a ParamDigestMismatch naming the
     server.  ``timeout`` bounds each connect and each whole frame read; it
-    must be a finite, positive int or float.  Every socket error ends in a
-    Timeout or TransportError naming the server, and so does an ANSWER
+    must be a positive int or float no larger than
+    ``threading.TIMEOUT_MAX`` (a larger one overflows the platform's time
+    in the connect).  Every socket error ends in a Timeout or
+    TransportError naming the server, and so does an ANSWER
     payload that the answer codec rejects.  Answers that combine to neither
     0 nor omega end in a TransportError naming all k servers, as no one can
     be blamed.  Seed None draws fresh randomness for every retrieval.  The
@@ -435,8 +437,12 @@ def client_retrieve(
     naming one server is not caught.
     """
     number = isinstance(timeout, (int, float)) and not isinstance(timeout, bool)
-    if not (number and math.isfinite(timeout) and timeout > 0):
+    # The comparisons are exact for an int of any size, where isfinite overflows.
+    if not (number and 0 < timeout < math.inf):
         raise ParamError(f"timeout must be a finite number > 0, got {timeout!r}")
+    if timeout > threading.TIMEOUT_MAX:
+        raise ParamError(f"timeout must be at most threading.TIMEOUT_MAX = "
+                         f"{threading.TIMEOUT_MAX:g} s, got {timeout!r}")
     if len(endpoints) != scheme.k:
         raise ParamError(
             f"protocol needs exactly {scheme.k} endpoints, got {len(endpoints)}"

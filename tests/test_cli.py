@@ -534,6 +534,26 @@ class TestProtocolTable:
             ("gks", "0ca7c7f01b7adf1d"),
         ]
 
+    def test_desk_searches_each_family_once_and_keeps_none(self, monkeypatch):
+        # yekhanin and raghavendra share one family in Z_7^3; efremenko,
+        # dvir-gopi and gks (m * p = 6) share one in Z_6^3.  A build_named
+        # call searches anew, so no family outlives its call.
+        calls = []
+        real = registry.search_matching_family
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(registry, "search_matching_family", counting)
+        registry.desk_schemes()
+        assert sorted(calls) == [(6, 3, (1, 3, 4), 3), (7, 3, (1, 2, 4), 3)]
+        calls.clear()
+        first = build_named("dvir-gopi", {"m": 6})
+        second = build_named("dvir-gopi", {"m": 6})
+        assert len(calls) == 2
+        assert param_digest(first) == param_digest(second)
+
     def test_every_row_states_its_closed_form_cost(self):
         for name, row in registry.PROTOCOLS.items():
             assert callable(row.bits), name
@@ -701,7 +721,7 @@ class TestNetworkCommands:
         assert code == 3
         assert err.startswith("transport error: cannot listen")
 
-    @pytest.mark.parametrize("timeout", ["-1", "0", "nan", "inf"])
+    @pytest.mark.parametrize("timeout", ["-1", "0", "nan", "inf", "1e300"])
     def test_get_bad_timeout_connects_to_nothing(self, capsys, timeout):
         with socket.create_server(("127.0.0.1", 0)) as listener:
             port = listener.getsockname()[1]

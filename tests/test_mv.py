@@ -4,6 +4,7 @@ parity sets, and the server-count table."""
 import functools
 import gc
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -22,6 +23,8 @@ from pirlab.mv import (
     trivial_decoding_poly,
     two_subgroup,
 )
+from pirlab.protocols.registry import build_named
+from pirlab.sim import param_digest
 
 
 class TestCanonicalSet:
@@ -245,47 +248,54 @@ class TestSearchMatchesEagerReference:
 
     def test_builds_tables_only_as_far_as_it_reaches(self, monkeypatch):
         calls = []
-        real = pirlab.mv._residue_masks
+        real = pirlab.mv._fit_masks
 
-        def counting(u, m):
-            calls.append(u)
-            return real(u, m)
+        def counting(u, m, target):
+            calls.append(tuple(u))
+            return real(u, m, target)
 
-        monkeypatch.setattr(pirlab.mv, "_residue_masks", counting)
+        monkeypatch.setattr(pirlab.mv, "_fit_masks", counting)
         fam = search_matching_family(7, 3, two_subgroup(7), 3, side_constraint=True)
         assert fam.n == 3
-        # Listing every pair first takes one table for each of the 294 u
-        # with <u, 1> != 0.  The search builds one for each u it does not
-        # skip and one for each v it picks short of the last.
-        assert 0 < len(calls) <= 18
+        # Listing every pair first takes masks for each of the 294 u with
+        # <u, 1> != 0.  The search builds them for each u it does not skip
+        # and each v it picks short of the last, and never twice for one
+        # vector: a u it reaches again as a v, or a v picked twice, reuses
+        # the masks of the first build.
+        assert len(calls) == len(set(calls))
+        assert 0 < len(calls) <= 12
 
 
-def _mask_owners(masks, size):
-    """For each rank s below ``size``, the one r with bit s of masks[r] set."""
-    owners = [None] * size
-    for r, mask in enumerate(masks):
-        assert mask >> size == 0, f"masks[{r}] has a bit past rank {size - 1}"
-        bits = bin(mask)[:1:-1]  # bits[s] is bit s
-        s = bits.find("1")
-        while s >= 0:
-            assert owners[s] is None, f"rank {s} in masks[{owners[s]}] and [{r}]"
-            owners[s] = r
-            s = bits.find("1", s + 1)
-    return owners
+def _definition_masks(u, m, target):
+    """(zero, fit) from the definition: bit s is <u, v_s> = 0 mod m, resp.
+    <u, v_s> mod m in ``target``, for the v_s of lexicographic rank s."""
+    dots = [
+        sum(a * b for a, b in zip(u, v)) % m
+        for v in itertools.product(range(m), repeat=len(u))
+    ]
+    wanted = set(target)
+    # The string puts bit 0 last, so int(..., 2) reads rank s as bit s.
+    zero = "".join("1" if d == 0 else "0" for d in reversed(dots))
+    fit = "".join("1" if d in wanted else "0" for d in reversed(dots))
+    return int(zero, 2), int(fit, 2)
 
 
-def _assert_masks_match_definition(u, m):
-    # Rank s is the lexicographic rank of v_s in Z_m^h.
-    vectors = itertools.product(range(m), repeat=len(u))
-    want = [sum(a * b for a, b in zip(u, v)) % m for v in vectors]
-    masks = pirlab.mv._residue_masks(u, m)
-    assert len(masks) == m
-    assert _mask_owners(masks, m ** len(u)) == want, u
+def _kernel_targets(m):
+    """Every nonzero residue, the canonical set where m is squarefree,
+    <2> at m = 7, and three edge sets: {1}, no residue and every residue."""
+    sets = [tuple(range(1, m)), (1,), (), tuple(range(m))]
+    if all(m % (q * q) for q in range(2, m)):
+        sets.append(canonical_set(m))
+    if m == 7:
+        sets.append(two_subgroup(7))
+    return list(dict.fromkeys(sets))
 
 
 class TestResidueMasks:
-    """``_residue_masks`` against its definition: bit s of masks[r] is set
-    iff <u, v_s> = r mod m, and every rank lies in exactly one mask."""
+    """The two residue masks of ``_fit_masks`` against their definition,
+    bit for bit: bit s of ``zero`` is set iff <u, v_s> = 0 mod m, and bit
+    s of ``fit`` iff <u, v_s> mod m lies in the target set; no bit lies
+    past rank m^h - 1."""
 
     @pytest.mark.parametrize(
         "m,h",
@@ -294,8 +304,12 @@ class TestResidueMasks:
         ids=lambda value: str(value),
     )
     def test_every_u(self, m, h):
+        targets = _kernel_targets(m)
+        assert len(targets) >= 3
         for u in itertools.product(range(m), repeat=h):
-            _assert_masks_match_definition(u, m)
+            for target in targets:
+                got = pirlab.mv._fit_masks(u, m, target)
+                assert got == _definition_masks(u, m, target), (u, target)
 
     @pytest.mark.parametrize(
         "m,u",
@@ -304,7 +318,53 @@ class TestResidueMasks:
         ids=lambda value: str(value),
     )
     def test_u_with_zero_coordinates_in_large_spaces(self, m, u):
-        _assert_masks_match_definition(u, m)
+        for target in (tuple(range(1, m)), canonical_set(m), (1,)):
+            got = pirlab.mv._fit_masks(u, m, target)
+            assert got == _definition_masks(u, m, target), target
+
+
+class TestLargeSearchPins:
+    """Families, messages and digests of searches over large spaces, as
+    the search that built every residue mask of every vector found them."""
+
+    def test_m511_h2(self):
+        fam = search_matching_family(511, 2, canonical_set(511), 2)
+        assert fam.u == ((0, 1), (1, 0))
+        assert fam.v == ((1, 0), (0, 1))
+        assert fam.target_set == (1, 147, 365)
+
+    def test_m210_h2_three_members(self):
+        fam = search_matching_family(210, 2, canonical_set(210), 3)
+        assert fam.u == ((0, 1), (1, 0), (1, 1))
+        assert fam.v == ((1, 0), (0, 1), (105, 105))
+        assert fam.target_set == canonical_set(210)
+
+    def test_mersenne_four_dimensions(self):
+        fam = search_matching_family(7, 4, two_subgroup(7), 5, side_constraint=True)
+        assert fam.u == ((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 1, 1), (0, 1, 4, 4),
+                         (1, 1, 1, 2))
+        assert fam.v == ((0, 0, 1, 0), (0, 0, 0, 1), (0, 1, 2, 4), (0, 3, 4, 4),
+                         (1, 0, 2, 2))
+        assert fam.target_set == (1, 2, 4)
+
+    @pytest.mark.parametrize(
+        "name,config,digest",
+        [("dvir-gopi", {"m": 42}, "1fd2954b5a91ac08"),
+         ("gks", {"m": 6, "p": 7}, "dc6869a3f8d301b5")],
+    )
+    def test_digests(self, name, config, digest):
+        assert param_digest(build_named(name, config)) == digest
+
+    def test_m511_search_peak_memory(self):
+        # Each mask has m^h = 261121 bits (32 KB); a list of every vector
+        # or a mask per residue of the outer coordinate would pass 2 MB.
+        tracemalloc.start()
+        try:
+            search_matching_family(511, 2, canonical_set(511), 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
 
 
 class TestDecodingPolys:

@@ -794,15 +794,23 @@ class TestTcp:
             client_retrieve([other, (host, bad)], scheme, 0, seed=0, timeout=1.0)
         assert_no_connection(listener_pair)
 
-    @pytest.mark.parametrize("timeout", ["5", True, 0, float("inf")])
+    # 10**400 and 1e300 are finite but over threading.TIMEOUT_MAX: they used
+    # to end in a bare OverflowError, in math.isfinite and in the connect.
+    @pytest.mark.parametrize(
+        "timeout",
+        ["5", True, 0, float("inf"), pytest.param(10**400, id="10**400"), 1e300],
+    )
     def test_timeout_that_is_not_a_positive_number_connects_to_nothing(
         self, listener_pair, timeout
     ):
         scheme = build_cgks(8)
         endpoints = [l.getsockname()[:2] for l in listener_pair]
-        with pytest.raises(ParamError, match=re.escape(
-            f"timeout must be a finite number > 0, got {timeout!r}"
-        )):
+        if timeout in (10**400, 1e300):
+            message = ("timeout must be at most threading.TIMEOUT_MAX = "
+                       f"{threading.TIMEOUT_MAX:g} s, got {timeout!r}")
+        else:
+            message = f"timeout must be a finite number > 0, got {timeout!r}"
+        with pytest.raises(ParamError, match=re.escape(message)):
             client_retrieve(endpoints, scheme, 0, seed=0, timeout=timeout)
         assert_no_connection(listener_pair)
 
