@@ -8,8 +8,9 @@ the parity-constrained set pair of the Mersenne-prime indicator protocol.
 
 It also holds what the five schemes share: ``dot_mod``, the inner product
 <u, z> mod m; ``shift_scheme``, the one builder of all five, which owns
-their query array; and ``exponent_scheme``, the whole of Efremenko's
-scheme over F_p and of Raghavendra's over F_(2^r).
+their query array; ``power_table`` and ``check_decoding``, which state g's
+powers and the decoding identity once; and ``exponent_scheme``, the whole
+of Efremenko's scheme over F_p and of Raghavendra's over F_(2^r).
 Raghavendra's builder lives with the Mersenne schemes, so this module is
 where the two meet without one construction module loading the other.
 
@@ -27,7 +28,6 @@ from typing import Sequence
 
 from .algebra import (
     BinaryField,
-    SparsePoly,
     crt_combine,
     find_order_element,
     kernel_mod_prime,
@@ -192,11 +192,34 @@ def shift_scheme(
     )
 
 
+def power_table(ring, g, m: int) -> tuple:
+    """(g^0, ..., g^(m-1)) in ``ring``; ParamError unless g has order m:
+    g^m = 1 and the m powers are distinct."""
+    table = tuple(itertools.accumulate(
+        range(1, m), lambda acc, _: ring.mul(acc, g), initial=ring.one
+    ))
+    if ring.mul(table[-1], g) != ring.one or len(set(table)) != m:
+        raise ParamError(f"{g} does not have order {m} in {ring!r}")
+    return table
+
+
+def check_decoding(ring, gpow: Sequence, exponents: Sequence[int], coeffs, roots):
+    """The decoding identity: P = sum_j c_j * theta^(d_j) vanishes at g^delta
+    for every delta in ``roots`` and P(1) = 1, where ``gpow`` is g's
+    ``power_table``.  Raises DecodingPolyInvalid where it fails."""
+    m = len(gpow)
+    for delta in (0, *roots):
+        value = ring.dot(coeffs, [gpow[delta * d % m] for d in exponents])
+        if value != (ring.one if delta == 0 else ring.zero):
+            raise DecodingPolyInvalid(f"P(g^{delta}) = {value} != {int(not delta)}")
+
+
 def exponent_scheme(
     name: str,
     ring,
-    gpow: Sequence,
+    g,
     family: MatchingFamily,
+    targets: Sequence[int],
     offsets: Sequence[int],
     coeffs: Sequence,
     report: dict,
@@ -204,14 +227,18 @@ def exponent_scheme(
     """The exponent scheme over a family in Z_m^h: server j gets the shift
     query at offset d_j and answers with g^<u_tau, z>.
 
-    ``gpow[e]`` is g^e in ``ring`` for an element g of order m.  A decoding
-    polynomial sum_j c_j * theta^(d_j) that vanishes on the target set and
-    is 1 at theta = 1 gives the client lambda_j = c_j * g^(-<u_i, ell>):
-    the answers then combine to sum_tau x_tau * P(g^<u_tau, v_i>) = x_i.
+    A decoding polynomial P = sum_j c_j * theta^(d_j) that vanishes on
+    g^delta for delta in ``targets`` and is 1 at theta = 1 gives the client
+    lambda_j = c_j * g^(-<u_i, ell>): the answers then combine to
+    sum_tau x_tau * P(g^<u_tau, v_i>) = x_i.  It first checks all three
+    facts: ``validate_family``, ``power_table`` and ``check_decoding``.
     Efremenko's scheme takes ring = F_p; Raghavendra's takes F_(2^r) with
     m = 2^r - 1 and P = 1 + theta + theta^gamma.
     """
     m = family.m
+    validate_family(family, m, targets)
+    gpow = power_table(ring, g, m)
+    check_decoding(ring, gpow, offsets, coeffs, targets)
 
     def alpha(tau, z):
         return (gpow[dot_mod(family.u[tau], z, m)],)
@@ -365,21 +392,14 @@ class DecodingPoly:
     def coefficients(self) -> tuple[int, ...]:
         return tuple(c for _, c in self.monomials)
 
-    def as_sparse_poly(self, field: PrimeField) -> SparsePoly:
-        return SparsePoly(field, self.monomials)
-
     def validate(self) -> None:
-        """Re-verify the defining identities with the generic evaluator."""
+        """Check g's order (ParamError) and the decoding identity over the
+        canonical set (DecodingPolyInvalid)."""
         field = PrimeField(self.p)
-        poly = self.as_sparse_poly(field)
-        for delta in canonical_set(self.m):
-            value = poly.evaluate(pow(self.g, delta, self.p))
-            if value != 0:
-                raise DecodingPolyInvalid(
-                    f"P(g^{delta}) = {value} != 0 (m={self.m}, p={self.p})"
-                )
-        if poly.evaluate(1) != 1:
-            raise DecodingPolyInvalid(f"P(1) = {poly.evaluate(1)} != 1")
+        gpow = power_table(field, self.g, self.m)
+        check_decoding(
+            field, gpow, self.exponents, self.coefficients, canonical_set(self.m)
+        )
 
 
 def trivial_decoding_poly(m: int, p: int) -> DecodingPoly:
@@ -387,15 +407,14 @@ def trivial_decoding_poly(m: int, p: int) -> DecodingPoly:
     canonical set, with at most 2^r monomials."""
     field = PrimeField(p)
     g = find_order_element(field, m)
-    s_m = canonical_set(m)
+    gpow = power_table(field, g, m)
     # Dense expansion of the monic product, lowest degree first.
     coeffs = [1]
-    for delta in s_m:
-        root = pow(g, delta, p)
+    for delta in canonical_set(m):
         new = [0] * (len(coeffs) + 1)
         for k, c in enumerate(coeffs):
             new[k + 1] = (new[k + 1] + c) % p
-            new[k] = (new[k] - c * root) % p
+            new[k] = (new[k] - c * gpow[delta]) % p
         coeffs = new
     scale = field.inv(sum(coeffs) % p)
     monomials = tuple(
@@ -439,7 +458,7 @@ def sparse_decoding_poly_search(
     field = PrimeField(p)
     g = find_order_element(field, m)
     s_m = canonical_set(m)
-    gpow = [pow(g, j, p) for j in range(m)]
+    gpow = power_table(field, g, m)
 
     def try_exponents(exps: tuple[int, ...]) -> DecodingPoly | None:
         rows = [[gpow[delta * d % m] for d in exps] for delta in s_m]

@@ -10,14 +10,13 @@ and the client selects one bit per server.  The exponent variant answers
 with the single field element g^<u_tau, z>; there the three-term polynomial
 1 + theta + theta^gamma vanishes on g^<2> and kills every off-index term.
 That is Efremenko's scheme with F_(2^r) in place of F_p, so both are built
-by ``mv.exponent_scheme``.
+by ``mv.exponent_scheme``, which checks g's order and the polynomial.
 """
 
 from __future__ import annotations
 
-from ..algebra import SparsePoly
 from ..engine import PrimeField, Scheme
-from ..errors import DecodingPolyInvalid, ParamError
+from ..errors import ParamError
 from ..mv import (
     MatchingFamily,
     NiceSets,
@@ -80,28 +79,16 @@ def build_yekhanin(p: int, family: MatchingFamily, nice: NiceSets) -> Scheme:
 
 
 def build_raghavendra(p: int, family: MatchingFamily) -> Scheme:
-    validate_family(family, p, two_subgroup(p))
     r, f2r, g, gamma = mersenne_field(p)
     offsets = (0, 1, gamma)
-    coeffs = (f2r.one,) * 3
-    poly = SparsePoly(f2r, tuple(zip(offsets, coeffs)))
-    for delta in two_subgroup(p):
-        val = poly.evaluate(f2r.pow(g, delta))
-        if val != f2r.zero:
-            raise DecodingPolyInvalid(f"1 + theta + theta^{gamma} != 0 at g^{delta}")
-    if poly.evaluate(f2r.one) != f2r.one:
-        raise DecodingPolyInvalid("polynomial must take value 1 at theta = 1")
-
-    gpow = [f2r.one]
-    for _ in range(p - 1):
-        gpow.append(f2r.mul(gpow[-1], g))
     return exponent_scheme(
         "raghavendra",
         f2r,
-        gpow,
+        g,
         family,
+        two_subgroup(p),
         offsets,
-        coeffs,
+        (f2r.one,) * 3,
         report={
             "p": p,
             "r": r,

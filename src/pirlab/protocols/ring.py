@@ -8,7 +8,7 @@ univariate polynomial:
 * ``build_efremenko``: answers are single F_p elements g^<u_tau, z>; a
   sparse decoding polynomial vanishing on the canonical powers of g
   supplies the combination coefficients directly (``mv.exponent_scheme``
-  over F_p).
+  over F_p, which checks g's order and the polynomial).
 * ``build_dvir_gopi``: answers live in the group ring Z_m[g]/(g^m - 1) and
   carry the multiplier vector (1, u_tau), so each server also answers a
   derivative and the server count halves to 2^(r-1).  The recovery pair
@@ -16,9 +16,9 @@ univariate polynomial:
   product of (Y - g^c) over the canonical c = 0 mod q, glued by CRT.
   This is the one scheme whose reconstruction target omega is not 1.
 * ``build_gks``: queries are points of the order-m subgroup H_m of F_p^*
-  and answers carry first-order Hasse derivatives; a multiplicity-2
-  constant-term interpolation over the enlarged modulus m' = m * p does
-  the decoding.
+  (``mv.power_table``) and answers carry first-order Hasse derivatives; a
+  multiplicity-2 constant-term interpolation over the enlarged modulus
+  m' = m * p does the decoding.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from ..algebra import (
     interpolation_vector,
     squarefree_factors,
 )
-from ..engine import PrimeField, Scheme, is_prime
+from ..engine import PrimeField, Scheme
 from ..errors import NoMuNu, ParamError
 from ..mv import (
     DecodingPoly,
@@ -41,36 +41,29 @@ from ..mv import (
     canonical_set,
     dot_mod,
     exponent_scheme,
+    power_table,
     shift_scheme,
     validate_family,
 )
 
 
 def build_efremenko(m: int, p: int, family: MatchingFamily, poly: DecodingPoly) -> Scheme:
-    validate_family(family, m, canonical_set(m))
-    field = PrimeField(p)
     if poly.m != m or poly.p != p:
         raise ParamError("decoding polynomial built for different (m, p)")
-    poly.validate()
-    g = poly.g
-    if pow(g, m, p) != 1 or any(
-        pow(g, m // q, p) == 1 for q in set(squarefree_factors(m))
-    ):
-        raise ParamError(f"{g} does not have order {m} in F_{p}")
     if poly.k < 2:
         raise ParamError("need at least 2 monomials / servers")
-    gpow = [pow(g, j, p) for j in range(m)]
     return exponent_scheme(
         "efremenko",
-        field,
-        gpow,
+        PrimeField(p),
+        poly.g,
         family,
+        canonical_set(m),
         poly.exponents,
         poly.coefficients,
         report={
             "m": m,
             "p": p,
-            "g": g,
+            "g": poly.g,
             "h": family.h,
             "canonical_set": canonical_set(m),
             "poly_exponents": poly.exponents,
@@ -184,8 +177,7 @@ def build_dvir_gopi(m: int, family: MatchingFamily) -> Scheme:
 
 
 def build_gks(m: int, p: int, family: MatchingFamily) -> Scheme:
-    if not is_prime(p):
-        raise ParamError(f"{p} is not prime")
+    field = PrimeField(p)
     if math.gcd(p, m) != 1 or (p - 1) % m != 0:
         raise ParamError(f"need gcd(p, m) = 1 and m | p - 1; got m={m}, p={p}")
     m_prime = m * p
@@ -203,10 +195,9 @@ def build_gks(m: int, p: int, family: MatchingFamily) -> Scheme:
     if lifted != set(support_mp):
         raise ParamError("canonical set of m' is not the CRT lift; bad (m, p)")
 
-    field = PrimeField(p)
     g = find_order_element(field, m)
     k = m  # one server per point of the order-m subgroup H_m
-    points = tuple(pow(g, j, p) for j in range(k))
+    points = power_table(field, g, m)
 
     # Plain constant-term recovery on the small support certifies the point
     # set; the multiplicity-2 vector on the lifted support is what the
@@ -215,7 +206,6 @@ def build_gks(m: int, p: int, family: MatchingFamily) -> Scheme:
     mu = interpolation_vector(p, points, support_mp, multiplicity=2)
 
     h = family.h
-    inv_points = [field.inv(b) for b in points]
 
     def alpha(tau, z):
         # At the point b = (g^z_1, ..., g^z_h), the monomial b^u is g^e for
@@ -238,7 +228,7 @@ def build_gks(m: int, p: int, family: MatchingFamily) -> Scheme:
             blocks.append(
                 (m_val,)
                 + tuple(
-                    m_der * (vc % p) % p * qc % p * inv_points[j] % p
+                    m_der * (vc % p) % p * qc % p * points[-j % m] % p
                     for vc, qc in zip(v, qvals)
                 )
             )

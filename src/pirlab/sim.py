@@ -196,7 +196,6 @@ class Transcript:
     aux never appears here: it stays on the client side.
     """
 
-    protocol: str
     entries: list[ServerEntry] = field(default_factory=list)
 
     @property
@@ -226,7 +225,7 @@ def run_inprocess(
     queries, aux = query_gen(scheme, i, seed)
     db = prepare(scheme, x)
     nodes = [ServerNode(j, scheme, db) for j in range(1, scheme.k + 1)]
-    transcript = Transcript(protocol=scheme.name)
+    transcript = Transcript()
     answers = []
     for node, q in zip(nodes, queries):
         q_bytes = scheme.level_codec.encode(q)
@@ -458,7 +457,7 @@ def client_retrieve(
     queries, aux = query_gen(scheme, i, seed)
     digest = param_digest(scheme)
     query_bytes = [scheme.level_codec.encode(q) for q in queries]
-    transcript = Transcript(protocol=scheme.name)
+    transcript = Transcript()
     with contextlib.ExitStack() as stack:
         socks, starts = [], []
         for j, (host, port) in enumerate(endpoints):

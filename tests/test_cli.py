@@ -354,7 +354,7 @@ class TestConfigFile:
 
         def fake_retrieve(endpoints, scheme, i, seed, timeout):
             seen["timeout"] = timeout
-            return 0, Transcript(protocol=scheme.name)
+            return 0, Transcript()
 
         monkeypatch.setattr(cli, "client_retrieve", fake_retrieve)
         cfg = tmp_path / "run.cfg"

@@ -4,8 +4,8 @@ or the benchmark, importing the CLI loads no heavy module it does not
 need, only the engine states the bit order of a packed integer, each
 family of query arrays builds its schemes in one place (cube.py, toy.py,
 ``curve.curve_scheme`` and ``mv.shift_scheme``), only the verifier raises
-a span or orthogonal-array failure, and no module outside ``protocols/``
-names a protocol.
+a span or orthogonal-array failure, only ``mv`` checks a decoding identity,
+and no module outside ``protocols/`` names a protocol.
 
 An import nobody uses keeps a deleted or renamed API looking alive, so the
 scan covers the library, the tests and the demos.  Names listed in
@@ -205,6 +205,21 @@ def test_only_the_verifier_raises_check_failures():
         str(path.relative_to(ROOT))
         for path in sorted((ROOT / "src").rglob("*.py"))
         if path.name != "verify.py" and pattern.search(path.read_text())
+    ]
+    assert offenders == []
+
+
+def test_only_mv_checks_a_decoding_identity():
+    # mv.check_decoding is the one check that a decoding polynomial vanishes
+    # on the target powers of g and is 1 at theta = 1.  algebra.SparsePoly
+    # stays as the independent evaluator the tests and demos check it
+    # against, so no other library module names it.
+    raises = re.compile(r"raise\s+DecodingPolyInvalid\b")
+    offenders = [
+        str(path.relative_to(ROOT))
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        if (path.name != "mv.py" and raises.search(path.read_text()))
+        or (path.name != "algebra.py" and "SparsePoly" in path.read_text())
     ]
     assert offenders == []
 

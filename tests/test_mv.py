@@ -9,15 +9,22 @@ import tracemalloc
 import pytest
 
 import pirlab.mv
-from pirlab.algebra import find_order_element, try_solve_mod_prime
+from pirlab.algebra import (
+    BinaryField,
+    SparsePoly,
+    find_order_element,
+    try_solve_mod_prime,
+)
 from pirlab.engine import PrimeField
-from pirlab.errors import Exhausted, ParamError
+from pirlab.errors import DecodingPolyInvalid, Exhausted, ParamError
 from pirlab.mv import (
     DecodingPoly,
     MatchingFamily,
     canonical_set,
     check_matching_family,
+    exponent_scheme,
     k_r_table,
+    power_table,
     search_matching_family,
     sparse_decoding_poly_search,
     trivial_decoding_poly,
@@ -373,7 +380,7 @@ class TestDecodingPolys:
         assert poly.g == 3
         assert poly.k <= 4
         field = PrimeField(7)
-        sp = poly.as_sparse_poly(field)
+        sp = SparsePoly(field, poly.monomials)
         for delta in (1, 3, 4):
             assert sp.evaluate(pow(3, delta, 7)) == 0
         assert sp.evaluate(1) == 1
@@ -393,10 +400,16 @@ class TestDecodingPolys:
         broken = DecodingPoly(
             m=6, p=7, g=3, monomials=((0, 2),) + poly.monomials[1:]
         )
-        from pirlab.errors import DecodingPolyInvalid
-
         with pytest.raises(DecodingPolyInvalid):
             broken.validate()
+
+    def test_validate_rejects_g_of_wrong_order(self):
+        # 2 has order 3 in F_7, not 6: the identity is read at the wrong
+        # points whatever the monomials are.
+        poly = trivial_decoding_poly(6, 7)
+        wrong = DecodingPoly(m=6, p=7, g=2, monomials=poly.monomials)
+        with pytest.raises(ParamError, match="does not have order 6"):
+            wrong.validate()
 
     def test_sparse_search_m6_terminates(self):
         # Exhaustive over the C(5,2) = 10 exponent sets containing 0; either
@@ -454,6 +467,39 @@ class TestDecodingPolys:
             "no 3-monomial decoding polynomial for m=15 over F_31 "
             "(91 exponent sets tried)"
         )
+
+
+class TestPowerTable:
+    @pytest.mark.parametrize(
+        "ring,g,m", [(PrimeField(7), 3, 6), (BinaryField(3), 0b10, 7)]
+    )
+    def test_matches_pow(self, ring, g, m):
+        assert power_table(ring, g, m) == tuple(ring.pow(g, j) for j in range(m))
+
+    @pytest.mark.parametrize(
+        "ring,g,m",
+        [
+            (PrimeField(7), 1, 6),  # g = 1 repeats at once
+            (BinaryField(3), 1, 7),
+            (PrimeField(7), 2, 6),  # order 3: the powers repeat
+            (PrimeField(7), 3, 3),  # order 6: g^3 = 6 != 1
+        ],
+    )
+    def test_refuses_wrong_order(self, ring, g, m):
+        with pytest.raises(ParamError, match=f"does not have order {m}"):
+            power_table(ring, g, m)
+
+
+class TestExponentScheme:
+    def test_refuses_a_polynomial_that_does_not_vanish(self, mersenne_family):
+        # Raghavendra's P = 1 + theta + theta^3 over F_8 with its theta^3
+        # coefficient changed from 1 to x: P(1) = x, not 1.
+        f8 = BinaryField(3)
+        with pytest.raises(DecodingPolyInvalid):
+            exponent_scheme(
+                "bad", f8, f8.gen, mersenne_family, two_subgroup(7),
+                (0, 1, 3), (f8.one, f8.one, f8.gen), report={},
+            )
 
 
 class TestNiceSets:

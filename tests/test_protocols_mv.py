@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import pirlab.mv
 from pirlab.algebra import (
     BinaryField,
     CyclicGroupRing,
@@ -14,8 +15,14 @@ from pirlab.algebra import (
     interpolation_vector,
 )
 from pirlab.engine import comm_cost
-from pirlab.errors import ParamError
-from pirlab.mv import MatchingFamily, canonical_set, search_matching_family
+from pirlab.errors import DecodingPolyInvalid, ParamError, PirError
+from pirlab.mv import (
+    DecodingPoly,
+    MatchingFamily,
+    canonical_set,
+    search_matching_family,
+    trivial_decoding_poly,
+)
 from pirlab.protocols.mersenne import build_raghavendra, build_yekhanin
 from pirlab.protocols.ring import build_dvir_gopi, build_efremenko, build_gks
 from pirlab.protocols.registry import desk_schemes
@@ -119,6 +126,10 @@ class TestRaghavendra:
         _suites(build_raghavendra(7, mersenne_family))
 
 
+# The monomials of the product decoding polynomial for m = 6 over F_7.
+PRODUCT_6_7 = trivial_decoding_poly(6, 7).monomials
+
+
 class TestEfremenko:
     def test_trivial_poly_gives_four_servers(self, canonical_family_6, poly_6_7):
         scheme = build_efremenko(6, 7, canonical_family_6, poly_6_7)
@@ -148,6 +159,27 @@ class TestEfremenko:
         )
         with pytest.raises(ParamError):
             build_efremenko(6, 7, bad, poly_6_7)
+
+    @pytest.mark.parametrize(
+        "poly,error",
+        [
+            (trivial_decoding_poly(6, 13), ParamError),  # 6 | 12: it exists
+            (DecodingPoly(6, 7, 3, ((0, 1),)), ParamError),
+            # the product polynomial with its constant coefficient changed
+            (DecodingPoly(6, 7, 3, ((0, 2),) + PRODUCT_6_7[1:]), DecodingPolyInvalid),
+            (DecodingPoly(6, 7, 2, PRODUCT_6_7), ParamError),  # 2 has order 3
+        ],
+        ids=["other-m-p", "one-monomial", "changed-coefficient", "g-of-order-3"],
+    )
+    def test_refuses_bad_polynomial(self, canonical_family_6, poly, error, monkeypatch):
+        # Each is refused with its typed error before any scheme exists.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("built a scheme from a bad polynomial")
+
+        monkeypatch.setattr(pirlab.mv, "shift_scheme", unreachable)
+        with pytest.raises(error) as info:
+            build_efremenko(6, 7, canonical_family_6, poly)
+        assert isinstance(info.value, PirError)
 
     def test_raw_bits(self, canonical_family_6, poly_6_7):
         scheme = build_efremenko(6, 7, canonical_family_6, poly_6_7)
