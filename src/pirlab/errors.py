@@ -34,10 +34,6 @@ class DecodingPolyInvalid(PirError):
     """A decoding polynomial fails its root or normalization identities."""
 
 
-class NoMuNu(PirError):
-    """No reconstruction pair (mu, nu) with nu a non-vanishing component exists."""
-
-
 class InterpolationSetInvalid(PirError):
     """An evaluation set fails the constant-term interpolation property."""
 

@@ -121,7 +121,8 @@ def _recv_exact(
             sock.settimeout(remaining)
         chunk = sock.recv(length - got)
         if not chunk:
-            raise TransportError("connection closed mid-frame")
+            began = bool(got) or not first  # else the peer closed between frames
+            raise TransportError("connection closed" + " mid-frame" * began)
         chunks.append(chunk)
         got += len(chunk)
     return b"".join(chunks)
@@ -373,13 +374,13 @@ class PirServer(socketserver.ThreadingTCPServer):
 
 @contextlib.contextmanager
 def _socket_errors(host: str, port: int):
-    """A socket error on a connected server becomes a typed error naming it:
-    Timeout for a timeout, TransportError for a reset or broken pipe."""
+    """A socket or frame error on a connected server becomes a typed error
+    naming it: Timeout for a timeout, TransportError for any other."""
     try:
         yield
     except TimeoutError as exc:  # itself an OSError, so caught first
         raise Timeout(f"server {host}:{port} timed out") from exc
-    except OSError as exc:
+    except (OSError, TransportError) as exc:
         raise TransportError(f"server {host}:{port}: {exc}") from exc
 
 

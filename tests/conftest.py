@@ -1,3 +1,4 @@
+import contextlib
 import socket
 import struct
 import threading
@@ -13,7 +14,15 @@ from pirlab.mv import (
 )
 from pirlab.errors import TransportError
 from pirlab.protocols.cube import build_cgks
-from pirlab.sim import MSG_ANSWER, MSG_CONFIG, param_digest, read_frame, write_frame
+from pirlab.sim import (
+    MAGIC,
+    MSG_ANSWER,
+    MSG_CONFIG,
+    encode_frame,
+    param_digest,
+    read_frame,
+    write_frame,
+)
 
 
 @pytest.fixture(scope="session")
@@ -48,40 +57,17 @@ def listener_pair():
         listener.close()
 
 
-@pytest.fixture
-def resetting_listeners(listener_pair):
-    """The endpoints of two listeners that each read one connection's HELLO
-    and then reset it (SO_LINGER 0 makes close send RST, not FIN)."""
-    listeners = listener_pair
-
-    def reset_after_hello():
-        for listener in listeners:
-            try:
-                conn, _ = listener.accept()
-                with conn:
-                    read_frame(conn)
-                    linger = struct.pack("ii", 1, 0)
-                    conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, linger)
-            except OSError:
-                return
-
-    thread = threading.Thread(target=reset_after_hello, daemon=True)
-    thread.start()
-    yield [listener.getsockname()[:2] for listener in listeners]
-    thread.join(timeout=5)
-    assert not thread.is_alive()
-
-
-@pytest.fixture
-def malformed_answer_listeners(listener_pair):
-    """The endpoints of two listeners that take one connection each, reply
-    to each HELLO with the CONFIG of cgks n=8 and to each QUERY with a
-    5-byte ANSWER, four bytes wider than a cgks n=8 answer.  A client that
-    closes after the CONFIG ends the stub quietly."""
-    listeners = listener_pair
+@contextlib.contextmanager
+def _stub_servers(listeners, answer=None, reset=False):
+    """The endpoints of two listeners served by a stub thread that takes one
+    connection on each and reads its HELLO.  With ``answer`` None it then
+    closes each connection, by RST if ``reset`` (SO_LINGER 0) and by FIN
+    otherwise.  Else it replies to each HELLO with the CONFIG of cgks n=8
+    and to each QUERY with the raw bytes ``answer``.  A client that closes
+    early ends the stub quietly."""
     config = f"cgks {param_digest(build_cgks(8))}".encode()
 
-    def answer_too_wide():
+    def serve():
         try:
             conns = [listener.accept()[0] for listener in listeners]
         except OSError:
@@ -91,15 +77,62 @@ def malformed_answer_listeners(listener_pair):
                 for conn in conns:
                     conn.settimeout(2.0)
                     read_frame(conn)
-                    write_frame(conn, MSG_CONFIG, config)
+                    if reset:
+                        linger = struct.pack("ii", 1, 0)
+                        conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, linger)
+                    elif answer is not None:
+                        write_frame(conn, MSG_CONFIG, config)
+                if answer is None:
+                    return
                 for conn in conns:
                     read_frame(conn)
-                    write_frame(conn, MSG_ANSWER, bytes(5))
+                    conn.sendall(answer)
             except (OSError, TransportError):
                 return
 
-    thread = threading.Thread(target=answer_too_wide, daemon=True)
+    thread = threading.Thread(target=serve, daemon=True)
     thread.start()
     yield [listener.getsockname()[:2] for listener in listeners]
     thread.join(timeout=5)
     assert not thread.is_alive()
+
+
+@pytest.fixture
+def resetting_listeners(listener_pair):
+    """Endpoints whose stubs reset each connection after its HELLO."""
+    with _stub_servers(listener_pair, reset=True) as endpoints:
+        yield endpoints
+
+
+@pytest.fixture
+def closing_listeners(listener_pair):
+    """Endpoints whose stubs close each connection after its HELLO with a
+    FIN: the client reads end of file before any byte of a CONFIG, as it
+    does from a server at its connection cap."""
+    with _stub_servers(listener_pair) as endpoints:
+        yield endpoints
+
+
+@pytest.fixture
+def malformed_answer_listeners(listener_pair):
+    """Endpoints whose stubs answer each QUERY with a 5-byte ANSWER, four
+    bytes wider than a cgks n=8 answer."""
+    with _stub_servers(listener_pair, encode_frame(MSG_ANSWER, bytes(5))) as endpoints:
+        yield endpoints
+
+
+@pytest.fixture
+def bad_magic_listeners(listener_pair):
+    """Endpoints whose stubs answer each QUERY with a header whose magic is
+    b"XXXX"."""
+    with _stub_servers(listener_pair, b"XXXX" + bytes(5)) as endpoints:
+        yield endpoints
+
+
+@pytest.fixture
+def over_cap_listeners(listener_pair):
+    """Endpoints whose stubs answer each QUERY with an ANSWER header that
+    declares 2^31 payload bytes, over read_frame's default cap."""
+    header = MAGIC + bytes([MSG_ANSWER]) + struct.pack("<I", 2**31)
+    with _stub_servers(listener_pair, header) as endpoints:
+        yield endpoints

@@ -2,6 +2,7 @@
 Z_m, their construction-time identities, and exhaustive desk suites."""
 
 import math
+import operator
 import random
 
 import pytest
@@ -12,14 +13,17 @@ from pirlab.algebra import (
     CyclicGroupRing,
     SparsePoly,
     crt_combine,
+    find_order_element,
+    interpolation_matrix,
     interpolation_vector,
 )
-from pirlab.engine import comm_cost
+from pirlab.engine import PrimeField, comm_cost
 from pirlab.errors import DecodingPolyInvalid, ParamError, PirError
 from pirlab.mv import (
     DecodingPoly,
     MatchingFamily,
     canonical_set,
+    power_table,
     search_matching_family,
     trivial_decoding_poly,
 )
@@ -193,12 +197,13 @@ def _prime_factors(m):
     return [q for q in range(2, m + 1) if m % q == 0 and all(q % d for d in range(2, q))]
 
 
-# Every squarefree m <= 42 with at least two prime factors, and three more.
+# Every squarefree m <= 42 with at least two prime factors, and six more,
+# up to 2310, the first with five primes (k = 16).
 RECOVERY_MODULI = [
     m
     for m in range(2, 43)
     if len(_prime_factors(m)) >= 2 and math.prod(_prime_factors(m)) == m
-] + [66, 105, 210]
+] + [66, 105, 210, 330, 1155, 2310]
 
 
 class TestDvirGopi:
@@ -261,6 +266,16 @@ class TestDvirGopi:
             ell = scheme.sample_randomness(rng)
             span_check(scheme, rng.randrange(scheme.n), ell)
 
+    def test_span_m210_sampled(self):
+        # Four primes, so k = 8: the closed-form (mu, nu) through the build.
+        family = search_matching_family(210, 2, canonical_set(210), 3)
+        scheme = build_dvir_gopi(210, family)
+        assert scheme.k == 8
+        rng = random.Random(210)
+        for _ in range(20):
+            ell = scheme.sample_randomness(rng)
+            span_check(scheme, rng.randrange(scheme.n), ell)
+
     def test_answer_structure(self, canonical_family_6):
         scheme = build_dvir_gopi(6, canonical_family_6)
         vec = scheme.alpha(0, (1, 2, 3))
@@ -300,14 +315,40 @@ def _expand_and_read_coefficient(u, z, i, p):
     return poly.get(tuple(i), 0)
 
 
+# (m, p) with m squarefree and m | p - 1, so p does not divide m.
+GKS_PAIRS = [
+    (2, 3), (2, 5), (3, 7), (5, 11), (6, 7), (6, 13), (10, 11), (15, 31), (30, 31)
+]
+
+
 class TestGks:
     def test_canonical_lift(self):
-        lifted = {
-            crt_combine((a, b), (2, 3))
-            for a in (0, 1)
-            for b in (0, 1)
-        }
-        assert lifted == {0} | set(canonical_set(6))
+        # build_gks's support {0} union the canonical set of m * p is the CRT
+        # image of ({0} union the canonical set of m) x {0, 1}.
+        for m, p in GKS_PAIRS:
+            lifted = {
+                crt_combine((a, b), (m, p))
+                for a in (0,) + canonical_set(m)
+                for b in (0, 1)
+            }
+            assert lifted == {0} | set(canonical_set(m * p)), (m, p)
+
+    @pytest.mark.parametrize("m, p", GKS_PAIRS)
+    def test_subgroup_points_recover_constant_term(self, m, p):
+        # The m points of H_m are distinct, so values alone recover the
+        # constant term on the small support (a Vandermonde system), and
+        # values with first Hasse derivatives do on the lifted support.
+        field = PrimeField(p)
+        points = power_table(field, find_order_element(field, m), m)
+        for support, multiplicity in (
+            ((0,) + canonical_set(m), 1),
+            ((0,) + canonical_set(m * p), 2),
+        ):
+            mu = interpolation_vector(p, points, support, multiplicity)
+            rows = interpolation_matrix(p, points, support, multiplicity)
+            assert [sum(map(operator.mul, row, mu)) % p for row in rows] == [
+                int(delta == 0) for delta in support
+            ]
 
     def test_interpolation_vectors(self):
         # Plain recovery on the base support from the two subgroup points.
@@ -341,8 +382,10 @@ class TestGks:
             assert got == coeffs[0]
 
     def test_rejects_bad_parameters(self, family_m6):
-        with pytest.raises(ParamError):
+        with pytest.raises(ParamError, match=r"m \| p - 1; got m=3, p=5"):
             build_gks(3, 5, family_m6)  # 3 does not divide 5 - 1
+        with pytest.raises(ParamError, match=r"m \| p - 1; got m=0, p=3"):
+            build_gks(0, 3, family_m6)
 
     def test_alpha_is_value_and_first_hasse_derivatives(self, family_m6):
         # alpha_tau at the subgroup point b = g^z is b^u followed by the

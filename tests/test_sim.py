@@ -85,8 +85,15 @@ class TestFraming:
 
     def test_length_mismatch(self):
         frame = encode_frame(MSG_QUERY, b"abc")
-        with pytest.raises(TransportError):
+        with pytest.raises(TransportError, match="^connection closed mid-frame$"):
             _read_back(frame[:-1])
+
+    @pytest.mark.parametrize("cut", [0, 3])
+    def test_close_before_or_inside_a_header(self, cut):
+        # A peer that closes between frames is not said to break one.
+        message = "connection closed mid-frame" if cut else "connection closed"
+        with pytest.raises(TransportError, match=f"^{message}$"):
+            _read_back(encode_frame(MSG_QUERY, b"abc")[:cut])
 
     def test_oversized_length_rejected_before_recv(self):
         # The writer stays open: a reader that trusted the header would wait
@@ -701,6 +708,20 @@ class TestTcp:
         port = resetting_listeners[0][1]
         with pytest.raises(TransportError, match=f"server 127.0.0.1:{port}") as info:
             client_retrieve(resetting_listeners, scheme, 0, seed=0, timeout=2.0)
+        assert not isinstance(info.value, Timeout)
+
+    @pytest.mark.parametrize("stub, message", [
+        ("closing_listeners", "connection closed"),
+        ("bad_magic_listeners", "bad magic b'XXXX'"),
+        ("over_cap_listeners", f"declared length {2**31} exceeds {MAX_FRAME_PAYLOAD}"),
+    ], ids=["fin-after-hello", "bad-magic", "over-cap"])
+    def test_frame_error_is_a_transport_error_naming_it(self, request, stub, message):
+        # read_frame's own errors, not only socket errors, name the server.
+        endpoints = request.getfixturevalue(stub)
+        port = endpoints[0][1]
+        with pytest.raises(TransportError) as info:
+            client_retrieve(endpoints, build_cgks(8), 0, seed=0, timeout=2.0)
+        assert str(info.value) == f"server 127.0.0.1:{port}: {message}"
         assert not isinstance(info.value, Timeout)
 
     def test_malformed_answer_is_a_transport_error_naming_it(
