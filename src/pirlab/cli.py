@@ -214,7 +214,7 @@ def _scheme_report(scheme, report: _Report):
     cost = comm_cost(scheme)
     report.kv(
         {
-            "rows_per_array": scheme.num_rows,
+            "rows_per_array": scheme.randomness.size_text,
             "raw_bits_total": f"{cost.raw_bits:g}",
             "query_bytes_per_server": cost.level_bytes,
             "answer_bytes_per_server": cost.answer_bytes,

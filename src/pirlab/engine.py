@@ -77,6 +77,31 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def least(lo: int, n: int, size: Callable[[int], int]) -> int:
+    """The least h >= lo with size(h) >= n, for a size that never decreases
+    and reaches n: a scheme's least dimension, such as the cube side or the
+    curve length.
+
+    Steps of 1, 2, 4, ... from lo bracket h, and a bisection inside the
+    bracket finds it: O(log(h - lo)) calls of size in all.  The bisection
+    is written out, since ``bisect`` cannot index a range past 2^63."""
+    if size(lo) >= n:
+        return lo
+    # size(lo) < n <= size(hi) from the end of the doubling on.
+    step = 1
+    while size(lo + step) < n:
+        lo += step
+        step *= 2
+    hi = lo + step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if size(mid) < n:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 class PrimeField:
     """The field F_p of integers modulo a prime p.
 
@@ -168,9 +193,17 @@ class Codec:
 
     @property
     def size_text(self) -> str:
-        """``size`` as "radix^count": printed in full, the randomness space
-        of a deployment runs to hundreds of digits."""
-        return f"{self.radix}^{self.count}"
+        """``size`` as text, the one way a space's size is written: in
+        decimal below 2^64, and as "radix^count" from 2^64 on, with a
+        power-of-two radix of 2^64 or more written "(2^b)".  In full, the
+        randomness space of a deployment runs to thousands of digits, past
+        what CPython will turn into a string."""
+        if self.size < 2**64:
+            return str(self.size)
+        radix = str(self.radix)
+        if self.radix >= 2**64 and self.radix & (self.radix - 1) == 0:
+            radix = f"(2^{self.radix.bit_length() - 1})"
+        return f"{radix}^{self.count}"
 
     def validate(self, values: Sequence[int]) -> None:
         if len(values) != self.count:

@@ -274,8 +274,8 @@ def search_matching_family(
         raise ParamError("h must be >= 1")
     if m**h > ROW_CAP:
         raise ParamError(
-            f"Z_{m}^{h} has {m**h} vectors, over the enumeration cap "
-            f"{ROW_CAP}; choose a smaller h"
+            f"Z_{m}^{h} has {Codec(m, h).size_text} vectors, over the "
+            f"enumeration cap {ROW_CAP}; choose a smaller h"
         )
     if n_target < 1:
         raise ParamError("n_target must be >= 1")

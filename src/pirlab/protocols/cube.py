@@ -25,18 +25,11 @@ Kushilevitz & Sudan, JACM 1998).
 
 from __future__ import annotations
 
-from ..engine import Codec, PrimeField, Scheme, pack_bits
-
-
-def side_length(n: int) -> int:
-    h = 1
-    while h**3 < n:
-        h += 1
-    return h
+from ..engine import Codec, PrimeField, Scheme, least, pack_bits
 
 
 def build_cgks(n: int) -> Scheme:
-    h = side_length(n)
+    h = least(1, n, lambda side: side**3)
     zeta = 2**h
     field = PrimeField(2)
     dim = 3 * h + 1

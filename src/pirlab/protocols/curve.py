@@ -22,8 +22,8 @@ So the builders keep one table of C(c, j) per degree j, not the n supports,
 and ``colex_unrank`` recovers a support with one bisection per degree.
 Each table is the running sum of the one below it, by the hockey-stick
 identity C(c, j) = sum_{m < c} C(m, j-1), starting from C(c, 0) = 1; so a
-build makes no ``math.comb`` call per coordinate.  ``minimal_h`` finds h by
-bisection, with O(log n) calls in all.
+build makes no ``math.comb`` call per coordinate.  ``minimal_h`` finds h
+through ``engine.least``, with O(log n) calls in all.
 
 The ranks whose top element is b form the block [C(b, d), C(b+1, d)), and
 the lower (d-1)-subsets of that block are again in colex order.  So
@@ -42,7 +42,7 @@ import bisect
 import itertools
 import math
 
-from ..engine import Codec, PrimeField, Scheme
+from ..engine import Codec, PrimeField, Scheme, least
 from ..errors import ParamError
 
 
@@ -102,15 +102,14 @@ def _block_sum(x, z, d: int, tables: list[list[int]]) -> int:
 
 
 def minimal_h(d: int, n: int) -> int:
-    """The least h >= max(d, 1) with C(h, d) >= n, so that n indices fit
-    in the weight-d vectors of length h.
+    """The least h >= d with C(h, d) >= n, so that n indices fit in the
+    weight-d vectors of length h.
 
-    C(h, d) grows with h, and C(lo + n - 1, d) >= n for d >= 1, so a
-    bisection over [lo, lo + n) finds h with O(log n) ``math.comb`` calls."""
-    lo = max(d, 1)
-    return lo + bisect.bisect_left(
-        range(lo, lo + n), n, key=lambda h: math.comb(h, d)
-    )
+    For d >= 1, C(h, d) grows with h without bound, so ``engine.least``
+    finds h with O(log n) ``math.comb`` calls."""
+    if d < 1:
+        raise ParamError(f"need d >= 1, got d={d}")
+    return least(d, n, lambda h: math.comb(h, d))
 
 
 def _columns_times(ell, weights) -> list[int]:

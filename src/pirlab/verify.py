@@ -105,26 +105,36 @@ class PrivacyReport:
 
 def exhaustive_correctness(scheme: Scheme, databases=None) -> CorrectnessReport:
     """Full round trip for every (x, i, ell); ell is forced, not sampled.
-    Refused past ``CORRECTNESS_BUDGET`` triples, before any is checked, and
-    over an empty database list, which would pass having checked nothing."""
+    Refused past ``CORRECTNESS_BUDGET`` triples, before any database is
+    built or any triple checked, and over an empty database list, which
+    would pass having checked nothing."""
     n = scheme.n
     big_n = scheme.num_rows
     rows = scheme.randomness.size_text
     if databases is None:
-        if 2**n * n * big_n > CORRECTNESS_BUDGET:
+        # From the budget's bit length on, 2^n alone exceeds the budget, so
+        # the product is not built there.
+        if (
+            n >= CORRECTNESS_BUDGET.bit_length()
+            or 2**n * n * big_n > CORRECTNESS_BUDGET
+        ):
             raise BudgetExceeded(
                 f"2^{n} databases x {n} indices x {rows} rows exceeds "
                 f"budget {CORRECTNESS_BUDGET}; pass an explicit database list"
             )
         databases = list(all_databases(n))
     else:
-        # One database past what the budget allows is enough to exceed it,
-        # so a long iterable is never built in full.
-        limit = CORRECTNESS_BUDGET // (n * big_n) + 1
-        databases = [tuple(x) for x in itertools.islice(databases, limit)]
-        if len(databases) * n * big_n > CORRECTNESS_BUDGET:
+        # One database past the limit is enough to exceed the budget, so a
+        # long iterable is never built in full, and none is built when one
+        # alone exceeds it.
+        limit = CORRECTNESS_BUDGET // (n * big_n)
+        count = 1
+        if limit:
+            databases = [tuple(x) for x in itertools.islice(databases, limit + 1)]
+            count = len(databases)
+        if count > limit:
             raise BudgetExceeded(
-                f"{len(databases)} or more databases x {n} indices x {rows} "
+                f"{count} or more databases x {n} indices x {rows} "
                 f"rows exceeds budget {CORRECTNESS_BUDGET}"
             )
         if not databases:

@@ -173,6 +173,19 @@ class TestParams:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == sha
 
+    # Spaces whose decimal runs past CPython's 4300-digit limit for int to
+    # str: lagrange from n = 7,447,871 (h = 3861) and cgks from h = 4762.
+    @pytest.mark.parametrize("argv, rows", [
+        ("lagrange --n 8388608 --t 1 --k 3 --p 13", "13^4097"),
+        ("lagrange --n 16777216 --t 1 --k 3 --p 13", "13^5794"),
+        ("cgks --n 134217728", "(2^512)^3"),
+        ("cgks --n 1000000000000", "(2^10000)^3"),
+    ])
+    def test_rows_past_the_int_string_limit(self, capsys, argv, rows):
+        code, out, _ = run_cli(capsys, "params", *argv.split())
+        assert code == 0
+        assert f"rows_per_array = {rows}" in out.splitlines()
+
     def test_default_h_over_the_enumeration_cap_names_h(self, capsys):
         # The registry's default h = 3 puts Z_511^3 over the cap; the error
         # says which space and how to shrink it.

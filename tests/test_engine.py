@@ -18,6 +18,7 @@ from pirlab.engine import (
     CommCost,
     answer,
     comm_cost,
+    least,
     pack_bits,
     query_gen,
     reconstruct,
@@ -58,6 +59,16 @@ class TestCodec:
         with pytest.raises(CapExceeded) as info:
             codec.enumerate_values()
         assert str(info.value) == "codec space of 13^92 values exceeds cap 1000000"
+
+    @pytest.mark.parametrize("radix, count, text", [
+        (5, 3, "125"),
+        (2, 63, "9223372036854775808"),
+        (2, 64, "2^64"),
+        (2**64, 2, "(2^64)^2"),
+    ])
+    def test_size_text(self, radix, count, text):
+        # Exact below 2^64, a power from there on.
+        assert Codec(radix, count).size_text == text
 
     def test_residue_roundtrip(self):
         codec = Codec(5, 3)
@@ -225,6 +236,39 @@ class TestCodec:
                     data = scheme.encode_answer(a)
                     assert len(data) == scheme.answer_codec.nbytes, scheme.name
                     assert scheme.decode_answer(data) == a, scheme.name
+
+
+class TestLeast:
+    @staticmethod
+    def cube(h):
+        return h**3
+
+    @pytest.mark.parametrize("lo, d", [(1, None), (1, 1), (2, 2), (3, 3), (4, 4)])
+    def test_equals_a_linear_scan(self, lo, d):
+        size = self.cube if d is None else (lambda h: math.comb(h, d))
+        # The scan resumes from the last n's h, since h grows with n.
+        h = lo
+        for n in range(1, 5001):
+            while size(h) < n:
+                h += 1
+            assert least(lo, n, size) == h, n
+
+    def test_every_cube_and_its_neighbours(self):
+        # Every side below 2^14, then sides around each power of two and a
+        # seeded sample up to 2^20, so cubes up to 2^60.
+        rng = random.Random(5)
+        sides = {*range(2, 2**14)}
+        sides |= {2**j + e for j in range(14, 21) for e in (-2, -1, 0, 1, 2)}
+        sides |= {rng.randrange(2**14, 2**20) for _ in range(2000)}
+        for h in sorted(sides):
+            c = h**3
+            assert least(1, c - 1, self.cube) == h
+            assert least(1, c, self.cube) == h
+            assert least(1, c + 1, self.cube) == h + 1
+
+    def test_cube_side_of_two_to_the_300(self):
+        # A count from 1 would take 2^100 steps.
+        assert least(1, 2**300, self.cube) == 2**100
 
 
 def bit_vectors():

@@ -114,6 +114,16 @@ class TestMatchingFamilySearch:
         with pytest.raises(ParamError, match="h must be >= 1"):
             search_matching_family(6, h, canonical_set(6), 3)
 
+    @pytest.mark.parametrize("h, shown", [(3, "133432831"), (2000, "511^2000")])
+    def test_space_over_the_cap_is_written_as_the_codec_writes_it(self, h, shown):
+        # 511^2000 has 5415 digits, past what CPython turns into a string.
+        with pytest.raises(ParamError) as info:
+            search_matching_family(511, h, canonical_set(511), 3)
+        assert str(info.value) == (
+            f"Z_511^{h} has {shown} vectors, over the enumeration cap "
+            "1000000; choose a smaller h"
+        )
+
     def test_checker_catches_bad_family(self):
         bad = MatchingFamily(
             m=6, h=2, u=((1, 0), (2, 0)), v=((0, 1), (0, 1)), target_set=(1, 3, 4)

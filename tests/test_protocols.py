@@ -233,6 +233,12 @@ class TestWeightVectors:
         h = minimal_h(d, n)
         assert math.comb(h, d) >= n > math.comb(h - 1, d)
 
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_minimal_h_needs_positive_d(self, d):
+        # C(h, 0) = 1 never reaches n = 2, so no h would be found.
+        with pytest.raises(ParamError, match="need d >= 1"):
+            minimal_h(d, 2)
+
     def test_binomial_tables_match_comb(self):
         for h in range(1, 65):
             for d in range(7):

@@ -2,6 +2,7 @@
 budget/cap handling, and relabeling invariance."""
 
 import dataclasses
+import tracemalloc
 
 import pytest
 
@@ -163,6 +164,35 @@ class TestCorrectnessSuite:
         monkeypatch.setattr(verify, "CORRECTNESS_BUDGET", 17)
         with pytest.raises(BudgetExceeded, match="exceeds budget 17"):
             exhaustive_correctness(scheme, databases=[(0, 0)])
+
+    def test_budget_guard_builds_no_power_of_two(self):
+        # 2^n alone would be an 8 MB integer at n = 2^26.
+        scheme = build_lagrange(2**26, 1, 3, 13)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded, match=r"^2\^67108864 databases"):
+                exhaustive_correctness(scheme)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_structured_fallback_over_budget_builds_no_database(self):
+        # n x N alone exceeds the budget, so the fallback is refused before
+        # its first database, (0,) * 2^22 (33.6 MB), is built.
+        scheme = build_lagrange(2**22, 1, 3, 13)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded, match=r"^1 or more databases"):
+                run_suites(scheme, ("correctness",), 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_empty_database_list_over_budget_is_refused_first(self):
+        with pytest.raises(BudgetExceeded, match="1 or more databases"):
+            exhaustive_correctness(build_lagrange(4096, 1, 3, 13), databases=[])
 
     def test_empty_database_list_is_a_param_error(self):
         # It would otherwise pass, having checked nothing.
