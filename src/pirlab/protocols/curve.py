@@ -25,24 +25,42 @@ identity C(c, j) = sum_{m < c} C(m, j-1), starting from C(c, 0) = 1; so a
 build makes no ``math.comb`` call per coordinate.  ``minimal_h`` finds h
 through ``engine.least``, with O(log n) calls in all.
 
+The Lagrange scheme lays the n bits out as w columns of N = ceil(n / w)
+records, as in the balancing of Chor, Goldreich, Kushilevitz and Sudan:
+index i is record i mod N of column i // N.  Its query arrays are those
+of the N records, and its answer map is widened to w coordinates, so a
+retrieval sends h query values and receives w answer values per server.
+By default h is the least h >= d with d * ceil(n / C(h, d)) <= h (found by
+one ``engine.least`` call) and w = ceil(n / C(h, d)): near the minimum of
+h + n / C(h, d), where h is about d * w.  An explicit h keeps one column,
+w = 1, and needs C(h, d) >= n.  Hermite keeps one column always: its
+answer already carries h + 1 values.
+
 The ranks whose top element is b form the block [C(b, d), C(b+1, d)), and
-the lower (d-1)-subsets of that block are again in colex order.  So
+the lower (d-1)-subsets of that block are again in colex order.  So the
+products z^(u_tau) of the first N records are, block by block, z_b times
+the products of the first C(b, d-1) records of degree d - 1, down to the
+products z_0, z_1, ... of degree 1.  The answer kernel builds them once per
+query, one byte each and one ``bytes.translate`` per block while p <= 256
+(a table per multiplier, built once per p), and splits them into bit
+planes: plane k marks the records whose product has bit k set.
+Coordinate c of the answer is then
 
-    F_x(z) = sum_b z_b * F^(d-1)(x[block b], z),
+    sum_k 2^k * popcount(column_c & plane_k)  mod p,
 
-down to F^(1)(x, z) = sum of z_c over the set bits x_c.  The Lagrange
-scheme answers with this kernel: it skips a block when z_b = 0, touches
-each set bit once inside a C-level ``compress`` and reduces mod p at the
-end.  The last block may be partial, since n < C(h, d) in general.
+with each column packed into one int by ``prepare``.  The last column and
+the last block may be partial.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
+from typing import Callable, NamedTuple
 
-from ..engine import Codec, PrimeField, Scheme, least
+from ..engine import Codec, PrimeField, Scheme, least, pack_bits
 from ..errors import ParamError
 
 
@@ -82,23 +100,78 @@ def _index_tables(h: int | None, d: int, n: int) -> tuple[int, list[list[int]]]:
     return h, binomial_tables(h, d)
 
 
-def _block_sum(x, z, d: int, tables: list[list[int]]) -> int:
-    """sum_tau x_tau * z^(u_tau) over the ranks tau < len(x) of degree d,
-    unreduced."""
-    if d == 1:
-        return sum(itertools.compress(z, x))
-    starts = tables[d]
-    last = len(starts) - 1
-    n = len(x)
-    total = 0
-    for b, zb in enumerate(z):
-        lo = starts[b]
-        if lo >= n:
-            break
-        if zb:
-            hi = starts[b + 1] if b < last else n
-            total += zb * _block_sum(x[lo:hi], z, d - 1, tables)
-    return total
+class _Residues(NamedTuple):
+    """Sequences of residues mod p: ``seq`` makes one from ints, ``scale``
+    multiplies one by a residue, ``join`` concatenates them and ``bit`` marks
+    with one 0/1 byte each residue whose bit k is set."""
+
+    seq: Callable
+    scale: Callable
+    join: Callable
+    bit: Callable
+
+
+# 54 primes fit in a byte, so a process keeps the tables of each p it uses.
+@functools.lru_cache(maxsize=64)
+def _residues(p: int) -> _Residues:
+    """Bytes and translate tables when every residue fits in a byte, lists
+    otherwise.  The tables depend only on p, so each p builds them once: one
+    per multiplier m, mapping u to m*u mod p, and one per bit k, mapping u
+    to bit k of u."""
+    if p <= 256:
+        flat = bytes([a * b % p for a in range(p) for b in range(p)])
+        times = [flat[m * p : m * p + p].ljust(256, b"\0") for m in range(p)]
+        # Bit k of the bytes 0..255 runs in 2^k zeros, 2^k ones, repeated.
+        bits = [(bytes(1 << k) + b"\1" * (1 << k)) * (128 >> k) for k in range(8)]
+        return _Residues(
+            bytes,
+            lambda values, m: values.translate(times[m]),
+            b"".join,
+            lambda values, k: values.translate(bits[k]),
+        )
+    return _Residues(
+        list,
+        lambda values, m: [m * v % p for v in values],
+        lambda parts: list(itertools.chain.from_iterable(parts)),
+        lambda values, k: bytes([v >> k & 1 for v in values]),
+    )
+
+
+def _product_plan(d: int, count: int, tables: list[list[int]]):
+    """The blocks ``_products`` builds to reach the first ``count`` ranks of
+    degree d: for each degree j = 2..d, the top element b and size
+    C(b, j-1) of every block up to the one that holds the last rank needed,
+    after the count of degree-1 products that the first of them read."""
+    plan = []
+    for j in range(d, 1, -1):
+        top = bisect.bisect_right(tables[j], count - 1) - 1  # of the last rank
+        plan.append(list(zip(range(j - 1, top + 1), tables[j - 1][j - 1 : top + 1])))
+        count = tables[j - 1][top]
+    return count, plan[::-1]
+
+
+def _products(z, plan, residues: _Residues):
+    """z^(u_tau) for the ranks tau of a ``_product_plan``, degree by degree:
+    block b of degree j is z_b times the first C(b, j-1) products of degree
+    j - 1.  The last block is built whole, so the products may run past
+    the ranks asked for."""
+    first, levels = plan
+    scale = residues.scale
+    values = residues.seq(z[:first])
+    for blocks in levels:
+        values = residues.join([scale(values[:size], z[b]) for b, size in blocks])
+    return values
+
+
+def balanced_h(d: int, n: int) -> int:
+    """The least h >= d with d * ceil(n / C(h, d)) <= h: the curve length of
+    the default Lagrange layout, with ceil(n / C(h, d)) columns.
+
+    That bound holds exactly when C(h, d) * floor(h / d) >= n, which never
+    decreases in h, so ``engine.least`` finds h."""
+    if d < 1:
+        raise ParamError(f"need d >= 1, got d={d}")
+    return least(d, n, lambda h: math.comb(h, d) * (h // d))
 
 
 def minimal_h(d: int, n: int) -> int:
@@ -158,20 +231,21 @@ def hermite_weights(k: int, p: int) -> list[int]:
 def curve_scheme(
     name: str, field: PrimeField, n: int, t: int, k: int, d: int, h: int,
     tables: list[list[int]], answer_dim: int, alpha, recon, report: dict,
-    answer_kernel=None,
+    answer_kernel=None, prepare=None, records: int | None = None,
 ) -> Scheme:
     """A curve scheme: for index i and ell in F_p^(h*t), server j of k
     receives q(j) = u_i + R * (j, ..., j^t), where u_i is the 0/1 vector
-    with ones at the support of index i.
+    with ones at the support of record i mod ``records`` (n when None).
 
     The one builder of the two: F_p^h is the query codec and, when t = 1,
     the randomness; the report opens with p, h, d and the level set ahead
     of the builder's own keys.
     """
     p = field.p
+    records = n if records is None else records
 
     def row(i, ell):
-        support = colex_unrank(i, d, tables)
+        support = colex_unrank(i % records, d, tables)
         points = []
         for j in range(1, k + 1):
             point = _columns_times(ell, [pow(j, b, p) for b in range(1, t + 1)])
@@ -194,6 +268,7 @@ def curve_scheme(
         alpha=alpha,
         recon=recon,
         answer_kernel=answer_kernel,
+        prepare=prepare,
         report={"p": p, "h": h, "d": d, "levels": f"F_{p}^{h}", **report},
     )
 
@@ -205,28 +280,56 @@ def build_lagrange(n: int, t: int, k: int, p: int, h: int | None = None) -> Sche
     if not 1 <= t < k:
         raise ParamError("need 1 <= t < k")
     d = (k - 1) // t
-    h, tables = _index_tables(h, d, n)
+    # w columns of N records; an explicit h keeps one column of n.  Since
+    # (w - 1) * N < n <= w * N, the bits fill exactly w columns.
+    if h is None:
+        h = balanced_h(d, n)
+        w = -(-n // math.comb(h, d))
+    else:
+        w = 1
+    records = -(-n // w)
+    h, tables = _index_tables(h, d, records)
 
     # Lagrange basis values at 0 for the points 1..k; independent of (i, ell).
     lam = lagrange_weights(k, p)
-    lam_tuple = (tuple((val,) for val in lam), 1)
+    residues = _residues(p)
+    plan = _product_plan(d, records, tables)
+    planes = range((p - 1).bit_length())
+
+    def at(column, value):
+        """The w-vector holding value at coordinate column."""
+        return (0,) * column + (value,) + (0,) * (w - 1 - column)
 
     def alpha(tau, z):
+        column, record = divmod(tau, records)
         acc = 1
-        for c in colex_unrank(tau, d, tables):
+        for c in colex_unrank(record, d, tables):
             acc = acc * z[c] % p
-        return (acc,)
+        return at(column, acc)
 
     def recon(i, ell):
-        return lam_tuple
+        return tuple(at(i // records, val) for val in lam), 1
 
-    def answer_kernel(x, z):
-        return (_block_sum(x, z, d, tables) % p,)
+    def prepare(bits):
+        # The last slice is short when N does not divide n.
+        return tuple(
+            pack_bits(bits[s : s + records]) for s in range(0, n, records)
+        )
 
-    report = {"answers": f"F_{p}", "lambda": tuple(lam)}
+    def answer_kernel(columns, z):
+        # Products past the N records meet no bit of a column.
+        values = _products(z, plan, residues)
+        bit_planes = [(b, pack_bits(residues.bit(values, b))) for b in planes]
+        return tuple(
+            sum([(column & plane).bit_count() << b for b, plane in bit_planes]) % p
+            for column in columns
+        )
+
+    answers = f"F_{p}" if w == 1 else f"F_{p}^{w}"
+    report = {"answers": answers, "lambda": tuple(lam)}
     return curve_scheme(
-        "lagrange", field, n, t, k, d, h, tables, 1, alpha, recon, report,
-        answer_kernel=answer_kernel,
+        "lagrange", field, n, t, k, d, h, tables, w, alpha, recon, report,
+        answer_kernel=answer_kernel, prepare=prepare, records=records,
     )
 
 

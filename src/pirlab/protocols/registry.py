@@ -25,7 +25,7 @@ call, and neither keeps a family past its call.
 
 from __future__ import annotations
 
-from math import log2
+from math import comb, log2
 from typing import Callable, NamedTuple
 
 from ..engine import Scheme
@@ -54,8 +54,10 @@ PROTOCOLS = {
     "toy": Protocol(_toy_bits),
     # cube.py states the raw bits, 12h + 2, in the report the digest covers.
     "cgks": Protocol(lambda r, k: r["raw_bits"], ("n",), desk={"n": 8}),
-    "lagrange": Protocol(lambda r, k: k * (r["h"] + 1) * log2(r["p"]),
-                         _CURVE, {"h": None}, {"n": 3, "t": 1, "k": 3, "p": 5}),
+    # h query values and one answer value per column, C(h, d) records each.
+    "lagrange": Protocol(
+        lambda r, k: k * (r["h"] + -(-r["n"] // comb(r["h"], r["d"]))) * log2(r["p"]),
+        _CURVE, {"h": None}, {"n": 3, "t": 1, "k": 3, "p": 5}),
     "hermite": Protocol(lambda r, k: k * (2 * r["h"] + 1) * log2(r["p"]),
                         _CURVE, {"h": None}, {"n": 4, "t": 1, "k": 2, "p": 7}),
     "yekhanin": Protocol(lambda r, k: k * (r["h"] * log2(r["p"]) + r["p"]),

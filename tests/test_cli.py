@@ -164,6 +164,8 @@ class TestParams:
         ("gks --m 2 --p 3",
          "9174905ec80f744ada809f817d3572c994cacc31975b6f5ba9cbad96019b6af1"),
         ("lagrange --n 20 --t 2 --k 5 --p 7",
+         "09b8ce47809c08d42825618cfe7c7a16050955d2168759fb7cb0d10172fab3a9"),
+        ("lagrange --n 20 --t 2 --k 5 --p 7 --h 7",
          "897a25d4d13e47873730d1aa7d3614213b7a50ba20e5db75f3694fc518af08be"),
         ("hermite --n 10 --t 2 --k 4 --p 11",
          "6477bc515c7b9cb9850a3961d608702095768e276076dd3a2e0e31a1bb3a315a"),
@@ -174,10 +176,13 @@ class TestParams:
         assert hashlib.sha256(out.encode()).hexdigest() == sha
 
     # Spaces whose decimal runs past CPython's 4300-digit limit for int to
-    # str: lagrange from n = 7,447,871 (h = 3861) and cgks from h = 4762.
+    # str: lagrange in one column from h = 3861 (n = 7,447,871) and cgks
+    # from h = 4762.  The default lagrange columns keep h far shorter.
     @pytest.mark.parametrize("argv, rows", [
-        ("lagrange --n 8388608 --t 1 --k 3 --p 13", "13^4097"),
-        ("lagrange --n 16777216 --t 1 --k 3 --p 13", "13^5794"),
+        ("lagrange --n 8388608 --t 1 --k 3 --p 13 --h 4097", "13^4097"),
+        ("lagrange --n 16777216 --t 1 --k 3 --p 13 --h 5794", "13^5794"),
+        ("lagrange --n 8388608 --t 1 --k 3 --p 13", "13^324"),
+        ("lagrange --n 16777216 --t 1 --k 3 --p 13", "13^408"),
         ("cgks --n 134217728", "(2^512)^3"),
         ("cgks --n 1000000000000", "(2^10000)^3"),
     ])
@@ -258,14 +263,16 @@ class TestVerify:
 
     @pytest.mark.parametrize("suite", ["privacy", "correctness"])
     def test_over_budget_error_prints_the_space_as_a_power(self, capsys, suite):
-        # 13^92 draws: printed in full the count has 103 digits.
-        code, _, err = run_cli(
-            capsys, "verify", "lagrange", "--suite", suite,
-            "--t", "1", "--k", "3", "--p", "13", "--n", "4096",
-        )
-        assert code == 2
-        assert re.search(r"\b13\^92 (values|rows) exceeds", err)
-        assert len(err) < 120
+        # 13^92 draws in one column, 13^26 in the default columns: printed in
+        # full the counts have 103 and 29 digits.
+        for h_flag, space in ((("--h", "92"), "13^92"), ((), "13^26")):
+            code, _, err = run_cli(
+                capsys, "verify", "lagrange", "--suite", suite,
+                "--t", "1", "--k", "3", "--p", "13", "--n", "4096", *h_flag,
+            )
+            assert code == 2
+            assert re.search(rf"\b{re.escape(space)} (values|rows) exceeds", err)
+            assert len(err) < 120
 
     # sha256 of ``verify`` stdout + stderr, and the exit code.  cgks-n15
     # takes the structured-database fallback; lagrange-n4096 is over the
@@ -290,8 +297,10 @@ class TestVerify:
          "72b58858551b8c8d00d8883c8e70bfaad870f21bc9c024d0dd4fde9b800a58d3"),
         ("cgks --n 15 --suite correctness", 0,
          "c9c92231154f642ed33073fda6e948c610cd07368ca958ecc70f44876bf25e2f"),
-        ("lagrange --n 4096 --t 1 --k 3 --p 13", 2,
+        ("lagrange --n 4096 --t 1 --k 3 --p 13 --h 92", 2,
          "d7252d660eda3bf176e240429ff8f9768e18c7f57bce15fc76bab9f8bffbef2e"),
+        ("lagrange --n 4096 --t 1 --k 3 --p 13", 2,
+         "694bbdb4b6bac08ebaa85fb5e1b9fb27881368ca657b4f962f2bcbd74af642e1"),
         ("lagrange --n 3 --t 2 --k 3 --p 5 --suite privacy", 0,
          "891b12b966d1324cc51cf92d7cd7331cb373ce3c14b396f3bb153d00455e4253"),
         ("toy --suite comm --seed 5", 0,
@@ -299,7 +308,8 @@ class TestVerify:
     ], ids=[
         "toy", "cgks", "lagrange", "yekhanin", "raghavendra", "efremenko",
         "dvir-gopi", "gks", "broken-demo", "cgks-n15-correctness",
-        "lagrange-n4096-over-budget", "lagrange-t2-privacy", "toy-comm-seed5",
+        "lagrange-n4096-over-budget", "lagrange-n4096-columns-over-budget",
+        "lagrange-t2-privacy", "toy-comm-seed5",
     ])
     def test_pinned_output(self, capsys, argv, code, sha):
         got, out, err = run_cli(capsys, "verify", *argv.split())
@@ -620,29 +630,33 @@ class TestNetworkCommands:
 
     def test_lying_server_is_a_transport_error_naming_all(self, capsys):
         # Server 3 holds another database.  At seed 1 the three answers to
-        # x_1 combine to 2, neither 0 nor omega = 1; no single server can be
-        # blamed, so the error names all three and get exits 3, not 2.
-        scheme = build_named("lagrange", {"n": 16, "t": 1, "k": 3, "p": 7})
+        # x_1 combine to 2 in one column (h = 7) and to 4 in the default
+        # columns, neither 0 nor omega = 1; no single server can be blamed,
+        # so the error names all three and get exits 3, not 2.
         honest = (1, 1, 0, 1, 1, 1, 1, 1, 1, 0, 0, 1, 0, 0, 1, 0)
         liar = (0, 0, 1, 0, 1, 1, 1, 1, 0, 0, 1, 0, 1, 1, 0, 1)
-        servers = [
-            PirServer(ServerNode(j, scheme, x)).start()
-            for j, x in ((1, honest), (2, honest), (3, liar))
-        ]
-        try:
-            names = [f"{h}:{p}" for h, p in (s.endpoint for s in servers)]
-            code, out, err = run_cli(
-                capsys,
-                "get", "lagrange", "--n", "16", "--t", "1", "--k", "3", "--p", "7",
-                "--index", "1", "--servers", ",".join(names), "--seed", "1",
-            )
-        finally:
-            for s in servers:
-                s.stop()
-        assert code == 3 and "x_1" not in out
-        assert err.startswith("transport error: servers ")
-        assert all(name in err for name in names)
-        assert "combined value 2 is neither 0 nor omega 1" in err
+        for h, combined in ((7, 2), (None, 4)):
+            h_flag = ("--h", str(h)) if h else ()
+            scheme = build_named("lagrange", {"n": 16, "t": 1, "k": 3, "p": 7, "h": h})
+            servers = [
+                PirServer(ServerNode(j, scheme, x)).start()
+                for j, x in ((1, honest), (2, honest), (3, liar))
+            ]
+            try:
+                names = [f"{host}:{port}" for host, port in (s.endpoint for s in servers)]
+                code, out, err = run_cli(
+                    capsys,
+                    "get", "lagrange", "--n", "16", "--t", "1", "--k", "3", "--p", "7",
+                    *h_flag, "--index", "1", "--servers", ",".join(names),
+                    "--seed", "1",
+                )
+            finally:
+                for s in servers:
+                    s.stop()
+            assert code == 3 and "x_1" not in out
+            assert err.startswith("transport error: servers ")
+            assert all(name in err for name in names)
+            assert f"combined value {combined} is neither 0 nor omega 1" in err
 
     def test_get_without_seed_sends_fresh_queries(self, capsys):
         received = []
@@ -873,7 +887,7 @@ class TestBenchCommand:
             ("cgks --n 8,64,512",
              "db7de119ca713e7646bf1d30634d106368b9535a9c360bf4b3f2593f93b3862b"),
             ("lagrange --t 1 --k 3 --p 5 --n 3,20,100",
-             "f85b236dee192fbd556a7b0e9f2c447f75cb8faa31a868dd47445aa9209d609a"),
+             "e48d3c11ab227666b1fa8407952a0d43c582216fcf6069d5ed7e8ae0c6f43b8f"),
             ("hermite --t 1 --k 2 --p 7 --n 4,50",
              "4871adc63df1d67814680a92cd8e91f9529059621bf1a65ea218a6186e14af2c"),
             ("yekhanin --n 3,4",

@@ -544,10 +544,12 @@ class TestCommCost:
         assert cost.raw_bits == 2
 
     def test_wire_widths_round_up_once(self):
-        # The deployments perfbench runs, with their payload per retrieval.
+        # The deployments perfbench runs, with their payload per retrieval;
+        # lagrange also in one column, through the least h with C(h, 2) >= n.
         deployments = [
             ("cgks", {"n": 8192}, 32),
-            ("lagrange", {"n": 65536, "t": 1, "k": 3, "p": 13}, 507),
+            ("lagrange", {"n": 65536, "t": 1, "k": 3, "p": 13}, 138),
+            ("lagrange", {"n": 65536, "t": 1, "k": 3, "p": 13, "h": 363}, 507),
             ("cgks", {"n": 64}, 8),
             ("hermite", {"n": 64, "t": 1, "k": 2, "p": 5}, 12),
             ("dvir-gopi", {"m": 6, "n": 3}, 18),

@@ -21,13 +21,16 @@ from pirlab.engine import (
 from pirlab.errors import MalformedQuery, ParamError
 from pirlab.protocols.cube import build_cgks
 from pirlab.protocols.curve import build_lagrange, build_wy_hermite
-from pirlab.protocols.curve import binomial_tables, colex_unrank, minimal_h
+from pirlab.protocols.curve import balanced_h, binomial_tables, colex_unrank, minimal_h
 from pirlab.protocols.curve import hermite_weights, lagrange_weights
+from pirlab.protocols.registry import predicted_bits
 from pirlab.sim import ServerNode, run_inprocess
 from pirlab.verify import (
+    SUITES,
     exhaustive_correctness,
     exhaustive_privacy,
     oa_family_check,
+    run_suites,
     span_check_all,
 )
 
@@ -238,6 +241,18 @@ class TestWeightVectors:
         # C(h, 0) = 1 never reaches n = 2, so no h would be found.
         with pytest.raises(ParamError, match="need d >= 1"):
             minimal_h(d, 2)
+        with pytest.raises(ParamError, match="need d >= 1"):
+            balanced_h(d, 2)
+
+    def test_balanced_h(self):
+        # The least h >= d with d * ceil(n / C(h, d)) <= h, by a linear scan.
+        assert balanced_h(2, 65536) == 65 and balanced_h(2, 3) == 3
+        for d in range(1, 6):
+            h = d
+            for n in range(1, 3000):
+                while d * -(-n // math.comb(h, d)) > h:
+                    h += 1
+                assert balanced_h(d, n) == h, (d, n)
 
     def test_binomial_tables_match_comb(self):
         for h in range(1, 65):
@@ -287,6 +302,15 @@ class TestLagrange:
         assert exhaustive_privacy(scheme).passed
         assert set(oa_family_check(scheme).values()) == {1}
         assert span_check_all(scheme) == 3 * 125
+
+    def test_every_suite_in_columns(self):
+        # h = 4 and w = 2 columns of 4 records: the rows of index i and
+        # i + 4 coincide, and only the answer coordinate tells them apart.
+        scheme = build_lagrange(8, 1, 3, 5)
+        assert (scheme.report["h"], scheme.answer_dim) == (4, 2)
+        passed, lines = run_suites(scheme, SUITES, seed=0)
+        assert passed, lines
+        assert len(lines) == len(SUITES)
 
     def test_single_server_marginal_uniform_small(self):
         scheme = build_lagrange(2, 1, 2, 3)
@@ -364,10 +388,18 @@ class TestClosedFormWeights:
         assert len(cases) == 407
 
     def test_builders_report_the_weights(self):
-        lagrange = build_lagrange(100, 1, 3, 13)
+        # One column: h = 15 is the least with C(h, 2) >= 100.
+        lagrange = build_lagrange(100, 1, 3, 13, h=15)
         assert lagrange.report["lambda"] == tuple(lagrange_weights(3, 13))
         assert lagrange.recon(0, (0,) * lagrange.report["h"])[0] == tuple(
             (v,) for v in lagrange_weights(3, 13)
+        )
+        # The default h = 8 makes 4 columns of 25 records; index 60 is
+        # record 10 of column 2.
+        columns = build_lagrange(100, 1, 3, 13)
+        assert columns.report["lambda"] == tuple(lagrange_weights(3, 13))
+        assert columns.recon(60, (0,) * 8)[0] == tuple(
+            (0, 0, v, 0) for v in lagrange_weights(3, 13)
         )
         hermite = build_wy_hermite(64, 1, 2, 7)
         assert hermite.report["mu"] == tuple(hermite_weights(2, 7))
@@ -444,21 +476,28 @@ class TestSparseAgainstDense:
         ],
     )
     def test_row_and_alpha(self, build, n, t, k, p):
+        # Index i is record i mod N of column i // N, with w columns of N
+        # records for lagrange and one column for hermite.
         scheme = build(n, t, k, p)
         h, d = scheme.report["h"], scheme.report["d"]
-        vecs = _dense_exponents(h, d, n)
         hermite = scheme.name == "hermite"
+        w = 1 if hermite else scheme.answer_dim
+        records = -(-n // w)
+        vecs = _dense_exponents(h, d, records)
         rng = random.Random(n * 1000 + k)
         for _ in range(20):
             i = rng.randrange(n)
             ell = scheme.sample_randomness(rng)
             points = scheme.row(i, ell)
-            assert points == _dense_row(vecs[i], ell, t, k, p)
+            assert points == _dense_row(vecs[i % records], ell, t, k, p)
             for z in points:
-                for tau, u in enumerate(vecs):
-                    expected = (_dense_monomial(u, z, p),)
+                for tau in range(n):
+                    column, u = tau // records, vecs[tau % records]
+                    value = _dense_monomial(u, z, p)
                     if hermite:
-                        expected += _dense_gradient(u, z, p)
+                        expected = (value, *_dense_gradient(u, z, p))
+                    else:
+                        expected = tuple(value if c == column else 0 for c in range(w))
                     assert scheme.alpha(tau, z) == expected
 
     @pytest.mark.parametrize(
@@ -500,17 +539,35 @@ class TestSparseAgainstDense:
         assert peak < 2**20
 
 
+# (d, h, w, N) in the default columns: (2, 65, 32, 2048), (3, 17, 5, 600),
+# (2, 8, 4, 25), (4, 16, 3, 1667), (1, 28, 28, 28), (1, 1, 1, 1),
+# (2, 14, 6, 84), (2, 6, 3, 15) and (3, 8, 2, 56).  The last block is
+# partial in the first, second, third, fourth and seventh, and full in the
+# last two, where N = C(h, d); the last column is partial in 5000, 777,
+# 500, 43 and 111.  p = 257 holds residues past one byte.
 _KERNEL_CONFIGS = [
     (65536, 1, 3, 13),
     (3000, 2, 7, 11),
     (100, 3, 7, 11),
     (5000, 1, 5, 13),
+    (777, 1, 2, 7),
     (1, 1, 2, 3),
+    (500, 1, 3, 257),
+    (43, 1, 3, 5),
+    (111, 1, 4, 7),
 ]
 
 
 class TestLagrangeKernel:
-    """The per-top-element kernel against the alpha sum, the reference."""
+    """The bit-plane kernel against the alpha sum, the reference."""
+
+    def test_configs_cover_each_degree_in_columns(self):
+        degrees = set()
+        for n, t, k, p in _KERNEL_CONFIGS:
+            scheme = build_lagrange(n, t, k, p)
+            if scheme.answer_dim > 1:
+                degrees.add(scheme.report["d"])
+        assert degrees == {1, 2, 3, 4}
 
     @pytest.mark.parametrize("n,t,k,p", _KERNEL_CONFIGS)
     def test_kernel_equals_alpha_sum(self, n, t, k, p):
@@ -519,19 +576,21 @@ class TestLagrangeKernel:
         h = scheme.report["h"]
         rng = random.Random(n * 31 + k)
         for x in kernel_databases(n, rng):
-            queries = [(0,) * h, (1,) * h]
+            db = prepare(scheme, x)
+            queries = [(0,) * h, (1,) * h, (p - 1,) * h]
             for _ in range(3):
                 q = [rng.randrange(p) for _ in range(h)]
                 queries.append(tuple(q))
-                # Zero coordinates skip whole blocks in the kernel.
+                # A zero coordinate b zeroes the whole block of top element
+                # b, and every record below it that holds b.
                 queries.append(tuple(v if rng.randrange(2) else 0 for v in q))
             for q in queries:
-                assert answer(scheme, x, q) == alpha_sum(scheme, x, q)
+                assert answer(scheme, db, q) == alpha_sum(scheme, x, q)
 
     @pytest.mark.parametrize("n,t,k,p", _KERNEL_CONFIGS)
     def test_bad_input_raises_on_both_paths(self, n, t, k, p):
         scheme = build_lagrange(n, t, k, p)
-        generic = dataclasses.replace(scheme, answer_kernel=None)
+        generic = dataclasses.replace(scheme, answer_kernel=None, prepare=None)
         h = scheme.report["h"]
         bad_calls = [
             (ParamError, (0,) * (n + 1), (0,) * h),
@@ -548,6 +607,19 @@ class TestLagrangeKernel:
 
 
 class TestCurveCosts:
+    @pytest.mark.parametrize("t", [1, 2])
+    def test_lagrange_cost_row_reads_the_columns(self, t):
+        # k = 5 gives d = 4 at t = 1 and d = 2 at t = 2.  The row sums
+        # h + w before it scales by log2 p, the codecs after: they round
+        # apart by an ulp.
+        d = 4 // t
+        for n in (1, 3, 8, 100, 4096, 65536, 2**20):
+            for h in (None, minimal_h(d, n)):
+                scheme = build_lagrange(n, t, 5, 13, h=h)
+                assert predicted_bits(scheme) == pytest.approx(
+                    comm_cost(scheme).raw_bits, rel=1e-12
+                ), (n, h)
+
     def test_lagrange_raw_bits(self):
         scheme = build_lagrange(3, 1, 3, 5)
         h = scheme.report["h"]

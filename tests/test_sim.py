@@ -308,6 +308,8 @@ class TestNode:
 # raghavendra and yekhanin at p = 31 pin F_(2^5), the first binary field
 # whose modulus the search picks rather than a constant.  The curve schemes at
 # t = 2 pin the randomness F_p^(2h) and the two-column R of their rows.
+# lagrange is pinned in both shapes: the default columns and, through the
+# least h with C(h, d) >= n, the one column of an explicit h.
 PINNED_DIGESTS = [
     ("toy", {}, "fa0a9550fc7004d0", "254ee99461dbd7fe", "a0454a24dd4bc418"),
     ("cgks", {"n": 8}, "4b5adb15b95ebaec", "68c35e479db6389f",
@@ -331,6 +333,8 @@ PINNED_DIGESTS = [
     ("cgks", {"n": 8192}, "022292099ba7685b", "379de9369d4dfa19",
      "83a33a11441ba15e"),
     ("lagrange", {"n": 65536, "t": 1, "k": 3, "p": 13},
+     "e5debb05c69bf97c", "ebb8cda67dac6fcf", "41a0656016bff3b9"),
+    ("lagrange", {"n": 65536, "t": 1, "k": 3, "p": 13, "h": 363},
      "accb5306a569fa7a", "6049be563cf464d6", "2c6c34be10b0296c"),
     ("cgks", {"n": 64}, "f38c65e3c9d1b9d2", "d4dd3682abf3cebf",
      "b61f3e9c9e94d266"),
@@ -345,6 +349,8 @@ PINNED_DIGESTS = [
     ("yekhanin", {"p": 31}, "7715e50481dd343c", "b92ae49dc4597a8d",
      "81cb25eb30092ad4"),
     ("lagrange", {"n": 20, "t": 2, "k": 5, "p": 7},
+     "ee8fb06dc657afdd", "39daf2fe23fdf6ed", "e473229507265808"),
+    ("lagrange", {"n": 20, "t": 2, "k": 5, "p": 7, "h": 7},
      "20abae67cac1b957", "918f41a7411a05eb", "9ed4497702d1b260"),
     ("hermite", {"n": 10, "t": 2, "k": 4, "p": 11},
      "4d3b44e28c4f031c", "08a9f2007a8e3580", "12f7fd78fbd286a3"),
@@ -609,8 +615,9 @@ class TestTcp:
 
     def test_query_longer_than_codec_closes_connection(self):
         # The server's bound is max(QUERY width, digest length): this query
-        # is 17 bytes wide, so the bound is its own width.
-        scheme = build_lagrange(600, 1, 3, 13)
+        # is 17 bytes wide, so the bound is its own width.  One column of
+        # n = 600 needs h = 36 (C(36, 2) = 630).
+        scheme = build_lagrange(600, 1, 3, 13, h=36)
         assert scheme.level_codec.nbytes > len(param_digest(scheme))
         server = PirServer(ServerNode(1, scheme, (0,) * 600)).start()
         try:
