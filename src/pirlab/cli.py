@@ -340,10 +340,10 @@ def _cmd_makedb(args, report: _Report) -> int:
     if args.bits is not None:
         if len(args.bits) != args.n or set(args.bits) - {"0", "1"}:
             raise ParamError("--bits must be a 0/1 string of length n")
-        x = tuple(int(b) for b in args.bits)
+        x = bytes(map(int, args.bits))
     else:
         rng = random.Random(args.seed or 0)
-        x = tuple(rng.randrange(2) for _ in range(args.n))
+        x = bytes(rng.randrange(2) for _ in range(args.n))
     save_database(args.db, x)
     report.emit(f"wrote {args.n} bits to {args.db}")
     return EXIT_OK

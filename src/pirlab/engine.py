@@ -422,10 +422,10 @@ def unpack_bits(value: int, n: int) -> bytes:
 
 @dataclass(frozen=True, slots=True)
 class Prepared:
-    """A database of n bits in the form the answer of scheme ``protocol``
-    reads: what ``prepare`` returns."""
+    """A database of n bits in the form the answer of the scheme with
+    public parameters ``report`` reads: what ``prepare`` returns."""
 
-    protocol: str
+    report: dict
     n: int
     data: object
 
@@ -433,20 +433,22 @@ class Prepared:
 def prepare(scheme: Scheme, x: Sequence[int] | Prepared) -> Prepared:
     """The one database check, for every scheme: n entries, each a bit,
     turned into ``bit_string`` bytes and laid out by ``scheme.prepare``
-    when the scheme has one.  A ``Prepared`` passes through if it is for
-    this scheme's (protocol, n).  A server prepares once, at start."""
+    when it has one.  A ``Prepared`` passes through if made for an equal
+    ``report``: the parameters that fix the layout.  Servers prepare once."""
     if isinstance(x, Prepared):
-        if (x.protocol, x.n) != (scheme.name, scheme.n):
-            raise ParamError(
-                f"database prepared for {x.protocol} n = {x.n}, "
-                f"not {scheme.name} n = {scheme.n}"
-            )
+        theirs, ours = x.report, scheme.report
+        if theirs is not ours and theirs != ours:
+            key = next(k for k in {**ours, **theirs} if theirs.get(k) != ours.get(k))
+            side = [f"{r['protocol']} n = {r['n']}" for r in (theirs, ours)]
+            if key not in ("protocol", "n"):
+                side = [f"{s} {key} = {r.get(key)!r}" for s, r in zip(side, (theirs, ours))]
+            raise ParamError(f"database prepared for {side[0]}, not {side[1]}")
         return x
     if len(x) != scheme.n:
         raise ParamError(f"database length {len(x)} != n = {scheme.n}")
     bits = bit_string(x)
     data = bits if scheme.prepare is None else scheme.prepare(bits)
-    return Prepared(scheme.name, scheme.n, data)
+    return Prepared(scheme.report, scheme.n, data)
 
 
 def answer(scheme: Scheme, x: Sequence[int] | Prepared, q: LevelPoint) -> Answer:
@@ -471,11 +473,14 @@ def alpha_sum(scheme: Scheme, x: Sequence[int], q: LevelPoint) -> Answer:
     checks neither x nor q.
     """
     ring = scheme.ring
-    acc = [ring.zero] * scheme.answer_dim
+    zero = ring.zero
+    acc = [zero] * scheme.answer_dim
     for tau, bit in enumerate(x):
         if bit:
-            vec = scheme.alpha(tau, q)
-            acc = [ring.add(a, v) for a, v in zip(acc, vec)]
+            # Only the coordinates this alpha sets.
+            for c, v in enumerate(scheme.alpha(tau, q)):
+                if v != zero:
+                    acc[c] = ring.add(acc[c], v)
     return tuple(acc)
 
 

@@ -30,10 +30,11 @@ records, as in the balancing of Chor, Goldreich, Kushilevitz and Sudan:
 index i is record i mod N of column i // N.  Its query arrays are those
 of the N records, and its answer map is widened to w coordinates, so a
 retrieval sends h query values and receives w answer values per server.
-By default h is the least h >= d with d * ceil(n / C(h, d)) <= h (found by
-one ``engine.least`` call) and w = ceil(n / C(h, d)): near the minimum of
-h + n / C(h, d), where h is about d * w.  An explicit h keeps one column,
-w = 1, and needs C(h, d) >= n.  Hermite keeps one column always: its
+At every curve length h, w = ceil(n / C(h, d)): the fewest columns whose
+records fit the weight-d vectors of length h, one wherever C(h, d) >= n.
+By default h is the least h >= d with d * ceil(n / C(h, d)) <= h (one
+``engine.least`` call): near the minimum of h + n / C(h, d), where h is
+about d * w.  Hermite keeps one column, and needs C(h, d) >= n: its
 answer already carries h + 1 values.
 
 The ranks whose top element is b form the block [C(b, d), C(b+1, d)), and
@@ -95,6 +96,8 @@ def _index_tables(h: int | None, d: int, n: int) -> tuple[int, list[list[int]]]:
         h = minimal_h(d, n)
     if h < 1:
         raise ParamError("h must be >= 1")
+    if h < d:
+        raise ParamError(f"h must be at least d = {d}, got h = {h}")
     if math.comb(h, d) < n:
         raise ParamError(f"C({h},{d}) = {math.comb(h, d)} < n = {n}")
     return h, binomial_tables(h, d)
@@ -280,15 +283,10 @@ def build_lagrange(n: int, t: int, k: int, p: int, h: int | None = None) -> Sche
     if not 1 <= t < k:
         raise ParamError("need 1 <= t < k")
     d = (k - 1) // t
-    # w columns of N records; an explicit h keeps one column of n.  Since
-    # (w - 1) * N < n <= w * N, the bits fill exactly w columns.
-    if h is None:
-        h = balanced_h(d, n)
-        w = -(-n // math.comb(h, d))
-    else:
-        w = 1
+    # w columns of N records; (w - 1) * N < n <= w * N, so the bits fill w.
+    h, tables = _index_tables(balanced_h(d, n) if h is None else h, d, 1)
+    w = -(-n // math.comb(h, d))
     records = -(-n // w)
-    h, tables = _index_tables(h, d, records)
 
     # Lagrange basis values at 0 for the points 1..k; independent of (i, ell).
     lam = lagrange_weights(k, p)

@@ -559,7 +559,7 @@ def bench(
     for n in n_values:
         scheme = build(n)
         cost = comm_cost(scheme)
-        x = tuple((j * 2654435761 >> 7) & 1 for j in range(n))
+        x = bytes((j * 2654435761 >> 7) & 1 for j in range(n))
         db = prepare(scheme, x)
         answer_time = 0.0
         total_time = 0.0

@@ -857,6 +857,21 @@ class TestNetworkCommands:
 
         assert load_database(path) == bytes((1, 0, 1, 1, 0, 0, 1, 0))
 
+    def test_makedb_file_is_pinned(self, capsys, tmp_path):
+        # One seed's file, byte for byte: the seeded bits and their order
+        # never change.  --bits of the same bits writes the same file.
+        path = tmp_path / "db.bin"
+        code, _, _ = run_cli(capsys, "makedb", "--n", "1000", "--seed", "5",
+                             "--db", str(path))
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "328557381bfdeb58017ba24ce093328a8805e530056fe87d51ea4e8353ef7b9a"
+        )
+        bits = "".join(map(str, sim.load_database(path)))
+        again = tmp_path / "again.bin"
+        run_cli(capsys, "makedb", "--n", "1000", "--bits", bits, "--db", str(again))
+        assert again.read_bytes() == path.read_bytes()
+
     @pytest.mark.parametrize("n", ["-1", "0"])
     def test_makedb_rejects_empty_database(self, capsys, tmp_path, n):
         path = tmp_path / "db.bin"
@@ -908,6 +923,15 @@ class TestBenchCommand:
         code, out, _ = run_cli(capsys, "bench", *argv.split(), "--trials", "1")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == sha
+
+    def test_lagrange_grid_widens_a_short_curve(self, capsys):
+        # h = 7 holds C(7,2) = 21 records: one column at n = 3 and 20, and
+        # w = 5 columns at n = 100.
+        code, out, _ = run_cli(capsys, "bench", "lagrange", "--t", "1", "--k", "3",
+                               "--p", "13", "--h", "7", "--n", "3,20,100")
+        assert code == 0
+        rows = [line.split("\t") for line in out.splitlines()[1:]]
+        assert [(r[1], r[3]) for r in rows] == [("3", "15"), ("20", "15"), ("100", "21")]
 
     @pytest.mark.parametrize("trials", ["0", "-1"])
     @pytest.mark.parametrize("timing", [(), ("--timing",)])

@@ -11,6 +11,7 @@ import pytest
 
 from pirlab.algebra import interpolation_matrix, interpolation_vector
 from pirlab.engine import (
+    PrimeField,
     alpha_sum,
     answer,
     comm_cost,
@@ -209,8 +210,19 @@ class TestWeightVectors:
         ]
 
     def test_too_many(self):
-        with pytest.raises(ParamError):
-            build_lagrange(4, 1, 3, 5, h=3)  # d = 2, C(3,2) = 3 < 4
+        # d = 2 and C(3,2) = 3 < 4: a curve too short for the n records
+        # widens to w = 2 columns of 2.  Hermite keeps one column and
+        # refuses (d = 3, C(3,3) = 1 < 4).
+        scheme = build_lagrange(4, 1, 3, 5, h=3)
+        assert (scheme.report["h"], scheme.answer_dim) == (3, 2)
+        assert exhaustive_correctness(scheme).passed
+        with pytest.raises(ParamError, match=r"^C\(3,3\) = 1 < n = 4$"):
+            build_wy_hermite(4, 1, 2, 7, h=3)
+
+    @pytest.mark.parametrize("build,k,d", [(build_lagrange, 3, 2), (build_wy_hermite, 2, 3)])
+    def test_h_below_d(self, build, k, d):
+        with pytest.raises(ParamError, match=f"^h must be at least d = {d}, got h = 1$"):
+            build(4, 1, k, 7, h=1)
 
     @pytest.mark.parametrize("build", [build_lagrange, build_wy_hermite])
     @pytest.mark.parametrize("h", [-1, 0])
@@ -329,8 +341,9 @@ class TestLagrange:
             build_lagrange(3, 1, 3, 3)  # p must exceed k
         with pytest.raises(ParamError):
             build_lagrange(3, 3, 3, 7)  # t < k required
-        with pytest.raises(ParamError):
-            build_lagrange(3, 2, 3, 7, h=2)  # d = 1, C(2,1) < 3
+        # d = 1 and C(2,1) = 2 < 3: two columns, of 2 records and of 1.
+        scheme = build_lagrange(3, 2, 3, 7, h=2)
+        assert (scheme.report["h"], scheme.answer_dim) == (2, 2)
 
 
 class TestHermiteAlgebra:
@@ -586,6 +599,68 @@ class TestLagrangeKernel:
                 queries.append(tuple(v if rng.randrange(2) else 0 for v in q))
             for q in queries:
                 assert answer(scheme, db, q) == alpha_sum(scheme, x, q)
+
+    def test_alpha_sum_adds_only_what_alpha_sets(self):
+        # alpha sets one of the w = 32 coordinates, so the reference makes
+        # one ring.add per set bit, not 32.
+        adds = []
+
+        class Counting(PrimeField):
+            def add(self, a, b):
+                adds.append(1)
+                return super().add(a, b)
+
+        scheme = build_lagrange(65536, 1, 3, 13)
+        assert scheme.answer_dim == 32
+        counted = dataclasses.replace(scheme, ring=Counting(13))
+        rng = random.Random(3)
+        x = bytes(rng.randrange(8) == 0 for _ in range(scheme.n))
+        # No coordinate of q is 0, so no alpha value is.
+        q = tuple(rng.randrange(1, 13) for _ in range(scheme.report["h"]))
+        assert alpha_sum(counted, x, q) == answer(scheme, x, q)
+        assert len(adds) == sum(x)
+
+    # Deployments that share protocol and n with lagrange n=4096 t=1 k=3
+    # p=13 (h = 26, w = 13) or hermite n=64 t=1 k=2 p=7, and differ in one
+    # parameter and so in layout or answer.
+    @pytest.mark.parametrize(
+        "build, ours, theirs, said",
+        [
+            (build_lagrange, (4096, 1, 3, 13), (4096, 1, 3, 13, 92),
+             "h = 92, not lagrange n = 4096 h = 26"),
+            (build_lagrange, (4096, 1, 3, 13), (4096, 1, 3, 11),
+             "p = 11, not lagrange n = 4096 p = 13"),
+            (build_lagrange, (4096, 1, 3, 13), (4096, 1, 4, 13),
+             "k = 4, not lagrange n = 4096 k = 3"),
+            (build_lagrange, (4096, 1, 3, 13), (4096, 2, 3, 13),
+             "t = 2, not lagrange n = 4096 t = 1"),
+            (build_wy_hermite, (64, 1, 2, 7), (64, 1, 2, 11),
+             "p = 11, not hermite n = 64 p = 7"),
+        ],
+        ids=["h92-into-default", "p11-into-p13", "k4-into-k3", "t2-into-t1",
+             "hermite-p11-into-p7"],
+    )
+    def test_foreign_prepared_is_refused(self, build, ours, theirs, said):
+        scheme, other = build(*ours), build(*theirs)
+        rng = random.Random(1)
+        db = prepare(other, bytes(rng.randrange(2) for _ in range(other.n)))
+        q = (0,) * scheme.report["h"]
+        message = f"^database prepared for {scheme.name} n = {scheme.n} {said}$"
+        for call in (
+            lambda: prepare(scheme, db),
+            lambda: answer(scheme, db, q),
+            lambda: ServerNode(1, scheme, db),
+            lambda: run_inprocess(scheme, db, 0, seed=0, check=False),
+        ):
+            with pytest.raises(ParamError, match=message):
+                call()
+        # A rebuild of the deployment, or a copy of its scheme, is the same
+        # parameters and takes the database as it is.
+        own = prepare(scheme, bytes(scheme.n))
+        for same in (build(*ours), dataclasses.replace(scheme)):
+            assert same.report is not scheme.report
+            assert prepare(same, own) is own
+            assert answer(same, own, q) == answer(scheme, own, q)
 
     @pytest.mark.parametrize("n,t,k,p", _KERNEL_CONFIGS)
     def test_bad_input_raises_on_both_paths(self, n, t, k, p):

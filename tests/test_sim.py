@@ -1004,3 +1004,15 @@ class TestBench:
         assert rows[0]["raw_bits"] == pytest.approx(
             round(3 * (h + 1) * math.log2(5), 3)
         )
+
+    def test_database_is_one_byte_per_bit(self):
+        # The bench's own database is n bytes, not an n-entry tuple
+        # (8 bytes per bit), so it stays small beside what it measures.
+        tracemalloc.start()
+        try:
+            (row,) = bench(build_cgks, [2**20], trials=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert row["n"] == 2**20
+        assert peak <= 4 << 20
